@@ -28,7 +28,6 @@ from .traffic import (
     DEFAULT_LL_DSCPS,
     Packet,
     TrafficClass,
-    classify,
     gen_cbr,
     merge,
     read_trace,
@@ -46,7 +45,7 @@ __all__ = [
     "EeePort", "EeePortConfig", "PortState", "Queue",
     "FlowTable", "MetricsReport", "SimConfig", "oracle_simulate", "run",
     "ConfigError", "SimulationFault", "TraceError",
-    "DEFAULT_LL_DSCPS", "Packet", "TrafficClass", "classify", "gen_cbr",
+    "DEFAULT_LL_DSCPS", "Packet", "TrafficClass", "gen_cbr",
     "merge", "read_trace", "scale_trace", "write_trace",
     "__version__",
 ]

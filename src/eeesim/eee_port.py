@@ -1,9 +1,9 @@
 """One IEEE 802.3az port: sleep/wake state machine, dual priority queues.
 
-The port is a single-owner state machine: only the engine's event loop (or
-the test oracle) mutates it, so there is no locking. State changes happen at
-integer-nanosecond instants and every transition is accounted so that state
-residence times over any window sum to the window length.
+The port is a single-owner state machine: only the engine's loop mutates
+it, so there is no locking. State changes happen at integer-nanosecond
+instants and every transition is accounted so that state residence times
+over any window sum to the window length.
 
 State machine rules:
 
@@ -18,23 +18,35 @@ State machine rules:
 Strict priority: when a transmission ends the next frame comes from the low
 queue only if the high queue is empty. Both queues share one buffer of
 ``buffer_limit`` packets with tail drop.
+
+Every state except ``LPI`` ends at a time the port already knows,
+``next_at``; nothing outside the port can change it. The port therefore
+runs lazily: :meth:`EeePort.advance` fires the transitions due before a
+horizon, one handler call each, and the owner only has to call it before
+handing the port its next arrival.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 
 from .errors import ConfigError, SimulationFault
-from .traffic import TrafficClass
 
 
-class PortState(Enum):
-    ACTIVE = "active"
-    LPI = "lpi"
-    SLEEP_TRANS = "sleep_trans"
-    WAKE_TRANS = "wake_trans"
+class PortState(IntEnum):
+    """Port states; the value indexes :attr:`EeePort.residence_ns`."""
+
+    ACTIVE = 0
+    LPI = 1
+    SLEEP_TRANS = 2
+    WAKE_TRANS = 3
+
+    @property
+    def key(self) -> str:
+        """Name used in reports: ``active``, ``lpi``, ``sleep_trans``, ``wake_trans``."""
+        return self.name.lower()
 
 
 class Queue(IntEnum):
@@ -42,12 +54,9 @@ class Queue(IntEnum):
     LOW = 1
 
 
-class PortEvent(IntEnum):
-    """Follow-up events a port asks the engine to schedule."""
-
-    TX_COMPLETE = 0
-    SLEEP_COMPLETE = 1
-    WAKE_COMPLETE = 2
+ACTIVE, LPI, SLEEP_TRANS, WAKE_TRANS = PortState
+HIGH = Queue.HIGH
+_INF = float("inf")
 
 
 @dataclass(slots=True)
@@ -82,36 +91,56 @@ class EeePortConfig:
         return (2 * num + self.capacity_bps) // (2 * self.capacity_bps)
 
 
+class _WireTimes(dict):
+    """Memo of wire time by frame size for one port configuration."""
+
+    __slots__ = ("cfg",)
+
+    def __init__(self, cfg: EeePortConfig):
+        super().__init__()
+        self.cfg = cfg
+
+    def __missing__(self, size: int) -> int:
+        self[size] = ns = self.cfg.tx_time_ns(size)
+        return ns
+
+
 class EeePort:
-    """State machine, queues and accounting for a single port."""
+    """State machine, queues and state-residence accounting for one port.
+
+    ``deliver`` is called with the ``(packet, class, delay, tx_start)``
+    record of every frame that :meth:`advance` finishes; set it before the
+    first call to :meth:`advance`. ``window`` is the ``(start, end)``
+    interval over which residence times are accounted.
+    """
 
     __slots__ = (
-        "index", "cfg", "state", "state_since", "trans_end",
-        "high", "low", "tx_packet", "tx_class", "tx_start", "tx_end",
-        "clock", "residence_ns", "drops", "delivered",
-        "win_start", "win_end", "transitions",
+        "index", "cfg", "state", "state_since", "next_at",
+        "high", "low", "tx_packet", "tx_class", "tx_start",
+        "clock", "residence_ns", "win_start", "win_end", "transitions",
+        "deliver", "_wire_ns",
     )
 
     def __init__(self, index: int, cfg: EeePortConfig, window=(0, None),
-                 record_transitions: bool = False):
+                 deliver=None, record_transitions: bool = False):
         cfg.validate()
         self.index = index
         self.cfg = cfg
-        self.state = PortState.LPI          # ports start cold, in LPI
+        self.state = LPI                    # ports start cold, in LPI
         self.state_since = 0
-        self.trans_end = 0
+        self.next_at = _INF                 # LPI ends only on an arrival
         self.high: deque = deque()
         self.low: deque = deque()
         self.tx_packet = None
         self.tx_class = None
         self.tx_start = 0
-        self.tx_end = 0
         self.clock = 0
-        self.residence_ns = {s: 0 for s in PortState}
-        self.drops = {TrafficClass.NORMAL: 0, TrafficClass.LOW_LATENCY: 0}
-        self.delivered = {TrafficClass.NORMAL: 0, TrafficClass.LOW_LATENCY: 0}
-        self.win_start, self.win_end = window
+        self.residence_ns = [0] * len(PortState)
+        self.win_start, end = window
+        self.win_end = _INF if end is None else end
         self.transitions = [] if record_transitions else None
+        self.deliver = deliver
+        self._wire_ns = _WireTimes(cfg)
 
     @property
     def occupancy(self) -> int:
@@ -119,122 +148,115 @@ class EeePort:
 
     def _accrue(self, now: int) -> None:
         lo = self.state_since if self.state_since > self.win_start else self.win_start
-        hi = now if self.win_end is None or now < self.win_end else self.win_end
+        hi = now if now < self.win_end else self.win_end
         if hi > lo:
             self.residence_ns[self.state] += hi - lo
 
     def _set_state(self, new: PortState, now: int) -> None:
-        if new is self.state:
-            return
         self._accrue(now)
         if self.transitions is not None:
             self.transitions.append((now, self.state, new))
         self.state = new
         self.state_since = now
 
-    def _start_tx(self, pkt, cls, now: int):
-        self._set_state(PortState.ACTIVE, now)
+    def _start_tx(self, entry, now: int) -> None:
+        pkt, self.tx_class = entry
         self.tx_packet = pkt
-        self.tx_class = cls
         self.tx_start = now
-        self.tx_end = now + self.cfg.tx_time_ns(pkt.size)
-        return (PortEvent.TX_COMPLETE, self.tx_end)
+        self.next_at = now + self._wire_ns[pkt.size]
 
-    def enqueue(self, pkt, queue: Queue, cls: TrafficClass, now: int):
+    def advance(self, horizon) -> None:
+        """Fire, in time order, every transition due strictly before ``horizon``.
+
+        Transitions at exactly ``horizon`` wait, so arrivals at that instant
+        are enqueued first and a frame meeting a departing one is served back
+        to back.
+        """
+        while self.next_at < horizon:
+            now = self.next_at
+            state = self.state
+            if state is ACTIVE:
+                self.deliver(self.on_tx_complete(now))
+            elif state is SLEEP_TRANS:
+                self.on_sleep_complete(now)
+            else:
+                self.on_wake_complete(now)
+
+    def enqueue(self, pkt, queue: Queue, cls: int, now: int):
         """Accept or tail-drop an arriving frame.
 
-        Returns ``(accepted, events)`` where ``events`` are follow-ups to
-        schedule. A frame arriving to an LPI port triggers the wake
-        transition; during SLEEP_TRANS the wake is deferred until the sleep
-        transition completes (non-empty queues mark the pending wake).
+        Returns ``(accepted, next_at)``. A frame arriving to an LPI port
+        starts the wake transition; during SLEEP_TRANS the wake is deferred
+        until the sleep transition completes (non-empty queues mark the
+        pending wake). The caller advances the port to ``now`` first.
         """
         if now < self.clock:
             raise SimulationFault(
                 f"port {self.index}: time went backwards ({now} < {self.clock})"
             )
         self.clock = now
-        if self.occupancy >= self.cfg.buffer_limit:
-            self.drops[cls] += 1
-            return False, ()
-        (self.high if queue is Queue.HIGH else self.low).append((pkt, cls))
-        state = self.state
-        if state is PortState.LPI:
-            self._set_state(PortState.WAKE_TRANS, now)
-            self.trans_end = now + self.cfg.t_wake_ns
-            return True, ((PortEvent.WAKE_COMPLETE, self.trans_end),)
-        if state is PortState.ACTIVE and self.tx_packet is None:
-            # Unreachable through the engine (ACTIVE always transmits) but
-            # kept so direct use of the port stays work-conserving.
-            nxt = self.high.popleft() if self.high else self.low.popleft()
-            return True, (self._start_tx(nxt[0], nxt[1], now),)
-        # SLEEP_TRANS: queue occupancy marks the pending wake.
-        # WAKE_TRANS / ACTIVE with a frame in flight: nothing to schedule.
-        return True, ()
+        if len(self.high) + len(self.low) >= self.cfg.buffer_limit:
+            return False, self.next_at
+        (self.high if queue is HIGH else self.low).append((pkt, cls))
+        if self.state is LPI:
+            self._set_state(WAKE_TRANS, now)
+            self.next_at = now + self.cfg.t_wake_ns
+        return True, self.next_at
 
     def on_tx_complete(self, now: int):
-        """Finish the frame in flight and pick the next action.
+        """Finish the frame in flight and start the next one or the sleep.
 
-        Returns ``((packet, class, delay, tx_start), events)``.
+        Returns ``(packet, class, delay, tx_start)`` of the finished frame.
         """
-        if self.tx_packet is None or self.tx_end != now:
+        pkt = self.tx_packet
+        if pkt is None or self.next_at != now:
             raise SimulationFault(
                 f"port {self.index}: tx completion at {now} without matching transmission"
             )
-        pkt, cls, started = self.tx_packet, self.tx_class, self.tx_start
-        self.tx_packet = None
-        self.tx_class = None
-        self.delivered[cls] += 1
+        record = (pkt, self.tx_class, now - pkt.arrival_time, self.tx_start)
         self.clock = now
-        delay = now - pkt.arrival_time
         if self.high:
-            nxt = self.high.popleft()
+            self._start_tx(self.high.popleft(), now)
         elif self.low:
-            nxt = self.low.popleft()
+            self._start_tx(self.low.popleft(), now)
         else:
-            self._set_state(PortState.SLEEP_TRANS, now)
-            self.trans_end = now + self.cfg.t_sleep_ns
-            return (pkt, cls, delay, started), ((PortEvent.SLEEP_COMPLETE, self.trans_end),)
-        return (pkt, cls, delay, started), (self._start_tx(nxt[0], nxt[1], now),)
+            self.tx_packet = self.tx_class = None
+            self._set_state(SLEEP_TRANS, now)
+            self.next_at = now + self.cfg.t_sleep_ns
+        return record
 
-    def on_sleep_complete(self, now: int):
-        if self.state is not PortState.SLEEP_TRANS or self.trans_end != now:
+    def on_sleep_complete(self, now: int) -> None:
+        if self.state is not SLEEP_TRANS or self.next_at != now:
             raise SimulationFault(
-                f"port {self.index}: sleep completion at {now} in state {self.state}"
+                f"port {self.index}: sleep completion at {now} in state {self.state.key}"
             )
         self.clock = now
         if self.occupancy:
             # One wake serves however many arrivals queued up meanwhile.
-            self._set_state(PortState.WAKE_TRANS, now)
-            self.trans_end = now + self.cfg.t_wake_ns
-            return ((PortEvent.WAKE_COMPLETE, self.trans_end),)
-        self._set_state(PortState.LPI, now)
-        return ()
+            self._set_state(WAKE_TRANS, now)
+            self.next_at = now + self.cfg.t_wake_ns
+        else:
+            self._set_state(LPI, now)
+            self.next_at = _INF
 
-    def on_wake_complete(self, now: int):
-        if self.state is not PortState.WAKE_TRANS or self.trans_end != now:
+    def on_wake_complete(self, now: int) -> None:
+        if self.state is not WAKE_TRANS or self.next_at != now:
             raise SimulationFault(
-                f"port {self.index}: wake completion at {now} in state {self.state}"
+                f"port {self.index}: wake completion at {now} in state {self.state.key}"
             )
         self.clock = now
         if self.high:
-            nxt = self.high.popleft()
+            entry = self.high.popleft()
         elif self.low:
-            nxt = self.low.popleft()
+            entry = self.low.popleft()
         else:
             raise SimulationFault(
                 f"port {self.index}: woke at {now} with both queues empty"
             )
-        return (self._start_tx(nxt[0], nxt[1], now),)
+        self._set_state(ACTIVE, now)
+        self._start_tx(entry, now)
 
     def finalize(self, end: int) -> None:
         """Close the accounting at the end of the measured run."""
         self._accrue(end)
         self.state_since = end
-
-    def energy(self) -> float:
-        """Accumulated energy (normalized power x seconds) over the window."""
-        r = self.residence_ns
-        awake_ns = (
-            r[PortState.ACTIVE] + r[PortState.SLEEP_TRANS] + r[PortState.WAKE_TRANS]
-        )
-        return awake_ns * 1e-9 * self.cfg.p_active + r[PortState.LPI] * 1e-9 * self.cfg.p_lpi

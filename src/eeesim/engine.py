@@ -1,16 +1,21 @@
-"""Deterministic discrete-event loop binding traffic, ports and allocation.
+"""Deterministic simulation loop binding traffic, ports and allocation.
 
 One simulation run is strictly single threaded: identical config and input
-stream produce a bit-identical report. Events at the same nanosecond are
-ordered by a fixed rank: control epochs first (a plan takes effect at
-exactly t = nT), then arrivals, then transmit/sleep/wake completions. An
-arrival that lands exactly when the wire goes idle is therefore served back
-to back instead of paying a gratuitous sleep/wake cycle.
+stream produce a bit-identical report. Dispatch reads only the flow
+counters and the plan, never port state, and each port's next transition
+time is known to the port alone, so there is no global event queue: the
+loop makes one pass over the arrival stream and advances only the port an
+arrival is sent to, lazily, up to that arrival's time.
+
+Events at the same nanosecond keep a fixed order: control epochs first (a
+plan takes effect at exactly t = nT), then arrivals in stream order, then
+transmit/sleep/wake completions. An arrival that lands exactly when the
+wire goes idle is therefore served back to back instead of paying a
+gratuitous sleep/wake cycle.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from collections import deque
 from dataclasses import dataclass, field
@@ -29,11 +34,6 @@ from .eee_port import EeePort, EeePortConfig, PortState, Queue
 from .errors import ConfigError, SimulationFault
 from .traffic import DEFAULT_LL_DSCPS, TrafficClass
 
-_RANK_EPOCH = 0
-_RANK_ARRIVAL = 1
-# Indexed by PortEvent value: TX_COMPLETE -> 2, SLEEP_COMPLETE -> 3, WAKE_COMPLETE -> 4.
-_RANK = (2, 3, 4)
-
 _INF = float("inf")
 
 
@@ -49,7 +49,6 @@ class SimConfig:
     warmup_ns: int | None = None  # None: one sampling period
     record_departures: bool = False
     record_delay_log: bool = False
-    record_transitions: bool = False
     track_flows: frozenset = frozenset()
 
     def resolved_warmup(self) -> int:
@@ -138,18 +137,6 @@ class FlowTable:
         return plan
 
 
-def dispatch(packet, flow_table: FlowTable):
-    """(port, queue) for a packet under the incumbent plan."""
-    return flow_table.dispatch(packet)
-
-
-def control_epoch(flow_table: FlowTable, config: SimConfig, now: int) -> AllocationPlan:
-    """Run one control epoch against the given flow table."""
-    if config is not flow_table.config:
-        raise ConfigError("flow table belongs to a different configuration")
-    return flow_table.control_epoch(now)
-
-
 def _delay_stats(delays_ns) -> dict | None:
     if not delays_ns:
         return None
@@ -170,6 +157,8 @@ class MetricsReport:
 
     ``energy_by_state_ns`` holds exact integer residence times summed over
     ports, so energy comparisons between runs can be made bit-exactly.
+    ``delay_log`` rows ``(flow, arrival, delay, tx_start, size)`` are grouped
+    by port as the ports catch up, not in global departure order.
     """
 
     algorithm: str
@@ -266,7 +255,9 @@ def run(config: SimConfig, stream) -> MetricsReport:
     Fires a control epoch every sampling period (t = T, 2T, ...), dispatches
     each arrival per the incumbent plan, and returns metrics measured over
     [warmup, duration). Packets still queued at the end are counted in the
-    conservation totals but contribute no delay sample.
+    conservation totals but contribute no delay sample. Raises
+    :class:`SimulationFault` if the run breaks packet conservation or a
+    port's state residence times do not cover the measured window.
     """
     config.validate()
     n_ports = config.bundle.n_ports
@@ -274,136 +265,110 @@ def run(config: SimConfig, stream) -> MetricsReport:
     warmup = config.resolved_warmup()
     period = config.sampling_period_ns
 
-    ports = [
-        EeePort(i, config.port, (warmup, duration), config.record_transitions)
-        for i in range(n_ports)
-    ]
-    table = FlowTable(config)
-    classes = table.classes
-
-    heap: list = []
-    push = heapq.heappush
-    pop = heapq.heappop
-    nev = 0
-
-    arrivals = iter(stream)
-    first = next(arrivals, None)
-    if first is not None:
-        push(heap, (first.arrival_time, _RANK_ARRIVAL, 0, nev, first))
-        nev += 1
-    if period < duration:
-        push(heap, (period, _RANK_EPOCH, 0, nev, None))
-        nev += 1
-
-    delays = {TrafficClass.NORMAL: [], TrafficClass.LOW_LATENCY: []}
-    drops_w = {TrafficClass.NORMAL: 0, TrafficClass.LOW_LATENCY: 0}
-    delivered_w = {TrafficClass.NORMAL: 0, TrafficClass.LOW_LATENCY: 0}
+    # Per-class tallies are indexed by class: 0 normal, 1 low latency.
+    delays = ([], [])
+    drops_w = [0, 0]
     arrived_total = delivered_total = dropped_total = 0
     departures = {} if config.record_departures else None
     drop_seqs = set() if config.record_departures else None
     delay_log = [] if config.record_delay_log else None
     tracked = {flow: [] for flow in config.track_flows}
-    epoch_rows: list = []
+
+    def deliver(record):
+        nonlocal delivered_total
+        delivered_total += 1
+        pkt, ci, delay, started = record
+        if pkt.arrival_time >= warmup:
+            delays[ci].append(delay)
+            if pkt.flow in tracked:
+                tracked[pkt.flow].append(delay)
+            if delay_log is not None:
+                delay_log.append((pkt.flow, pkt.arrival_time, delay, started, pkt.size))
+        if departures is not None:
+            departures[pkt.seq] = pkt.arrival_time + delay
+
+    ports = [
+        EeePort(i, config.port, (warmup, duration), deliver) for i in range(n_ports)
+    ]
+    table = FlowTable(config)
+    classes = table.classes
+    dispatch = table.dispatch
+    low_latency = TrafficClass.LOW_LATENCY
 
     # Time-weighted incumbent-plan width ("ports the algorithm is using").
     ap_acc = 0
     ap_last = 0
     ap_k = table.plan.active_ports
-    last_arrival = -1
+    epoch_rows: list = []
 
-    while heap:
-        t, rank, key, _, payload = pop(heap)
+    def fire_epoch(t):
+        """Run the control epoch at ``t``; returns the next epoch's time."""
+        nonlocal ap_acc, ap_last, ap_k
+        lo = ap_last if ap_last > warmup else warmup
+        if t > lo:
+            ap_acc += ap_k * (t - lo)
+        ap_last = t
+        plan = table.control_epoch(t)
+        ap_k = plan.active_ports
+        epoch_rows.append((t, plan.active_ports, [float(x) for x in plan.port_loads]))
+        nt = t + period
+        return nt if nt < duration else _INF
+
+    next_epoch = period if period < duration else _INF
+    last_arrival = -1
+    for pkt in stream:
+        t = pkt.arrival_time
         if t >= duration:
             break
-        if rank == 1:  # arrival
-            pkt = payload
-            if pkt.arrival_time < last_arrival:
-                raise SimulationFault(
-                    f"arrival stream not time-ordered at t={pkt.arrival_time}"
-                )
-            last_arrival = pkt.arrival_time
-            arrived_total += 1
-            port_idx, queue = table.dispatch(pkt)
-            cls = classes[pkt.flow]
-            accepted, events = ports[port_idx].enqueue(pkt, queue, cls, t)
-            if accepted:
-                for kind, te in events:
-                    push(heap, (te, _RANK[kind], port_idx, nev, None))
-                    nev += 1
-            else:
-                dropped_total += 1
-                if t >= warmup:
-                    drops_w[cls] += 1
-                if drop_seqs is not None:
-                    drop_seqs.add(pkt.seq)
-            nxt = next(arrivals, None)
-            if nxt is not None:
-                push(heap, (nxt.arrival_time, _RANK_ARRIVAL, 0, nev, nxt))
-                nev += 1
-        elif rank == 2:  # transmission complete
-            (pkt, cls, delay, started), events = ports[key].on_tx_complete(t)
-            delivered_total += 1
-            if pkt.arrival_time >= warmup:
-                delays[cls].append(delay)
-                delivered_w[cls] += 1
-                if pkt.flow in tracked:
-                    tracked[pkt.flow].append(delay)
-                if delay_log is not None:
-                    delay_log.append(
-                        (pkt.flow, pkt.arrival_time, delay, started, pkt.size)
-                    )
-            if departures is not None:
-                departures[pkt.seq] = t
-            for kind, te in events:
-                push(heap, (te, _RANK[kind], key, nev, None))
-                nev += 1
-        elif rank == 0:  # control epoch
-            lo = ap_last if ap_last > warmup else warmup
-            if t > lo:
-                ap_acc += ap_k * (t - lo)
-            ap_last = t
-            plan = table.control_epoch(t)
-            ap_k = plan.active_ports
-            epoch_rows.append(
-                (t, plan.active_ports, [float(x) for x in plan.port_loads])
-            )
-            nt = t + period
-            if nt < duration:
-                push(heap, (nt, _RANK_EPOCH, 0, nev, None))
-                nev += 1
-        elif rank == 3:
-            for kind, te in ports[key].on_sleep_complete(t):
-                push(heap, (te, _RANK[kind], key, nev, None))
-                nev += 1
-        else:
-            for kind, te in ports[key].on_wake_complete(t):
-                push(heap, (te, _RANK[kind], key, nev, None))
-                nev += 1
-
+        if t < last_arrival:
+            raise SimulationFault(f"arrival stream not time-ordered at t={t}")
+        last_arrival = t
+        while next_epoch <= t:
+            next_epoch = fire_epoch(next_epoch)
+        arrived_total += 1
+        port_idx, queue = dispatch(pkt)
+        ci = 1 if classes[pkt.flow] is low_latency else 0
+        port = ports[port_idx]
+        port.advance(t)
+        if not port.enqueue(pkt, queue, ci, t)[0]:
+            dropped_total += 1
+            if t >= warmup:
+                drops_w[ci] += 1
+            if drop_seqs is not None:
+                drop_seqs.add(pkt.seq)
+    while next_epoch < duration:
+        next_epoch = fire_epoch(next_epoch)
     for port in ports:
+        port.advance(duration)
         port.finalize(duration)
     lo = ap_last if ap_last > warmup else warmup
     if duration > lo:
         ap_acc += ap_k * (duration - lo)
 
     measured_ns = duration - warmup
+    queued_end = sum(p.occupancy + (p.tx_packet is not None) for p in ports)
+    if arrived_total != delivered_total + dropped_total + queued_end:
+        raise SimulationFault(
+            f"packet conservation broken: {arrived_total} arrived != "
+            f"{delivered_total} delivered + {dropped_total} dropped + "
+            f"{queued_end} queued"
+        )
+    for p in ports:
+        if sum(p.residence_ns) != measured_ns:
+            raise SimulationFault(
+                f"port {p.index}: state residence {sum(p.residence_ns)} ns != "
+                f"measured window {measured_ns} ns"
+            )
+
     by_state = {
-        state.value: sum(p.residence_ns[state] for p in ports) for state in PortState
+        state.key: sum(p.residence_ns[state] for p in ports) for state in PortState
     }
-    awake_ns = (
-        by_state[PortState.ACTIVE.value]
-        + by_state[PortState.SLEEP_TRANS.value]
-        + by_state[PortState.WAKE_TRANS.value]
-    )
+    awake_ns = by_state["active"] + by_state["sleep_trans"] + by_state["wake_trans"]
     p_active, p_lpi = config.port.p_active, config.port.p_lpi
-    total_energy = awake_ns * 1e-9 * p_active + by_state[PortState.LPI.value] * 1e-9 * p_lpi
+    total_energy = awake_ns * 1e-9 * p_active + by_state["lpi"] * 1e-9 * p_lpi
     normalized = total_energy / (n_ports * p_active * measured_ns * 1e-9)
 
-    queued_end = sum(p.occupancy for p in ports) + sum(
-        1 for p in ports if p.tx_packet is not None
-    )
-    all_delays = delays[TrafficClass.NORMAL] + delays[TrafficClass.LOW_LATENCY]
-
+    normal, low = delays
     return MetricsReport(
         algorithm=config.bundle.algorithm.value,
         n_ports=n_ports,
@@ -411,18 +376,12 @@ def run(config: SimConfig, stream) -> MetricsReport:
         warmup_ns=warmup,
         sampling_period_ns=period,
         delay={
-            "normal": _delay_stats(delays[TrafficClass.NORMAL]),
-            "low_latency": _delay_stats(delays[TrafficClass.LOW_LATENCY]),
-            "overall": _delay_stats(all_delays),
+            "normal": _delay_stats(normal),
+            "low_latency": _delay_stats(low),
+            "overall": _delay_stats(normal + low),
         },
-        delivered={
-            "normal": delivered_w[TrafficClass.NORMAL],
-            "low_latency": delivered_w[TrafficClass.LOW_LATENCY],
-        },
-        drops={
-            "normal": drops_w[TrafficClass.NORMAL],
-            "low_latency": drops_w[TrafficClass.LOW_LATENCY],
-        },
+        delivered={"normal": len(normal), "low_latency": len(low)},
+        drops={"normal": drops_w[0], "low_latency": drops_w[1]},
         totals={
             "arrived": arrived_total,
             "delivered": delivered_total,
@@ -431,7 +390,7 @@ def run(config: SimConfig, stream) -> MetricsReport:
         },
         energy_by_state_ns=by_state,
         port_state_ns=[
-            {state.value: p.residence_ns[state] for state in PortState} for p in ports
+            {state.key: p.residence_ns[state] for state in PortState} for p in ports
         ],
         total_energy=total_energy,
         normalized_energy=normalized,

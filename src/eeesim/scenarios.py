@@ -34,7 +34,7 @@ from .eee_port import EeePortConfig
 from .engine import MetricsReport, SimConfig, run
 from .errors import ConfigError
 from .traffic import Packet, gen_cbr, merge, read_trace, scale_trace
-from .traffic import _check_dscp, _check_size
+from .traffic import _check_dscp, _check_size, _round_div
 
 #: packets per frame grow with the rate so the frame pace stays well below
 #: the sleep/wake time scale (one packet per frame up to 100 Mb/s).
@@ -169,10 +169,6 @@ def build_sim_config(scenario: Scenario, algorithm) -> SimConfig:
         warmup_ns=sv("warmup_ns"),
         track_flows=frozenset(sv("track_flows")),
     )
-
-
-def _round_div(num: int, den: int) -> int:
-    return (2 * num + den) // (2 * den)
 
 
 def gen_frames(rate_bps, pkt_size, dscp, duration_ns, line_rate_bps,

@@ -60,13 +60,6 @@ def _check_dscp(dscp: int, line: int | None = None) -> None:
         raise TraceError(f"dscp {dscp} outside [0, {MAX_DSCP}]", line=line)
 
 
-def classify(packet: Packet, ll_dscps=DEFAULT_LL_DSCPS) -> TrafficClass:
-    """Class of a packet given the configured set of low-latency DSCPs."""
-    if packet.dscp in ll_dscps:
-        return TrafficClass.LOW_LATENCY
-    return TrafficClass.NORMAL
-
-
 def read_trace(path) -> Iterator[Packet]:
     """Yield packets from a trace-csv file in file order.
 

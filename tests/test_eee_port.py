@@ -1,21 +1,23 @@
 """Port state machine: wake/sleep timing, priorities, drops, accounting."""
 
-import heapq
 import random
 
 import pytest
 
-from eeesim import ConfigError, Packet, SimulationFault, TrafficClass
-from eeesim.eee_port import EeePort, EeePortConfig, PortEvent, PortState, Queue
+from eeesim import (
+    Algorithm,
+    BundleConfig,
+    ConfigError,
+    Packet,
+    SimConfig,
+    SimulationFault,
+    run,
+)
+from eeesim.eee_port import EeePort, EeePortConfig, PortState, Queue
 
 RSEED = 424242
 TEN_G = 10_000_000_000
-
-_RANKS = {
-    PortEvent.TX_COMPLETE: 2,
-    PortEvent.SLEEP_COMPLETE: 3,
-    PortEvent.WAKE_COMPLETE: 4,
-}
+NORMAL = 0  # class index of normal traffic
 
 
 def _cfg(**kw):
@@ -23,35 +25,37 @@ def _cfg(**kw):
 
 
 def drive_port(port, arrivals):
-    """Tiny event loop over one port: arrivals are (t, size, queue) tuples.
+    """Feed (t, size, queue) arrivals to one port the way the engine does.
 
-    Uses the same tie-break as the engine (arrivals before completions at
-    the same instant). Returns [(seq, departure, tx_start)] in service order.
+    Before each arrival the port fires its transitions due strictly before
+    that instant, so arrivals precede completions at the same nanosecond;
+    afterwards it runs until idle. Returns ``(departures, dropped)``:
+    ``[(seq, departure, tx_start)]`` in service order and the seqs of
+    tail-dropped frames.
     """
-    heap = []
-    n = 0
-    for i, (t, size, queue) in enumerate(arrivals):
-        heapq.heappush(heap, (t, 1, n, ("arr", size, queue, i)))
-        n += 1
     departures = []
-    while heap:
-        t, rank, _, ev = heapq.heappop(heap)
-        if ev[0] == "arr":
-            _, size, queue, i = ev
-            _, events = port.enqueue(
-                Packet(t, size, f"f{i}", 0, i), queue, TrafficClass.NORMAL, t
-            )
-        elif ev[0] is PortEvent.TX_COMPLETE:
-            (pkt, _, _, started), events = port.on_tx_complete(t)
-            departures.append((pkt.seq, t, started))
-        elif ev[0] is PortEvent.SLEEP_COMPLETE:
-            events = port.on_sleep_complete(t)
-        else:
-            events = port.on_wake_complete(t)
-        for kind, te in events:
-            heapq.heappush(heap, (te, _RANKS[kind], n, (kind,)))
-            n += 1
-    return departures
+    dropped = []
+    port.deliver = lambda rec: departures.append(
+        (rec[0].seq, rec[0].arrival_time + rec[2], rec[3])
+    )
+    for i, (t, size, queue) in enumerate(arrivals):
+        port.advance(t)
+        if not port.enqueue(Packet(t, size, f"f{i}", 0, i), queue, NORMAL, t)[0]:
+            dropped.append(i)
+    port.advance(float("inf"))
+    return departures, dropped
+
+
+def _run_one_port(cfg, packets, duration):
+    """Report of a one-port engine run measured over [0, duration)."""
+    config = SimConfig(
+        bundle=BundleConfig(n_ports=1, capacity_bps=cfg.capacity_bps,
+                            algorithm=Algorithm.CONSERVATIVE),
+        port=cfg,
+        duration_ns=duration,
+        warmup_ns=0,
+    )
+    return run(config, packets)
 
 
 # -- configuration -----------------------------------------------------------
@@ -78,25 +82,25 @@ def test_tx_time_rounds_to_nearest_ns():
 
 def test_wake_from_lpi_single_packet():
     port = EeePort(0, _cfg())
-    accepted, events = port.enqueue(
-        Packet(0, 1500, "f", 0, 0), Queue.LOW, TrafficClass.NORMAL, 0
-    )
-    assert accepted and events == ((PortEvent.WAKE_COMPLETE, 4480),)
+    assert port.enqueue(Packet(0, 1500, "f", 0, 0), Queue.LOW, NORMAL, 0) == (True, 4480)
     assert port.state is PortState.WAKE_TRANS
-    (events,) = (port.on_wake_complete(4480),)
-    assert events == ((PortEvent.TX_COMPLETE, 5680),)
-    (pkt, cls, delay, started), events = port.on_tx_complete(5680)
+    port.advance(4480)  # the wake completes at 4480, not strictly before it
+    assert port.state is PortState.WAKE_TRANS
+    port.on_wake_complete(4480)
+    assert (port.state, port.next_at) == (PortState.ACTIVE, 5680)
+    pkt, cls, delay, started = port.on_tx_complete(5680)
     assert (delay, started) == (5680, 4480)
     # both queues empty: the port immediately starts its sleep transition
-    assert events == ((PortEvent.SLEEP_COMPLETE, 5680 + 2280),)
-    assert port.state is PortState.SLEEP_TRANS
+    assert (port.state, port.next_at) == (PortState.SLEEP_TRANS, 5680 + 2280)
+    port.on_sleep_complete(5680 + 2280)
+    assert (port.state, port.next_at) == (PortState.LPI, float("inf"))
 
 
 def test_arrival_during_sleep_waits_full_sleep_then_wake():
     # Sleep cannot be aborted: wake starts only when the sleep transition
     # completes, so the frame pays the remaining sleep plus the full wake.
     port = EeePort(0, _cfg())
-    deps = drive_port(port, [(0, 64, Queue.LOW), (4531 + 1000, 1500, Queue.LOW)])
+    deps, _ = drive_port(port, [(0, 64, Queue.LOW), (4531 + 1000, 1500, Queue.LOW)])
     # first frame: wake 4480 + tx 51 -> sleep transition starts at t0 = 4531
     t0 = 4531
     assert deps[0] == (0, t0, 4480)
@@ -107,19 +111,19 @@ def test_arrival_during_sleep_waits_full_sleep_then_wake():
 
 def test_arrival_during_wake_just_queues():
     port = EeePort(0, _cfg())
-    deps = drive_port(port, [(0, 1500, Queue.LOW), (1000, 1500, Queue.LOW)])
+    deps, _ = drive_port(port, [(0, 1500, Queue.LOW), (1000, 1500, Queue.LOW)])
     assert [d[1] for d in deps] == [5680, 6880]
 
 
 def test_burst_departures_back_to_back():
     port = EeePort(0, _cfg())
-    deps = drive_port(port, [(0, 1500, Queue.LOW)] * 3)
+    deps, _ = drive_port(port, [(0, 1500, Queue.LOW)] * 3)
     assert [d[1] for d in deps] == [5680, 6880, 8080]
 
 
 def test_two_arrivals_during_sleep_share_one_wake():
     port = EeePort(0, _cfg())
-    deps = drive_port(
+    deps, _ = drive_port(
         port,
         [(0, 64, Queue.LOW), (4600, 1500, Queue.LOW), (4700, 1500, Queue.LOW)],
     )
@@ -135,7 +139,7 @@ def test_high_queue_served_before_low():
     # Both queues fill while frame 0 is on the wire; at its completion the
     # high-priority frame goes next even though it arrived last.
     port = EeePort(0, _cfg())
-    deps = drive_port(
+    deps, _ = drive_port(
         port,
         [(0, 1500, Queue.LOW), (4500, 1500, Queue.LOW), (4600, 1500, Queue.HIGH)],
     )
@@ -144,35 +148,37 @@ def test_high_queue_served_before_low():
 
 def test_fifo_within_queue():
     port = EeePort(0, _cfg())
-    deps = drive_port(port, [(0, 1500, Queue.HIGH), (10, 1500, Queue.HIGH)])
+    deps, _ = drive_port(port, [(0, 1500, Queue.HIGH), (10, 1500, Queue.HIGH)])
     assert [seq for seq, _, _ in deps] == [0, 1]
 
 
 def test_tail_drop_when_buffer_full():
     port = EeePort(0, _cfg(buffer_limit=2))
-    for i, t in enumerate((0, 10, 20)):
-        port.enqueue(Packet(t, 100, "f", 0, i), Queue.LOW, TrafficClass.NORMAL, t)
+    accepted = [
+        port.enqueue(Packet(t, 100, "f", 0, i), Queue.LOW, NORMAL, t)[0]
+        for i, t in enumerate((0, 10, 20))
+    ]
+    assert accepted == [True, True, False]
     assert port.occupancy == 2
-    assert port.drops[TrafficClass.NORMAL] == 1
 
 
 def test_drop_does_not_count_delivered():
     port = EeePort(0, _cfg(buffer_limit=1))
-    deps = drive_port(port, [(0, 1500, Queue.LOW), (10, 1500, Queue.LOW),
-                             (20, 1500, Queue.LOW)])
+    deps, dropped = drive_port(port, [(0, 1500, Queue.LOW), (10, 1500, Queue.LOW),
+                                      (20, 1500, Queue.LOW)])
     # frame 0 occupies the single buffer slot until the wake finishes, so the
     # other two arrivals tail-drop
-    assert len(deps) + port.drops[TrafficClass.NORMAL] == 3
-    assert port.drops[TrafficClass.NORMAL] == 2
+    assert [d[0] for d in deps] == [0]
+    assert dropped == [1, 2]
 
 
 # -- faults ------------------------------------------------------------------
 
 def test_time_regression_fault():
     port = EeePort(0, _cfg())
-    port.enqueue(Packet(100, 100, "f", 0, 0), Queue.LOW, TrafficClass.NORMAL, 100)
+    port.enqueue(Packet(100, 100, "f", 0, 0), Queue.LOW, NORMAL, 100)
     with pytest.raises(SimulationFault):
-        port.enqueue(Packet(50, 100, "f", 0, 1), Queue.LOW, TrafficClass.NORMAL, 50)
+        port.enqueue(Packet(50, 100, "f", 0, 1), Queue.LOW, NORMAL, 50)
 
 
 def test_tx_complete_without_transmission_fault():
@@ -183,10 +189,10 @@ def test_tx_complete_without_transmission_fault():
 
 def test_wake_complete_with_empty_queues_fault():
     port = EeePort(0, _cfg())
-    port.state = PortState.WAKE_TRANS
-    port.trans_end = 5
+    port.enqueue(Packet(0, 100, "f", 0, 0), Queue.LOW, NORMAL, 0)
+    port.low.clear()  # lose the frame that started the wake
     with pytest.raises(SimulationFault):
-        port.on_wake_complete(5)
+        port.on_wake_complete(4480)
 
 
 def test_sleep_complete_in_wrong_state_fault():
@@ -201,7 +207,7 @@ def test_energy_full_second_lpi():
     port = EeePort(0, _cfg())
     port.finalize(1_000_000_000)
     assert port.residence_ns[PortState.LPI] == 1_000_000_000
-    assert port.energy() == 0.1
+    assert _run_one_port(_cfg(), [], 1_000_000_000).total_energy == 0.1
 
 
 def test_energy_full_second_active():
@@ -211,7 +217,9 @@ def test_energy_full_second_active():
     drive_port(port, [(0, 1500, Queue.LOW)])
     port.finalize(1_000_000_000)
     assert port.residence_ns[PortState.ACTIVE] == 1_000_000_000
-    assert port.energy() == 1.0
+    report = _run_one_port(cfg, [Packet(0, 1500, "f", 0, 0)], 1_000_000_000)
+    assert report.port_state_ns[0]["active"] == 1_000_000_000
+    assert report.total_energy == 1.0
 
 
 def test_energy_half_active_half_lpi():
@@ -221,7 +229,9 @@ def test_energy_half_active_half_lpi():
     port.finalize(1_000_000_000)
     assert port.residence_ns[PortState.LPI] == 500_000_000
     assert port.residence_ns[PortState.ACTIVE] == 500_000_000
-    assert port.energy() == 0.55
+    report = _run_one_port(cfg, [Packet(500_000_000, 1500, "f", 0, 0)], 1_000_000_000)
+    assert report.port_state_ns[0]["lpi"] == report.port_state_ns[0]["active"]
+    assert report.total_energy == 0.55
 
 
 def test_residence_covers_window():
@@ -234,7 +244,7 @@ def test_residence_covers_window():
         arrivals.append((t, rng.randrange(64, 1518), Queue.LOW))
     drive_port(port, arrivals)
     port.finalize(2_000_000)
-    assert sum(port.residence_ns.values()) == 2_000_000
+    assert sum(port.residence_ns) == 2_000_000
 
 
 def test_delay_decomposition_and_non_preemption():
@@ -246,7 +256,7 @@ def test_delay_decomposition_and_non_preemption():
     for i in range(200):
         t += rng.randrange(0, 4_000)
         arrivals.append((t, rng.randrange(64, 1518), Queue.LOW))
-    deps = drive_port(port, arrivals)
+    deps, _ = drive_port(port, arrivals)
     sizes = {i: size for i, (_, size, _) in enumerate(arrivals)}
     times = {i: at for i, (at, _, _) in enumerate(arrivals)}
     for seq, departed, started in deps:
@@ -273,9 +283,9 @@ def test_busy_periods_invariant_under_queue_choice():
             for t, size in base
         ]
         port = EeePort(0, _cfg(), record_transitions=True)
-        deps = drive_port(port, arrivals)
+        deps, _ = drive_port(port, arrivals)
         port.finalize(t + 10_000_000)
-        runs.append((port.transitions, dict(port.residence_ns), len(deps),
+        runs.append((port.transitions, list(port.residence_ns), len(deps),
                      max(d[1] for d in deps)))
     # Identical transition logs mean identical busy periods; completions
     # inside a busy period may reorder, but its start/end and the residence

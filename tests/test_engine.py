@@ -22,7 +22,8 @@ from eeesim import (
     run,
 )
 from eeesim.allocation import FlowEstimate
-from eeesim.engine import FlowTable, control_epoch, dispatch
+from eeesim.eee_port import EeePort
+from eeesim.engine import FlowTable
 
 RSEED = 77002
 TEN_G = 10_000_000_000
@@ -109,7 +110,7 @@ def test_dispatch_known_flow_follows_plan():
     flows = [FlowEstimate("a", 0, Fraction(9 * 10**9), TrafficClass.NORMAL),
              FlowEstimate("b", 0, Fraction(8 * 10**9), TrafficClass.NORMAL)]
     table = _table_with_plan(config, flows, 2)
-    assert dispatch(Packet(0, 100, "a", 0, 0), table) == (0, Queue.LOW)
+    assert table.dispatch(Packet(0, 100, "a", 0, 0)) == (0, Queue.LOW)
 
 
 def test_dispatch_unknown_flow_to_least_loaded_active_port():
@@ -117,16 +118,16 @@ def test_dispatch_unknown_flow_to_least_loaded_active_port():
     flows = [FlowEstimate("a", 0, Fraction(9 * 10**9), TrafficClass.NORMAL),
              FlowEstimate("b", 0, Fraction(8 * 10**9), TrafficClass.NORMAL)]
     table = _table_with_plan(config, flows, 2)
-    assert dispatch(Packet(0, 100, "new", 0, 0), table) == (1, Queue.LOW)
+    assert table.dispatch(Packet(0, 100, "new", 0, 0)) == (1, Queue.LOW)
     # registered: later packets take the same path
-    assert dispatch(Packet(5, 100, "new", 0, 1), table) == (1, Queue.LOW)
+    assert table.dispatch(Packet(5, 100, "new", 0, 1)) == (1, Queue.LOW)
 
 
 def test_dispatch_unknown_ll_flow_under_two_queues_gets_high_queue():
     config = make_config(n_ports=5, algorithm=Algorithm.TWO_QUEUES)
     table = FlowTable(config)
-    assert dispatch(Packet(0, 100, "ll", 46, 0), table) == (0, Queue.HIGH)
-    assert dispatch(Packet(0, 100, "bulk", 0, 1), table) == (0, Queue.LOW)
+    assert table.dispatch(Packet(0, 100, "ll", 46, 0)) == (0, Queue.HIGH)
+    assert table.dispatch(Packet(0, 100, "bulk", 0, 1)) == (0, Queue.LOW)
 
 
 # -- control epochs --------------------------------------------------------------
@@ -134,10 +135,10 @@ def test_dispatch_unknown_ll_flow_under_two_queues_gets_high_queue():
 def test_epoch_with_zero_counters_keeps_flows_on_port_zero():
     config = make_config(n_ports=5)
     table = FlowTable(config)
-    dispatch(Packet(0, 1500, "a", 0, 0), table)
+    table.dispatch(Packet(0, 1500, "a", 0, 0))
     table.counters = {}  # silent interval
     table.plan.assignments["a"] = (2, Queue.LOW)
-    plan = control_epoch(table, config, 500_000_000)
+    plan = table.control_epoch(500_000_000)
     assert plan.active_ports == 1
     assert plan.assignments["a"] == (0, Queue.LOW)
 
@@ -148,7 +149,7 @@ def test_epoch_sizing_at_32_5_gbps_uses_four_ports():
     for i in range(8):
         table.classes[f"f{i}"] = TrafficClass.NORMAL
         table.counters[f"f{i}"] = 2_031_250_000 // 8  # 32.5 Gb/s aggregate
-    plan = control_epoch(table, config, 500_000_000)
+    plan = table.control_epoch(500_000_000)
     assert plan.active_ports == 4
 
 
@@ -157,7 +158,7 @@ def test_epoch_spare_port_places_ll_on_last_port():
     table = FlowTable(config)
     table.classes = {"bulk": TrafficClass.NORMAL, "ll": TrafficClass.LOW_LATENCY}
     table.counters = {"bulk": 406_250_000, "ll": 625_000}  # 6.5 Gb/s + 10 Mb/s
-    plan = control_epoch(table, config, 500_000_000)
+    plan = table.control_epoch(500_000_000)
     assert plan.assignments["bulk"] == (0, Queue.LOW)
     assert plan.assignments["ll"] == (4, Queue.LOW)
 
@@ -165,9 +166,9 @@ def test_epoch_spare_port_places_ll_on_last_port():
 def test_epoch_resets_counters():
     config = make_config()
     table = FlowTable(config)
-    dispatch(Packet(0, 1500, "a", 0, 0), table)
+    table.dispatch(Packet(0, 1500, "a", 0, 0))
     assert table.counters == {"a": 1500}
-    control_epoch(table, config, 500_000_000)
+    table.control_epoch(500_000_000)
     assert table.counters == {}
 
 
@@ -182,7 +183,6 @@ def _mixed_scenario(algorithm, include_ll=True):
         warmup_ns=20_000_000,
         record_departures=True,
         record_delay_log=True,
-        record_transitions=True,
     )
     streams = [
         gen_cbr(200_000_000, 1500, 0, 50_000_000, flow=f"bulk{i}") for i in range(3)
@@ -311,6 +311,33 @@ def test_unordered_stream_faults():
     pkts = [Packet(100, 100, "a", 0, 0), Packet(50, 100, "a", 0, 1)]
     with pytest.raises(SimulationFault):
         run(config, pkts)
+
+
+def _lose_third_frame(monkeypatch):
+    enqueue = EeePort.enqueue
+
+    def lossy(self, pkt, queue, cls, now):
+        result = enqueue(self, pkt, queue, cls, now)
+        if pkt.seq == 2:
+            self.low.pop()  # accepted, then silently lost
+        return result
+
+    monkeypatch.setattr(EeePort, "enqueue", lossy)
+
+
+def _skip_final_accounting(monkeypatch):
+    monkeypatch.setattr(EeePort, "finalize", lambda self, end: None)
+
+
+@pytest.mark.parametrize("breakage, message", [
+    (_lose_third_frame, "packet conservation"),
+    (_skip_final_accounting, "state residence"),
+])
+def test_broken_invariant_raises_fault(monkeypatch, breakage, message):
+    breakage(monkeypatch)
+    pkts = [Packet(0, 1500, "f", 0, i) for i in range(3)]
+    with pytest.raises(SimulationFault, match=message):
+        run(make_config(), pkts)
 
 
 def test_invalid_window_rejected():

@@ -6,11 +6,15 @@ from collections import Counter
 import pytest
 
 from eeesim import (
+    DEFAULT_LL_DSCPS,
+    BundleConfig,
     ConfigError,
+    EeePortConfig,
+    FlowTable,
     Packet,
+    SimConfig,
     TraceError,
     TrafficClass,
-    classify,
     gen_cbr,
     merge,
     read_trace,
@@ -19,6 +23,19 @@ from eeesim import (
 )
 
 RSEED = 1869
+
+
+def classify(packet, ll_dscps=DEFAULT_LL_DSCPS):
+    """Class the flow table registers for the flow of ``packet``."""
+    config = SimConfig(
+        bundle=BundleConfig(n_ports=1, capacity_bps=10**10),
+        port=EeePortConfig(capacity_bps=10**10),
+        duration_ns=1,
+        ll_dscps=frozenset(ll_dscps),
+    )
+    table = FlowTable(config)
+    table.dispatch(packet)
+    return table.classes[packet.flow]
 
 
 def _write(tmp_path, text, name="trace.csv"):
@@ -212,7 +229,7 @@ def test_merge_rejects_unordered_stream():
         list(merge([bad]))
 
 
-# -- classify ----------------------------------------------------------------
+# -- classification by the flow table ------------------------------------
 
 def test_classify_membership():
     assert classify(Packet(0, 100, "f", 46, 0), {46}) is TrafficClass.LOW_LATENCY
