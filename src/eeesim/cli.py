@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .errors import ConfigError, SimulationFault, TraceError
@@ -86,18 +87,24 @@ def _cmd_run(args) -> int:
     if args.trace:
         # Substitute the synthetic bulk traffic with a recorded trace.
         scenario.sources = [
-            {"kind": "trace", "path": args.trace, "scale": args.trace_scale}
+            {"kind": "trace", "path": args.trace, "scale": str(args.trace_scale)}
         ]
         scenario.validate()
     if args.dump_scenario:
         print(json.dumps(scenario.to_json_dict(), indent=2, sort_keys=True))
         return 0
-    jobs, reports, written = run_scenario(
-        scenario,
-        output_dir=args.output_dir,
-        threads=args.threads,
-        epoch_csv=args.epoch_csv,
-    )
+    sweep = dict(output_dir=args.output_dir, threads=args.threads,
+                 epoch_csv=args.epoch_csv)
+    if args.profile:
+        import cProfile  # only here: it costs every other run its import time
+
+        profiler = cProfile.Profile()
+        try:
+            jobs, reports, written = profiler.runcall(run_scenario, scenario, **sweep)
+        finally:
+            profiler.dump_stats(args.profile)
+    else:
+        jobs, reports, written = run_scenario(scenario, **sweep)
     for path in written:
         print(path)
     return 0
@@ -209,11 +216,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a scalar scenario field, e.g. sim.duration_ns=1e8")
     p_run.add_argument("--trace", default=None,
                        help="replace synthetic bulk traffic with a trace-csv file")
-    p_run.add_argument("--trace-scale", type=float, default=1.0)
+    p_run.add_argument("--trace-scale", type=Fraction, default=Fraction(1),
+                       help="divide trace timestamps by this exact factor, "
+                            "e.g. 2, 0.5 or 3/2")
     p_run.add_argument("--epoch-csv", action="store_true",
                        help="also write per-epoch port-load CSVs")
     p_run.add_argument("--dump-scenario", action="store_true",
                        help="print the effective scenario JSON and exit")
+    p_run.add_argument("--profile", metavar="PATH", default=None,
+                       help="write a cProfile dump of the run to PATH (sweep "
+                            "pool workers are not profiled; use --threads 1)")
     p_run.set_defaults(func=_cmd_run)
 
     p_gen = sub.add_parser("gen", help="generate a constant-bit-rate trace")

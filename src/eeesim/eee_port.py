@@ -163,7 +163,7 @@ class EeePort:
         pkt, self.tx_class = entry
         self.tx_packet = pkt
         self.tx_start = now
-        self.next_at = now + self._wire_ns[pkt.size]
+        self.next_at = now + self._wire_ns[pkt[1]]
 
     def advance(self, horizon) -> None:
         """Fire, in time order, every transition due strictly before ``horizon``.
@@ -213,7 +213,7 @@ class EeePort:
             raise SimulationFault(
                 f"port {self.index}: tx completion at {now} without matching transmission"
             )
-        record = (pkt, self.tx_class, now - pkt.arrival_time, self.tx_start)
+        record = (pkt, self.tx_class, now - pkt[0], self.tx_start)
         self.clock = now
         if self.high:
             self._start_tx(self.high.popleft(), now)

@@ -17,6 +17,7 @@ gratuitous sleep/wake cycle.
 from __future__ import annotations
 
 import json
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -80,13 +81,13 @@ class FlowTable:
         self.classes: dict = {}
 
     def dispatch(self, pkt):
-        """(port, queue) for a packet under the incumbent plan."""
-        flow = pkt.flow
+        """(port, queue) for a packet tuple under the incumbent plan."""
+        flow = pkt[2]
         counters = self.counters
-        counters[flow] = counters.get(flow, 0) + pkt.size
+        counters[flow] = counters.get(flow, 0) + pkt[1]
         entry = self.plan.assignments.get(flow)
         if entry is None:
-            entry = self._register(flow, pkt.dscp)
+            entry = self._register(flow, pkt[3])
         return entry
 
     def _register(self, flow, dscp):
@@ -252,6 +253,10 @@ class MetricsReport:
 def run(config: SimConfig, stream) -> MetricsReport:
     """Simulate one packet stream through the bundle.
 
+    ``stream`` yields packet tuples ``(arrival_time, size, flow, dscp,
+    seq)`` in time order, :class:`~eeesim.traffic.Packet` or plain; they
+    are read by position only.
+
     Fires a control epoch every sampling period (t = T, 2T, ...), dispatches
     each arrival per the incumbent plan, and returns metrics measured over
     [warmup, duration). Packets still queued at the end are counted in the
@@ -266,26 +271,29 @@ def run(config: SimConfig, stream) -> MetricsReport:
     period = config.sampling_period_ns
 
     # Per-class tallies are indexed by class: 0 normal, 1 low latency.
-    delays = ([], [])
+    # Delay samples are int64 arrays: 8 bytes each, not a Python int apiece.
+    delays = (array("q"), array("q"))
     drops_w = [0, 0]
     arrived_total = delivered_total = dropped_total = 0
     departures = {} if config.record_departures else None
     drop_seqs = set() if config.record_departures else None
     delay_log = [] if config.record_delay_log else None
-    tracked = {flow: [] for flow in config.track_flows}
+    tracked = {flow: array("q") for flow in config.track_flows}
 
     def deliver(record):
         nonlocal delivered_total
         delivered_total += 1
         pkt, ci, delay, started = record
-        if pkt.arrival_time >= warmup:
+        arrival = pkt[0]
+        if arrival >= warmup:
             delays[ci].append(delay)
-            if pkt.flow in tracked:
-                tracked[pkt.flow].append(delay)
+            flow = pkt[2]
+            if flow in tracked:
+                tracked[flow].append(delay)
             if delay_log is not None:
-                delay_log.append((pkt.flow, pkt.arrival_time, delay, started, pkt.size))
+                delay_log.append((flow, arrival, delay, started, pkt[1]))
         if departures is not None:
-            departures[pkt.seq] = pkt.arrival_time + delay
+            departures[pkt[4]] = arrival + delay
 
     ports = [
         EeePort(i, config.port, (warmup, duration), deliver) for i in range(n_ports)
@@ -317,7 +325,7 @@ def run(config: SimConfig, stream) -> MetricsReport:
     next_epoch = period if period < duration else _INF
     last_arrival = -1
     for pkt in stream:
-        t = pkt.arrival_time
+        t = pkt[0]
         if t >= duration:
             break
         if t < last_arrival:
@@ -327,7 +335,7 @@ def run(config: SimConfig, stream) -> MetricsReport:
             next_epoch = fire_epoch(next_epoch)
         arrived_total += 1
         port_idx, queue = dispatch(pkt)
-        ci = 1 if classes[pkt.flow] is low_latency else 0
+        ci = 1 if classes[pkt[2]] is low_latency else 0
         port = ports[port_idx]
         port.advance(t)
         if not port.enqueue(pkt, queue, ci, t)[0]:
@@ -335,7 +343,7 @@ def run(config: SimConfig, stream) -> MetricsReport:
             if t >= warmup:
                 drops_w[ci] += 1
             if drop_seqs is not None:
-                drop_seqs.add(pkt.seq)
+                drop_seqs.add(pkt[4])
     while next_epoch < duration:
         next_epoch = fire_epoch(next_epoch)
     for port in ports:
@@ -414,7 +422,7 @@ def oracle_simulate(config: SimConfig, packets):
     config.validate()
     pkts = list(packets)
     for a, b in zip(pkts, pkts[1:]):
-        if b.arrival_time < a.arrival_time:
+        if b[0] < a[0]:
             raise SimulationFault("arrival stream not time-ordered")
 
     table = FlowTable(config)
@@ -479,7 +487,7 @@ def oracle_simulate(config: SimConfig, packets):
     period = config.sampling_period_ns
     next_epoch = period
     for pkt in pkts:
-        t = pkt.arrival_time
+        t = pkt[0]
         while next_epoch <= t:  # epochs run before same-instant arrivals
             for p in ports:
                 advance(p, next_epoch)
@@ -490,9 +498,9 @@ def oracle_simulate(config: SimConfig, packets):
         idx, queue = table.dispatch(pkt)
         p = ports[idx]
         if len(p["high"]) + len(p["low"]) >= limit:
-            dropped.add(pkt.seq)
+            dropped.add(pkt[4])
             continue
-        (p["high"] if queue is Queue.HIGH else p["low"]).append((pkt.seq, pkt.size))
+        (p["high"] if queue is Queue.HIGH else p["low"]).append((pkt[4], pkt[1]))
         if p["state"] == LPI:
             p["state"] = WAKE
             p["until"] = t + t_wake

@@ -7,7 +7,7 @@ scenario produces one simulation per (algorithm x sweep point), a JSON
 report per run and a combined CSV.
 
 Synthetic traffic comes in three flavors, all built from the same exact
-integer arithmetic as the CBR generator:
+integer arithmetic as the CBR generator (see :mod:`eeesim.traffic`):
 
 * ``cbr``    - equal packets at a constant pace.
 * ``frames`` - short line-rate packet trains at a constant frame pace, the
@@ -15,6 +15,13 @@ integer arithmetic as the CBR generator:
 * ``bursty`` - an exact per-sampling-window packet budget laid out as
   line-rate bursts with deterministic jitter, standing in for the burstiness
   of captured backbone traffic.
+
+:func:`build_stream` turns a sweep point into one lazy iterator of packet
+tuples ``(arrival_time, size, flow, dscp, seq)``: each source becomes a
+lazy iterable of int64 column slabs and the module-level ``merge`` orders
+them. It returns before any packet is synthesized; a run pulls the slabs
+as it consumes the stream. Rates are scaled for a sweep point with exact
+fractions, never floats.
 """
 
 from __future__ import annotations
@@ -22,23 +29,27 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 from .allocation import Algorithm, BundleConfig
 from .eee_port import EeePortConfig
 from .engine import MetricsReport, SimConfig, run
 from .errors import ConfigError
-from .traffic import Packet, gen_cbr, merge, read_trace, scale_trace
-from .traffic import _check_dscp, _check_size, _round_div
-
-#: packets per frame grow with the rate so the frame pace stays well below
-#: the sleep/wake time scale (one packet per frame up to 100 Mb/s).
-FRAME_UNIT_BPS = 100_000_000
+from .traffic import (  # gen_frames and gen_bursty are re-exported
+    _round_div,
+    bursty_slabs,
+    cbr_slabs,
+    frames_slabs,
+    gen_bursty,
+    gen_frames,
+    trace_slabs,
+)
+# build_stream looks ``merge`` up at call time, so a profiler can wrap it.
+from .traffic import merge_slabs as merge
 
 _SIM_DEFAULTS = {
     "n_ports": 5,
@@ -171,144 +182,53 @@ def build_sim_config(scenario: Scenario, algorithm) -> SimConfig:
     )
 
 
-def gen_frames(rate_bps, pkt_size, dscp, duration_ns, line_rate_bps,
-               start_offset_ns=0, flow="frames", pkts_per_frame=None):
-    """Packet trains at line rate, paced so the mean rate is exact.
-
-    Each frame carries ``pkts_per_frame`` back-to-back packets (spacing =
-    wire time at ``line_rate_bps``); frames repeat so the long-run average
-    equals ``rate_bps``. With one packet per frame this is plain CBR.
-    """
-    rate = int(rate_bps)
-    if rate <= 0:
-        raise ConfigError(f"rate must be positive, got {rate_bps}")
-    if line_rate_bps < rate:
-        raise ConfigError("line rate below mean rate")
-    if start_offset_ns < 0:
-        raise ConfigError(f"start offset must be non-negative, got {start_offset_ns}")
-    _check_size(pkt_size)
-    _check_dscp(dscp)
-    m = pkts_per_frame or max(1, math.ceil(rate / FRAME_UNIT_BPS))
-    bits = pkt_size * 8
-    intra = _round_div(bits * 10**9, line_rate_bps)
-    frame_bits_ns = m * bits * 10**9  # frame period = this / rate
-
-    def gen():
-        end = start_offset_ns + duration_ns
-        seq = 0
-        f = 0
-        while True:
-            start = start_offset_ns + _round_div(f * frame_bits_ns, rate)
-            if start >= end:
-                return
-            for j in range(m):
-                t = start + j * intra
-                if t >= end:
-                    return
-                yield Packet(t, pkt_size, flow, dscp, seq)
-                seq += 1
-            f += 1
-
-    return gen()
-
-
-def gen_bursty(pkts_per_window, pkt_size, dscp, window_ns, bursts_per_window,
-               line_rate_bps, duration_ns, flow="bursty"):
-    """Line-rate bursts carrying an exact per-window packet budget.
-
-    Every window of ``window_ns`` contains exactly ``pkts_per_window``
-    packets split into ``bursts_per_window`` bursts whose start times are
-    jittered deterministically (CRC of flow/window/burst), so rate estimates
-    taken on the window grid are identical every period while arrival phases
-    stay decorrelated between flows.
-    """
-    if pkts_per_window < 1:
-        raise ConfigError("pkts_per_window must be >= 1")
-    if bursts_per_window < 1:
-        raise ConfigError("bursts_per_window must be >= 1")
-    _check_size(pkt_size)
-    _check_dscp(dscp)
-    intra = _round_div(pkt_size * 8 * 10**9, line_rate_bps)
-    slot = window_ns // bursts_per_window
-    base_chunk, extra = divmod(pkts_per_window, bursts_per_window)
-    if (base_chunk + (1 if extra else 0) - 1) * intra >= slot:
-        raise ConfigError("burst does not fit its slot; lower pkts or raise bursts")
-
-    def gen():
-        seq = 0
-        n_windows = -(-duration_ns // window_ns)
-        for w in range(n_windows):
-            base = w * window_ns
-            for b in range(bursts_per_window):
-                chunk = base_chunk + (1 if b < extra else 0)
-                if chunk == 0:
-                    continue
-                span = (chunk - 1) * intra + 1
-                room = slot - span
-                jitter = (
-                    zlib.crc32(f"{flow}|{w}|{b}".encode()) % room if room > 0 else 0
-                )
-                start = base + b * slot + jitter
-                for j in range(chunk):
-                    t = start + j * intra
-                    if t >= duration_ns:
-                        return
-                    yield Packet(t, pkt_size, flow, dscp, seq)
-                    seq += 1
-
-    return gen()
-
-
-def _materialize(src: dict, scenario: Scenario, scale_factor=1.0):
+def _materialize(src: dict, scenario: Scenario, scale_factor=Fraction(1)):
+    """Lazy slab source for one source entry, its rate scaled exactly."""
     duration = int(scenario.sim_value("duration_ns"))
     kind = src["kind"]
     if kind == "trace":
-        stream = read_trace(src["path"])
-        factor = float(src.get("scale", 1.0)) * scale_factor
-        if factor != 1.0:
-            stream = scale_trace(stream, factor)
-        return stream
+        return trace_slabs(src["path"], Fraction(src.get("scale", 1)) * scale_factor)
     size = int(src["size"])
     dscp = int(src["dscp"])
     flow = str(src["flow"])
-    rate = int(round(int(src["rate_bps"]) * scale_factor))
+    rate = round(int(src["rate_bps"]) * scale_factor)
     if kind == "cbr":
-        return gen_cbr(rate, size, dscp, duration,
-                       int(src.get("offset_ns", 0)), flow)
+        return cbr_slabs(rate, size, dscp, duration,
+                         int(src.get("offset_ns", 0)), flow)
     if kind == "frames":
-        return gen_frames(rate, size, dscp, duration,
-                          int(src.get("line_rate_bps",
-                                      scenario.sim_value("capacity_bps"))),
-                          int(src.get("offset_ns", 0)), flow,
-                          src.get("pkts_per_frame"))
+        return frames_slabs(rate, size, dscp, duration,
+                            int(src.get("line_rate_bps",
+                                        scenario.sim_value("capacity_bps"))),
+                            int(src.get("offset_ns", 0)), flow,
+                            src.get("pkts_per_frame"))
     if kind == "bursty":
         window = int(scenario.sim_value("sampling_period_ns"))
         ppw = _round_div(rate * window, size * 8 * 10**9)
         if ppw < 1:
             raise ConfigError(f"source {flow!r}: rate too low for one packet per window")
         target = int(src.get("burst_pkts", 500))
-        bursts = max(1, round(ppw / target))
-        return gen_bursty(ppw, size, dscp, window, bursts,
-                          int(src.get("line_rate_bps",
-                                      scenario.sim_value("capacity_bps"))),
-                          duration, flow)
+        bursts = max(1, round(Fraction(ppw, target)))
+        return bursty_slabs(ppw, size, dscp, window, bursts,
+                            int(src.get("line_rate_bps",
+                                        scenario.sim_value("capacity_bps"))),
+                            duration, flow)
     raise ConfigError(f"unknown source kind {kind!r}")
 
 
 def build_stream(scenario: Scenario, point: dict):
-    """Merged packet stream for one sweep point."""
+    """Merged packet-tuple stream for one sweep point; nothing is built yet."""
     base = scenario.base_normal_rate_bps()
-    factor = 1.0
+    factor = Fraction(1)
     if scenario.normal_rates_bps:
         if base <= 0:
             raise ConfigError("normal-rate sweep needs sources with rate_bps")
-        factor = point["normal_rate_bps"] / base
-    streams = [_materialize(src, scenario, factor) for src in scenario.sources]
+        factor = Fraction(point["normal_rate_bps"], base)
+    sources = [_materialize(src, scenario, factor) for src in scenario.sources]
     if scenario.ll_source is not None and point.get("ll_rate_bps", 0) > 0:
         src = dict(scenario.ll_source)
         src["rate_bps"] = point["ll_rate_bps"]
-        streams.append(_materialize(src, scenario))
-    return merge(streams)
+        sources.append(_materialize(src, scenario))
+    return merge(sources)
 
 
 def run_point(scenario_dict: dict, algorithm: str, point: dict) -> MetricsReport:

@@ -222,3 +222,38 @@ def test_trace_substitution(tmp_path, capsys):
                "--output-dir", str(out_dir)])
     assert rc == 0
     assert (out_dir / "combined.csv").exists()
+
+
+def test_run_profile_writes_loadable_dump(tmp_path, capsys):
+    import pstats
+
+    path = _tiny_scenario(tmp_path)
+    plain_dir, prof_dir = tmp_path / "plain", tmp_path / "prof"
+    assert main(["run", str(path), "--threads", "1",
+                 "--output-dir", str(plain_dir)]) == 0
+    plain_out = capsys.readouterr().out
+    dump = tmp_path / "run.prof"
+    assert main(["run", str(path), "--threads", "1", "--profile", str(dump),
+                 "--output-dir", str(prof_dir)]) == 0
+    prof_out = capsys.readouterr().out
+    # nothing extra on stdout and the same report bytes
+    assert prof_out == plain_out.replace(str(plain_dir), str(prof_dir))
+    assert {p.name: p.read_bytes() for p in prof_dir.iterdir()} == {
+        p.name: p.read_bytes() for p in plain_dir.iterdir()
+    }
+    stats = pstats.Stats(str(dump))
+    assert any(func[2] == "run" and func[0].endswith("engine.py")
+               for func in stats.stats)
+
+
+def test_trace_scale_is_exact_fraction(tmp_path, capsys):
+    trace = tmp_path / "replay.csv"
+    main(["gen", "--rate", "40M", "--size", "1500", "--duration", "20ms",
+          "--flow", "cap0", "--out", str(trace)])
+    path = _tiny_scenario(tmp_path)
+    capsys.readouterr()
+    rc = main(["run", str(path), "--trace", str(trace), "--trace-scale", "0.1",
+               "--dump-scenario"])
+    assert rc == 0
+    dumped = json.loads(capsys.readouterr().out)
+    assert dumped["sources"][0]["scale"] == "1/10"

@@ -146,6 +146,5 @@ def test_run_sweep_row_order_is_sweep_order(monkeypatch):
     cfg = build_sim_config(scenario, "conservative")
     assert cfg.bundle.n_ports == 2
     stream = list(build_stream(scenario, jobs[0][1]))
-    assert stream and all(
-        a.arrival_time <= b.arrival_time for a, b in zip(stream, stream[1:])
-    )
+    # build_stream yields plain (arrival_time, size, flow, dscp, seq) tuples
+    assert stream and all(a[0] <= b[0] for a, b in zip(stream, stream[1:]))
