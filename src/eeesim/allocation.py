@@ -1,8 +1,12 @@
 """Per-flow rate estimation and the flow -> (port, queue) allocation algorithms.
 
-All allocators are pure functions from rate estimates to a plan. Rates and
-port loads are kept as exact fractions so that port-count thresholds and
-load tie-breaks never depend on floating-point rounding.
+All allocators are pure functions from rate estimates to a plan, and all
+are exact, so port-count thresholds and load tie-breaks never depend on
+floating-point rounding. Estimates carry exact ``Fraction`` rates; an
+allocator converts them once to integer units over one common denominator
+(the lcm of the rate denominators), sorts, balances, packs and sizes on
+Python ints, and turns the per-port loads back into ``Fraction`` only when
+it builds the plan.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from heapq import heapreplace
+from operator import itemgetter
 
 from .eee_port import Queue
 from .errors import ConfigError
@@ -107,61 +113,98 @@ def estimate_rates(byte_counts, period_ns, classes, retained=()) -> list[FlowEst
     """
     if period_ns <= 0:
         raise ConfigError(f"estimation period must be positive, got {period_ns}")
-    flows = set(byte_counts) | set(retained)
+    count_of = byte_counts.get
+    class_of = classes.get
+    normal = TrafficClass.NORMAL
+    rates = {}  # byte count -> its rate; flows share few distinct counts
     out = []
-    for flow in sorted(flows):
-        nbytes = byte_counts.get(flow, 0)
-        out.append(
-            FlowEstimate(
-                flow=flow,
-                bytes_last_period=nbytes,
-                rate=Fraction(nbytes * 8 * 10**9, period_ns),
-                traffic_class=classes.get(flow, TrafficClass.NORMAL),
-            )
-        )
+    for flow in sorted(byte_counts.keys() | retained):
+        nbytes = count_of(flow, 0)
+        rate = rates.get(nbytes)
+        if rate is None:
+            rate = rates[nbytes] = Fraction(nbytes * 8_000_000_000, period_ns)
+        out.append(FlowEstimate(flow, nbytes, rate, class_of(flow, normal)))
     return out
+
+
+def _ports_for(units, den, capacity_bps, n_ports: int) -> int:
+    """clamp(ceil(units / (den * capacity)), 1, N) in integers."""
+    if capacity_bps <= 0:
+        raise ConfigError(f"capacity must be positive, got {capacity_bps}")
+    return min(n_ports, max(1, -(-units // (den * capacity_bps))))
 
 
 def required_ports(total_rate, capacity_bps, n_ports: int) -> int:
     """Minimum number of ports for the load: clamp(ceil(total/capacity), 1, N)."""
-    if capacity_bps <= 0:
-        raise ConfigError(f"capacity must be positive, got {capacity_bps}")
-    k = math.ceil(Fraction(total_rate) / capacity_bps)
-    return min(n_ports, max(1, k))
+    num, den = Fraction(total_rate).as_integer_ratio()
+    return _ports_for(num, den, capacity_bps, n_ports)
 
 
-def _by_rate_desc(estimates):
-    # Equal-rate flows order by flow id so replays are deterministic.
-    return sorted(estimates, key=lambda e: (-e.rate, e.flow))
+def _ranked(estimates):
+    """Exact integer view of the estimates, in allocation order.
+
+    Returns ``(ranked, den)``: ``den`` is the lcm of the rate denominators
+    and ``ranked`` holds ``(-units, flow)`` pairs, ``units = rate * den``,
+    sorted by rate descending with equal rates by flow id so replays are
+    deterministic.
+    """
+    ratios = [e.rate.as_integer_ratio() for e in estimates]
+    den = math.lcm(*{d for _, d in ratios})
+    ranked = [(-n * (den // d), e.flow) for (n, d), e in zip(ratios, estimates)]
+    # Two stable sorts give the (-units, flow) order faster than one tuple
+    # sort: by flow (estimate_rates output already is), then by int alone.
+    ranked.sort(key=itemgetter(1))
+    ranked.sort(key=itemgetter(0))
+    return ranked, den
 
 
-def _lpt(estimates, ports, n_ports):
-    """Longest-processing-time-first balancing over the given ports.
+def _lpt(ranked, k, n_ports):
+    """Longest-processing-time-first balancing over ports 0..k-1.
 
     Ties go to the lower port index. Returns (flow -> port, loads[n_ports]).
     """
-    loads = [Fraction(0)] * n_ports
+    heap = [(0, i) for i in range(k)]  # (load, port): heap[0] is the choice
     placement = {}
-    for est in _by_rate_desc(estimates):
-        port = min(ports, key=lambda i: (loads[i], i))
-        placement[est.flow] = port
-        loads[port] += est.rate
+    for neg, flow in ranked:
+        load, port = heap[0]
+        placement[flow] = port
+        heapreplace(heap, (load - neg, port))
+    loads = [0] * n_ports
+    for load, port in heap:
+        loads[port] = load
     return placement, loads
+
+
+def _lpt_plan(ranked, den, k, n_ports, epoch, algorithm, queue_of=None):
+    placement, loads = _lpt(ranked, k, n_ports)
+    if queue_of is None:
+        assignments = {f: (p, Queue.LOW) for f, p in placement.items()}
+    else:
+        assignments = {f: (p, queue_of[f]) for f, p in placement.items()}
+    return AllocationPlan(
+        assignments=assignments,
+        active_ports=k,
+        epoch=epoch,
+        algorithm=algorithm,
+        port_loads=[Fraction(x, den) for x in loads],
+        active_set=tuple(range(k)),
+    )
 
 
 def conservative_allocate(estimates, k: int, n_ports: int, epoch: int = 0) -> AllocationPlan:
     """Balance all flows over the first k ports, keep the rest idle."""
     if not 1 <= k <= n_ports:
         raise ConfigError(f"k={k} outside [1, {n_ports}]")
-    placement, loads = _lpt(estimates, range(k), n_ports)
-    return AllocationPlan(
-        assignments={f: (p, Queue.LOW) for f, p in placement.items()},
-        active_ports=k,
-        epoch=epoch,
-        algorithm=Algorithm.CONSERVATIVE,
-        port_loads=loads,
-        active_set=tuple(range(k)),
-    )
+    ranked, den = _ranked(estimates)
+    return _lpt_plan(ranked, den, k, n_ports, epoch, Algorithm.CONSERVATIVE)
+
+
+def _sized_conservative(estimates, capacity_bps, n_ports, epoch, algorithm,
+                        queue_of=None):
+    """LPT over just enough ports for the total estimated load."""
+    ranked, den = _ranked(estimates)
+    k = _ports_for(-sum(map(itemgetter(0), ranked)), den, capacity_bps, n_ports)
+    return _lpt_plan(ranked, den, k, n_ports, epoch, algorithm, queue_of)
 
 
 def equitable_allocate(estimates, n_ports: int, epoch: int = 0) -> AllocationPlan:
@@ -171,39 +214,41 @@ def equitable_allocate(estimates, n_ports: int, epoch: int = 0) -> AllocationPla
     return plan
 
 
-def _first_fit(estimates, threshold, n_ports):
-    loads = [Fraction(0)] * n_ports
+def _first_fit(ranked, limit, n_ports):
+    """First fit onto the lowest-index port whose load stays <= limit."""
+    loads = [0] * n_ports
     placement = {}
-    for est in _by_rate_desc(estimates):
-        port = None
-        for i in range(n_ports):
-            if loads[i] + est.rate <= threshold:
-                port = i
+    for neg, flow in ranked:
+        for port, load in enumerate(loads):
+            if load - neg <= limit:
                 break
-        if port is None:
+        else:
             # Flow does not fit anywhere: fall back to the least-loaded port.
-            port = min(range(n_ports), key=lambda i: (loads[i], i))
-        placement[est.flow] = port
-        loads[port] += est.rate
+            port = loads.index(min(loads))
+        placement[flow] = port
+        loads[port] -= neg
     return placement, loads
 
 
 def _greedy_plan(estimates, threshold, n_ports, epoch, algorithm):
-    placement, loads = _first_fit(estimates, threshold, n_ports)
+    ranked, den = _ranked(estimates)
+    # load + rate <= threshold  <=>  load_units + units <= floor(threshold * den)
+    num, tden = Fraction(threshold).as_integer_ratio()
+    placement, loads = _first_fit(ranked, num * den // tden, n_ports)
     used = sorted(set(placement.values())) or [0]
     return AllocationPlan(
         assignments={f: (p, Queue.LOW) for f, p in placement.items()},
         active_ports=len(used),
         epoch=epoch,
         algorithm=algorithm,
-        port_loads=loads,
+        port_loads=[Fraction(x, den) for x in loads],
         active_set=tuple(used),
     )
 
 
 def greedy_allocate(estimates, capacity_bps, n_ports: int, epoch: int = 0) -> AllocationPlan:
     """First-fit decreasing onto the lowest-index port with room up to capacity."""
-    return _greedy_plan(estimates, Fraction(capacity_bps), n_ports, epoch, Algorithm.GREEDY)
+    return _greedy_plan(estimates, capacity_bps, n_ports, epoch, Algorithm.GREEDY)
 
 
 def bounded_greedy_allocate(
@@ -225,25 +270,27 @@ def spare_port_allocate(estimates, capacity_bps, n_ports: int, epoch: int = 0) -
     low-latency flow to the port with the smallest pass-1 load, breaking ties
     toward the highest index so an untouched trailing port is preferred.
     """
-    normal = [e for e in estimates if e.traffic_class is TrafficClass.NORMAL]
-    lowlat = [e for e in estimates if e.traffic_class is TrafficClass.LOW_LATENCY]
-    total = sum((e.rate for e in normal), Fraction(0))
-    k = required_ports(total, capacity_bps, n_ports)
-    placement, loads = _lpt(normal, range(k), n_ports)
+    ranked, den = _ranked(estimates)
+    lowlat_flows = {e.flow for e in estimates
+                    if e.traffic_class is TrafficClass.LOW_LATENCY}
+    normal = [r for r in ranked if r[1] not in lowlat_flows]
+    lowlat = [r for r in ranked if r[1] in lowlat_flows]
+    k = _ports_for(-sum(map(itemgetter(0), normal)), den, capacity_bps, n_ports)
+    placement, loads = _lpt(normal, k, n_ports)
     assignments = {f: (p, Queue.LOW) for f, p in placement.items()}
     spare = None
     if lowlat:
-        spare = min(range(n_ports), key=lambda i: (loads[i], -i))
-        for est in _by_rate_desc(lowlat):
-            assignments[est.flow] = (spare, Queue.LOW)
-            loads[spare] += est.rate
+        spare = n_ports - 1 - loads[::-1].index(min(loads))
+        for neg, flow in lowlat:
+            assignments[flow] = (spare, Queue.LOW)
+            loads[spare] -= neg
     active = k + (1 if spare is not None and spare >= k else 0)
     return AllocationPlan(
         assignments=assignments,
         active_ports=active,
         epoch=epoch,
         algorithm=Algorithm.SPARE_PORT,
-        port_loads=loads,
+        port_loads=[Fraction(x, den) for x in loads],
         active_set=tuple(range(k)),
         spare_port=spare,
     )
@@ -255,16 +302,12 @@ def two_queues_allocate(estimates, capacity_bps, n_ports: int, epoch: int = 0) -
     The flow -> port map is bit-for-bit the conservative one computed over
     all flows; only the queue differs (high for low-latency flows).
     """
-    total = sum((e.rate for e in estimates), Fraction(0))
-    k = required_ports(total, capacity_bps, n_ports)
-    plan = conservative_allocate(estimates, k, n_ports, epoch)
-    cls = {e.flow: e.traffic_class for e in estimates}
-    plan.assignments = {
-        f: (p, Queue.HIGH if cls[f] is TrafficClass.LOW_LATENCY else Queue.LOW)
-        for f, (p, _) in plan.assignments.items()
+    queue_of = {
+        e.flow: Queue.HIGH if e.traffic_class is TrafficClass.LOW_LATENCY else Queue.LOW
+        for e in estimates
     }
-    plan.algorithm = Algorithm.TWO_QUEUES
-    return plan
+    return _sized_conservative(estimates, capacity_bps, n_ports, epoch,
+                               Algorithm.TWO_QUEUES, queue_of)
 
 
 def allocate(algorithm: Algorithm, estimates, bundle: BundleConfig, epoch: int = 0) -> AllocationPlan:
@@ -277,8 +320,7 @@ def allocate(algorithm: Algorithm, estimates, bundle: BundleConfig, epoch: int =
     if algorithm is Algorithm.BOUNDED_GREEDY:
         return bounded_greedy_allocate(estimates, cap, bundle.bound_fraction, n, epoch)
     if algorithm is Algorithm.CONSERVATIVE:
-        total = sum((e.rate for e in estimates), Fraction(0))
-        return conservative_allocate(estimates, required_ports(total, cap, n), n, epoch)
+        return _sized_conservative(estimates, cap, n, epoch, Algorithm.CONSERVATIVE)
     if algorithm is Algorithm.SPARE_PORT:
         return spare_port_allocate(estimates, cap, n, epoch)
     if algorithm is Algorithm.TWO_QUEUES:

@@ -13,6 +13,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from .engine import render_report
 from .errors import ConfigError, SimulationFault, TraceError
 from .scenarios import (
     Scenario,
@@ -26,6 +27,14 @@ _RATE_SUFFIX = {"k": 10**3, "m": 10**6, "g": 10**9}
 _TIME_SUFFIX = {"ns": 1, "us": 10**3, "ms": 10**6, "s": 10**9}
 
 
+def _exact_int(text: str, number: str, mult: int, what: str) -> int:
+    """round(number * mult), half to even, in exact rational arithmetic."""
+    try:
+        return round(Fraction(number) * mult)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"cannot parse {what} {text!r} as a finite number") from None
+
+
 def parse_rate(text: str) -> int:
     """'100M' -> 100_000_000 bits per second."""
     raw = text.strip().lower().removesuffix("bps").removesuffix("b/s")
@@ -33,29 +42,24 @@ def parse_rate(text: str) -> int:
     if raw and raw[-1] in _RATE_SUFFIX:
         mult = _RATE_SUFFIX[raw[-1]]
         raw = raw[:-1]
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"cannot parse rate {text!r}") from None
-    if value <= 0:
-        raise ConfigError(f"rate must be positive, got {text!r}")
-    return int(round(value * mult))
+    rate = _exact_int(text, raw, mult, "rate")
+    if rate <= 0:
+        raise ConfigError(f"rate must be at least 1 b/s, got {text!r}")
+    return rate
 
 
 def parse_time(text: str) -> int:
-    """'1s' / '500ms' / '250us' / '40ns' -> nanoseconds."""
+    """'1s' / '500ms' / '250us' / '40ns' -> nanoseconds; bare numbers are ns."""
     raw = text.strip().lower()
+    mult = 1
     for suffix in ("ns", "us", "ms", "s"):
         if raw.endswith(suffix):
-            number = raw[: -len(suffix)]
-            try:
-                return int(round(float(number) * _TIME_SUFFIX[suffix]))
-            except ValueError:
-                raise ConfigError(f"cannot parse duration {text!r}") from None
-    try:
-        return int(raw)  # bare integers are nanoseconds
-    except ValueError:
-        raise ConfigError(f"cannot parse duration {text!r}") from None
+            raw, mult = raw[: -len(suffix)], _TIME_SUFFIX[suffix]
+            break
+    ns = _exact_int(text, raw, mult, "duration")
+    if ns < 0:
+        raise ConfigError(f"duration must not be negative, got {text!r}")
+    return ns
 
 
 def _apply_overrides(scenario: Scenario, overrides) -> Scenario:
@@ -163,39 +167,13 @@ def _cmd_report(args) -> int:
             data = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from None
+        try:
+            text = render_report(data)
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"{path}: not an eeesim report ({exc!r})") from None
         print(f"== {path}")
-        print(_render_report(data))
+        print(text, end="")
     return 0
-
-
-def _render_report(data: dict) -> str:
-    rows = [
-        ("algorithm", str(data.get("algorithm"))),
-        ("ports", str(data.get("n_ports"))),
-        ("normalized energy", f"{data.get('normalized_energy', float('nan')):.6f}"),
-        ("mean active ports", f"{data.get('mean_active_ports', float('nan')):.4f}"),
-    ]
-    drops = data.get("drops", {})
-    rows.append(
-        ("drops normal / low-latency",
-         f"{drops.get('normal', 0)} / {drops.get('low_latency', 0)}")
-    )
-    for name in ("overall", "normal", "low_latency"):
-        stats = (data.get("delay_us") or {}).get(name)
-        if stats is None:
-            rows.append((f"delay {name}", "no packets"))
-        else:
-            rows.append(
-                (f"delay {name} (us)",
-                 f"mean {stats['mean_us']:.3f}  median {stats['median_us']:.3f}"
-                 f"  p99 {stats['p99_us']:.3f}  n={stats['count']}")
-            )
-    for flow, stats in sorted((data.get("flow_delays_us") or {}).items()):
-        if stats:
-            rows.append((f"flow {flow} delay (us)",
-                         f"mean {stats['mean_us']:.3f}  n={stats['count']}"))
-    width = max(len(name) for name, _ in rows)
-    return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,8 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scale = sub.add_parser("scale", help="rescale a trace's arrival times")
     p_scale.add_argument("input")
-    p_scale.add_argument("--factor", type=float, required=True,
-                         help="divide timestamps by this factor (2 doubles the rate)")
+    p_scale.add_argument("--factor", type=Fraction, required=True,
+                         help="divide timestamps by this exact factor, e.g. 2 "
+                              "(doubles the rate), 0.1 or 3/2")
     p_scale.add_argument("--out", required=True)
     p_scale.set_defaults(func=_cmd_scale)
 

@@ -218,36 +218,41 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
-        rows = [
-            ("algorithm", self.algorithm),
-            ("ports", str(self.n_ports)),
-            ("measured window", f"{(self.duration_ns - self.warmup_ns) / 1e9:.6f} s"),
-            ("normalized energy", f"{self.normalized_energy:.6f}"),
-            ("mean active ports", f"{self.mean_active_ports:.4f}"),
-            ("drops normal / low-latency",
-             f"{self.drops['normal']} / {self.drops['low_latency']}"),
-        ]
-        for name in ("overall", "normal", "low_latency"):
-            stats = self.delay.get(name)
-            if stats is None:
-                rows.append((f"delay {name}", "no packets"))
-            else:
-                rows.append(
-                    (f"delay {name} (us)",
-                     f"mean {stats['mean_us']:.3f}  median {stats['median_us']:.3f}"
-                     f"  p99 {stats['p99_us']:.3f}  n={stats['count']}")
-                )
-        for flow in sorted(self.flow_delays):
-            stats = self.flow_delays[flow]
-            if stats is None:
-                rows.append((f"flow {flow}", "no packets"))
-            else:
-                rows.append(
-                    (f"flow {flow} delay (us)",
-                     f"mean {stats['mean_us']:.3f}  n={stats['count']}")
-                )
-        width = max(len(name) for name, _ in rows)
-        return "\n".join(f"{name:<{width}}  {value}" for name, value in rows) + "\n"
+        return render_report(self.to_json_dict())
+
+
+def render_report(data: dict) -> str:
+    """Text table of a report's JSON dict, as written by ``to_json``."""
+    rows = [
+        ("algorithm", data["algorithm"]),
+        ("ports", str(data["n_ports"])),
+        ("measured window",
+         f"{(data['duration_ns'] - data['warmup_ns']) / 1e9:.6f} s"),
+        ("normalized energy", f"{data['normalized_energy']:.6f}"),
+        ("mean active ports", f"{data['mean_active_ports']:.4f}"),
+        ("drops normal / low-latency",
+         f"{data['drops']['normal']} / {data['drops']['low_latency']}"),
+    ]
+    for name in ("overall", "normal", "low_latency"):
+        stats = data["delay_us"][name]
+        if stats is None:
+            rows.append((f"delay {name}", "no packets"))
+        else:
+            rows.append(
+                (f"delay {name} (us)",
+                 f"mean {stats['mean_us']:.3f}  median {stats['median_us']:.3f}"
+                 f"  p99 {stats['p99_us']:.3f}  n={stats['count']}")
+            )
+    for flow, stats in sorted(data["flow_delays_us"].items()):
+        if stats is None:
+            rows.append((f"flow {flow}", "no packets"))
+        else:
+            rows.append(
+                (f"flow {flow} delay (us)",
+                 f"mean {stats['mean_us']:.3f}  n={stats['count']}")
+            )
+    width = max(len(name) for name, _ in rows)
+    return "\n".join(f"{name:<{width}}  {value}" for name, value in rows) + "\n"
 
 
 def run(config: SimConfig, stream) -> MetricsReport:

@@ -30,6 +30,8 @@ import csv
 import io
 import json
 import os
+import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -284,6 +286,8 @@ def run_sweep(scenario: Scenario, threads: int | None = None):
     and ``reports[i]`` the matching report. Worker-pool size comes from
     ``threads``, the EEESIM_THREADS environment variable, or the CPU count;
     result order is fixed by the sweep definition, not completion order.
+    Progress (points done out of total, elapsed seconds) goes to stderr as
+    each report arrives, in that order.
     """
     scenario.validate()
     points = scenario.sweep_points()
@@ -291,11 +295,21 @@ def run_sweep(scenario: Scenario, threads: int | None = None):
     n_threads = default_threads() if threads is None else max(1, threads)
     sdict = scenario.to_json_dict()
     args = [(sdict, alg, point) for alg, point in jobs]
+    start = time.perf_counter()
+
+    def collect(results):
+        reports = []
+        for report in results:
+            reports.append(report)
+            print(f"{scenario.name}: {len(reports)}/{len(jobs)} points done, "
+                  f"{time.perf_counter() - start:.1f} s", file=sys.stderr, flush=True)
+        return reports
+
     if n_threads <= 1 or len(jobs) <= 1:
-        reports = [_worker(a) for a in args]
+        reports = collect(map(_worker, args))
     else:
         with ProcessPoolExecutor(max_workers=min(n_threads, len(jobs))) as pool:
-            reports = list(pool.map(_worker, args))
+            reports = collect(pool.map(_worker, args))
     return jobs, reports
 
 

@@ -7,6 +7,7 @@ import pytest
 from eeesim import read_trace
 from eeesim.cli import main, parse_rate, parse_time
 from eeesim.errors import ConfigError
+from eeesim.scenarios import load_scenario, run_point
 
 
 @pytest.fixture(autouse=True)
@@ -33,6 +34,36 @@ def test_parse_time_units():
     assert parse_time("12345") == 12345
     with pytest.raises(ConfigError):
         parse_time("soon")
+
+
+def test_parse_keeps_todays_integers():
+    assert parse_rate("100M") == 100_000_000
+    assert parse_rate("2.5G") == 2_500_000_000
+    assert parse_rate("2.5") == 2  # half to even, as before
+    assert parse_time("500ms") == 500_000_000
+    assert parse_time("250us") == 250_000
+    assert parse_time("40") == 40
+
+
+def test_parse_rate_is_exact():
+    for text in ("nan", "inf", "-inf", "1/0"):
+        with pytest.raises(ConfigError, match=repr(text)):
+            parse_rate(text)
+    assert parse_rate("1e400") == 10**400
+    with pytest.raises(ConfigError, match="'0.0000000001'"):
+        parse_rate("0.0000000001")  # rounds to 0 b/s
+    assert parse_rate("0.5000000001") == 1
+
+
+def test_parse_time_is_exact():
+    with pytest.raises(ConfigError, match="'infs'"):
+        parse_time("infs")
+    assert parse_time("1e30s") == 10**39
+    assert parse_time("0.1s") == 100_000_000
+    with pytest.raises(ConfigError, match="'-5ms'"):
+        parse_time("-5ms")
+    with pytest.raises(ConfigError, match="'-5'"):
+        parse_time("-5")
 
 
 def test_gen_writes_expected_row_count(tmp_path):
@@ -66,6 +97,14 @@ def test_scale_halves_timestamps(tmp_path):
     assert [p.arrival_time for p in scaled] == [
         p.arrival_time // 2 for p in orig
     ]
+
+
+def test_scale_factor_is_exact(tmp_path):
+    # 10**15 ns / float(0.1) lands 0.55 ns short of 10**16 and rounds down
+    src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text("t_ns,flow,bytes,dscp\n1000000000000000,a,64,0\n")
+    assert main(["scale", str(src), "--factor", "0.1", "--out", str(dst)]) == 0
+    assert [p.arrival_time for p in read_trace(dst)] == [10**16]
 
 
 def test_merge_produces_ordered_union(tmp_path):
@@ -181,8 +220,52 @@ def test_report_renders_run_output(tmp_path, capsys):
     assert "delay low_latency" in rendered
 
 
+def test_report_renders_like_to_text(tmp_path, capsys):
+    path = _tiny_scenario(tmp_path, algorithms=["conservative"])
+    scenario = load_scenario(str(path))
+    scenario.sim["track_flows"] = ["rt", "ghost"]  # ghost sends nothing
+    report = run_point(scenario.to_json_dict(), "conservative",
+                       scenario.sweep_points()[0])
+    report_path = tmp_path / "report.json"
+    report_path.write_text(report.to_json() + "\n")
+    assert main(["report", str(report_path)]) == 0
+    rendered = capsys.readouterr().out
+    assert rendered == f"== {report_path}\n" + report.to_text()
+    assert "measured window" in rendered
+    assert "flow ghost" in rendered and "no packets" in rendered
+
+
 def test_report_on_missing_file_exits_2(capsys):
     assert main(["report", "missing.json"]) == 2
+
+
+def test_report_on_foreign_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "other.json"
+    path.write_text('{"algorithm": "conservative"}')
+    assert main(["report", str(path)]) == 2
+    assert "not an eeesim report" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_progress_goes_to_stderr_only(tmp_path, capsys, threads):
+    path = _tiny_scenario(tmp_path)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--threads", threads,
+                 "--output-dir", str(out_dir)]) == 0
+    captured = capsys.readouterr()
+    written = [out_dir / name for name in (
+        "conservative-ll1000000-n50000000.json",
+        "two_queues-ll1000000-n50000000.json", "combined.csv")]
+    assert captured.out == "".join(f"{p}\n" for p in written)
+    scenario = load_scenario(str(path))
+    point = scenario.sweep_points()[0]
+    for alg, report_path in zip(("conservative", "two_queues"), written):
+        direct = run_point(scenario.to_json_dict(), alg, point)
+        assert report_path.read_text() == direct.to_json() + "\n"
+    lines = captured.err.splitlines()
+    assert [line.split(",")[0] for line in lines] == [
+        "tiny: 1/2 points done", "tiny: 2/2 points done"]
+    assert all(line.endswith(" s") for line in lines)
 
 
 def test_simulation_fault_exits_3(tmp_path, monkeypatch, capsys):
