@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapreplace
 from operator import itemgetter
 
@@ -77,6 +78,12 @@ class AllocationPlan:
     port_loads: list = field(default_factory=list)   # Fraction per port
     active_set: tuple = (0,)
     spare_port: int | None = None
+
+    @cached_property
+    def least_loaded(self) -> int:
+        """Port of ``active_set`` with the lowest planned load, lowest index first."""
+        loads = self.port_loads
+        return min(self.active_set, key=lambda i: (loads[i], i))
 
     def to_json_dict(self) -> dict:
         return {

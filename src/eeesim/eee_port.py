@@ -21,9 +21,8 @@ queue only if the high queue is empty. Both queues share one buffer of
 
 Every state except ``LPI`` ends at a time the port already knows,
 ``next_at``; nothing outside the port can change it. The port therefore
-runs lazily: :meth:`EeePort.advance` fires the transitions due before a
-horizon, one handler call each, and the owner only has to call it before
-handing the port its next arrival.
+runs lazily: its owner fires the transitions due before an arrival, one
+``on_*`` handler call each, before it hands the port that arrival.
 """
 
 from __future__ import annotations
@@ -108,21 +107,22 @@ class _WireTimes(dict):
 class EeePort:
     """State machine, queues and state-residence accounting for one port.
 
-    ``deliver`` is called with the ``(packet, class, delay, tx_start)``
-    record of every frame that :meth:`advance` finishes; set it before the
-    first call to :meth:`advance`. ``window`` is the ``(start, end)``
-    interval over which residence times are accounted.
+    The transition due at ``next_at`` is fired by the handler for the
+    current state: :meth:`on_tx_complete` (``ACTIVE``),
+    :meth:`on_sleep_complete` (``SLEEP_TRANS``) or :meth:`on_wake_complete`
+    (``WAKE_TRANS``). ``window`` is the ``(start, end)`` interval over which
+    residence times are accounted.
     """
 
     __slots__ = (
         "index", "cfg", "state", "state_since", "next_at",
         "high", "low", "tx_packet", "tx_class", "tx_start",
         "clock", "residence_ns", "win_start", "win_end", "transitions",
-        "deliver", "_wire_ns",
+        "_limit", "_wire_ns",
     )
 
     def __init__(self, index: int, cfg: EeePortConfig, window=(0, None),
-                 deliver=None, record_transitions: bool = False):
+                 record_transitions: bool = False):
         cfg.validate()
         self.index = index
         self.cfg = cfg
@@ -139,7 +139,7 @@ class EeePort:
         self.win_start, end = window
         self.win_end = _INF if end is None else end
         self.transitions = [] if record_transitions else None
-        self.deliver = deliver
+        self._limit = cfg.buffer_limit
         self._wire_ns = _WireTimes(cfg)
 
     @property
@@ -159,43 +159,21 @@ class EeePort:
         self.state = new
         self.state_since = now
 
-    def _start_tx(self, entry, now: int) -> None:
-        pkt, self.tx_class = entry
-        self.tx_packet = pkt
-        self.tx_start = now
-        self.next_at = now + self._wire_ns[pkt[1]]
-
-    def advance(self, horizon) -> None:
-        """Fire, in time order, every transition due strictly before ``horizon``.
-
-        Transitions at exactly ``horizon`` wait, so arrivals at that instant
-        are enqueued first and a frame meeting a departing one is served back
-        to back.
-        """
-        while self.next_at < horizon:
-            now = self.next_at
-            state = self.state
-            if state is ACTIVE:
-                self.deliver(self.on_tx_complete(now))
-            elif state is SLEEP_TRANS:
-                self.on_sleep_complete(now)
-            else:
-                self.on_wake_complete(now)
-
     def enqueue(self, pkt, queue: Queue, cls: int, now: int):
         """Accept or tail-drop an arriving frame.
 
         Returns ``(accepted, next_at)``. A frame arriving to an LPI port
         starts the wake transition; during SLEEP_TRANS the wake is deferred
         until the sleep transition completes (non-empty queues mark the
-        pending wake). The caller advances the port to ``now`` first.
+        pending wake). The caller fires the port's transitions due strictly
+        before ``now`` first.
         """
         if now < self.clock:
             raise SimulationFault(
                 f"port {self.index}: time went backwards ({now} < {self.clock})"
             )
         self.clock = now
-        if len(self.high) + len(self.low) >= self.cfg.buffer_limit:
+        if len(self.high) + len(self.low) >= self._limit:
             return False, self.next_at
         (self.high if queue is HIGH else self.low).append((pkt, cls))
         if self.state is LPI:
@@ -215,10 +193,12 @@ class EeePort:
             )
         record = (pkt, self.tx_class, now - pkt[0], self.tx_start)
         self.clock = now
-        if self.high:
-            self._start_tx(self.high.popleft(), now)
-        elif self.low:
-            self._start_tx(self.low.popleft(), now)
+        queue = self.high or self.low
+        if queue:
+            pkt, self.tx_class = queue.popleft()
+            self.tx_packet = pkt
+            self.tx_start = now
+            self.next_at = now + self._wire_ns[pkt[1]]
         else:
             self.tx_packet = self.tx_class = None
             self._set_state(SLEEP_TRANS, now)
@@ -245,16 +225,16 @@ class EeePort:
                 f"port {self.index}: wake completion at {now} in state {self.state.key}"
             )
         self.clock = now
-        if self.high:
-            entry = self.high.popleft()
-        elif self.low:
-            entry = self.low.popleft()
-        else:
+        queue = self.high or self.low
+        if not queue:
             raise SimulationFault(
                 f"port {self.index}: woke at {now} with both queues empty"
             )
         self._set_state(ACTIVE, now)
-        self._start_tx(entry, now)
+        pkt, self.tx_class = queue.popleft()
+        self.tx_packet = pkt
+        self.tx_start = now
+        self.next_at = now + self._wire_ns[pkt[1]]
 
     def finalize(self, end: int) -> None:
         """Close the accounting at the end of the measured run."""

@@ -4,8 +4,10 @@ One simulation run is strictly single threaded: identical config and input
 stream produce a bit-identical report. Dispatch reads only the flow
 counters and the plan, never port state, and each port's next transition
 time is known to the port alone, so there is no global event queue: the
-loop makes one pass over the arrival stream and advances only the port an
-arrival is sent to, lazily, up to that arrival's time.
+loop makes one pass over the arrival stream and fires, lazily, the due
+transitions of only the port each arrival is sent to. A flow goes through
+:meth:`FlowTable.dispatch` once per control interval; its later packets
+reuse that route.
 
 Events at the same nanosecond keep a fixed order: control epochs first (a
 plan takes effect at exactly t = nT), then arrivals in stream order, then
@@ -31,7 +33,7 @@ from .allocation import (
     estimate_rates,
     initial_plan,
 )
-from .eee_port import EeePort, EeePortConfig, PortState, Queue
+from .eee_port import ACTIVE, SLEEP_TRANS, EeePort, EeePortConfig, PortState, Queue
 from .errors import ConfigError, SimulationFault
 from .traffic import DEFAULT_LL_DSCPS, TrafficClass
 
@@ -108,8 +110,7 @@ class FlowTable:
         ):
             port = plan.spare_port
         else:
-            loads = plan.port_loads
-            port = min(plan.active_set, key=lambda i: (loads[i], i))
+            port = plan.least_loaded
         queue = (
             Queue.HIGH
             if self.algorithm is Algorithm.TWO_QUEUES
@@ -285,28 +286,43 @@ def run(config: SimConfig, stream) -> MetricsReport:
     delay_log = [] if config.record_delay_log else None
     tracked = {flow: array("q") for flow in config.track_flows}
 
-    def deliver(record):
+    def drain(port, horizon):
+        """Fire the port's transitions due before ``horizon``, in order."""
         nonlocal delivered_total
-        delivered_total += 1
-        pkt, ci, delay, started = record
-        arrival = pkt[0]
-        if arrival >= warmup:
-            delays[ci].append(delay)
-            flow = pkt[2]
-            if flow in tracked:
-                tracked[flow].append(delay)
-            if delay_log is not None:
-                delay_log.append((flow, arrival, delay, started, pkt[1]))
-        if departures is not None:
-            departures[pkt[4]] = arrival + delay
+        while port.next_at < horizon:
+            now = port.next_at
+            state = port.state
+            if state is ACTIVE:
+                pkt, ci, delay, started = port.on_tx_complete(now)
+                delivered_total += 1
+                arrival = pkt[0]
+                if arrival >= warmup:
+                    delays[ci].append(delay)
+                    flow = pkt[2]
+                    if flow in tracked:
+                        tracked[flow].append(delay)
+                    if delay_log is not None:
+                        delay_log.append((flow, arrival, delay, started, pkt[1]))
+                if departures is not None:
+                    departures[pkt[4]] = arrival + delay
+            elif state is SLEEP_TRANS:
+                port.on_sleep_complete(now)
+            else:
+                port.on_wake_complete(now)
 
-    ports = [
-        EeePort(i, config.port, (warmup, duration), deliver) for i in range(n_ports)
-    ]
+    ports = [EeePort(i, config.port, (warmup, duration)) for i in range(n_ports)]
     table = FlowTable(config)
     classes = table.classes
+    counters = table.counters
     dispatch = table.dispatch
     low_latency = TrafficClass.LOW_LATENCY
+    # flow -> (port, queue, class index) under the incumbent plan; a flow's
+    # first packet in each interval goes through dispatch, which registers it.
+    # Flows share the few distinct route tuples, so 10 k flows cost no more
+    # than their dict entries.
+    routes: dict = {}
+    shared = {(i, q, c): (port, q, c)
+              for i, port in enumerate(ports) for q in Queue for c in (0, 1)}
 
     # Time-weighted incumbent-plan width ("ports the algorithm is using").
     ap_acc = 0
@@ -316,12 +332,14 @@ def run(config: SimConfig, stream) -> MetricsReport:
 
     def fire_epoch(t):
         """Run the control epoch at ``t``; returns the next epoch's time."""
-        nonlocal ap_acc, ap_last, ap_k
+        nonlocal ap_acc, ap_last, ap_k, counters
         lo = ap_last if ap_last > warmup else warmup
         if t > lo:
             ap_acc += ap_k * (t - lo)
         ap_last = t
+        routes.clear()  # free it before the allocator builds the new plan
         plan = table.control_epoch(t)
+        counters = table.counters
         ap_k = plan.active_ports
         epoch_rows.append((t, plan.active_ports, [float(x) for x in plan.port_loads]))
         nt = t + period
@@ -339,10 +357,18 @@ def run(config: SimConfig, stream) -> MetricsReport:
         while next_epoch <= t:
             next_epoch = fire_epoch(next_epoch)
         arrived_total += 1
-        port_idx, queue = dispatch(pkt)
-        ci = 1 if classes[pkt[2]] is low_latency else 0
-        port = ports[port_idx]
-        port.advance(t)
+        flow = pkt[2]
+        route = routes.get(flow)
+        if route is None:
+            port_idx, queue = dispatch(pkt)
+            route = routes[flow] = shared[
+                port_idx, queue, 1 if classes[flow] is low_latency else 0
+            ]
+        else:
+            counters[flow] += pkt[1]
+        port, queue, ci = route
+        if port.next_at < t:  # same-instant arrivals precede completions
+            drain(port, t)
         if not port.enqueue(pkt, queue, ci, t)[0]:
             dropped_total += 1
             if t >= warmup:
@@ -352,7 +378,7 @@ def run(config: SimConfig, stream) -> MetricsReport:
     while next_epoch < duration:
         next_epoch = fire_epoch(next_epoch)
     for port in ports:
-        port.advance(duration)
+        drain(port, duration)
         port.finalize(duration)
     lo = ap_last if ap_last > warmup else warmup
     if duration > lo:

@@ -68,6 +68,20 @@ _SIM_DEFAULTS = {
     "ll_dscps": [46],
     "track_flows": [],
 }
+_SIM_INTS = ("n_ports", "capacity_bps", "t_sleep_ns", "t_wake_ns", "buffer_limit",
+             "sampling_period_ns", "warmup_ns", "duration_ns")
+
+
+def _exact_int(name, value) -> int:
+    """``value`` as an exact int (``1e8`` is one); a ConfigError naming ``name``
+    if it is not integral (``4480.7`` would otherwise be truncated)."""
+    try:
+        exact = Fraction(value)
+        if exact.denominator == 1:
+            return int(exact)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -101,9 +115,20 @@ class Scenario:
         unknown = set(self.sim) - set(_SIM_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown sim fields: {sorted(unknown)}")
+        for key in _SIM_INTS:
+            self.sim_int(key)
+        for dscp in self.sim_value("ll_dscps"):
+            _exact_int("sim.ll_dscps", dscp)
 
     def sim_value(self, key):
         return self.sim.get(key, _SIM_DEFAULTS[key])
+
+    def sim_int(self, key):
+        """Integer sim field exactly; ``warmup_ns`` may be None."""
+        value = self.sim_value(key)
+        if value is None and key == "warmup_ns":
+            return None
+        return _exact_int(f"sim.{key}", value)
 
     def base_normal_rate_bps(self) -> int:
         return sum(int(src.get("rate_bps", 0)) for src in self.sources)
@@ -160,33 +185,33 @@ class Scenario:
 
 
 def build_sim_config(scenario: Scenario, algorithm) -> SimConfig:
-    sv = scenario.sim_value
+    sv, si = scenario.sim_value, scenario.sim_int
     return SimConfig(
         bundle=BundleConfig(
-            n_ports=int(sv("n_ports")),
-            capacity_bps=int(sv("capacity_bps")),
+            n_ports=si("n_ports"),
+            capacity_bps=si("capacity_bps"),
             algorithm=Algorithm(algorithm),
             bound_fraction=float(sv("bound_fraction")),
         ),
         port=EeePortConfig(
-            capacity_bps=int(sv("capacity_bps")),
-            t_sleep_ns=int(sv("t_sleep_ns")),
-            t_wake_ns=int(sv("t_wake_ns")),
-            buffer_limit=int(sv("buffer_limit")),
+            capacity_bps=si("capacity_bps"),
+            t_sleep_ns=si("t_sleep_ns"),
+            t_wake_ns=si("t_wake_ns"),
+            buffer_limit=si("buffer_limit"),
             p_active=float(sv("p_active")),
             p_lpi=float(sv("p_lpi")),
         ),
-        duration_ns=int(sv("duration_ns")),
-        sampling_period_ns=int(sv("sampling_period_ns")),
-        ll_dscps=frozenset(int(d) for d in sv("ll_dscps")),
-        warmup_ns=sv("warmup_ns"),
+        duration_ns=si("duration_ns"),
+        sampling_period_ns=si("sampling_period_ns"),
+        ll_dscps=frozenset(_exact_int("sim.ll_dscps", d) for d in sv("ll_dscps")),
+        warmup_ns=si("warmup_ns"),
         track_flows=frozenset(sv("track_flows")),
     )
 
 
 def _materialize(src: dict, scenario: Scenario, scale_factor=Fraction(1)):
     """Lazy slab source for one source entry, its rate scaled exactly."""
-    duration = int(scenario.sim_value("duration_ns"))
+    duration = scenario.sim_int("duration_ns")
     kind = src["kind"]
     if kind == "trace":
         return trace_slabs(src["path"], Fraction(src.get("scale", 1)) * scale_factor)
@@ -200,11 +225,11 @@ def _materialize(src: dict, scenario: Scenario, scale_factor=Fraction(1)):
     if kind == "frames":
         return frames_slabs(rate, size, dscp, duration,
                             int(src.get("line_rate_bps",
-                                        scenario.sim_value("capacity_bps"))),
+                                        scenario.sim_int("capacity_bps"))),
                             int(src.get("offset_ns", 0)), flow,
                             src.get("pkts_per_frame"))
     if kind == "bursty":
-        window = int(scenario.sim_value("sampling_period_ns"))
+        window = scenario.sim_int("sampling_period_ns")
         ppw = _round_div(rate * window, size * 8 * 10**9)
         if ppw < 1:
             raise ConfigError(f"source {flow!r}: rate too low for one packet per window")
@@ -212,7 +237,7 @@ def _materialize(src: dict, scenario: Scenario, scale_factor=Fraction(1)):
         bursts = max(1, round(Fraction(ppw, target)))
         return bursty_slabs(ppw, size, dscp, window, bursts,
                             int(src.get("line_rate_bps",
-                                        scenario.sim_value("capacity_bps"))),
+                                        scenario.sim_int("capacity_bps"))),
                             duration, flow)
     raise ConfigError(f"unknown source kind {kind!r}")
 

@@ -187,6 +187,23 @@ def test_run_set_override_changes_duration(tmp_path, capsys):
     assert dumped["sim"]["duration_ns"] == 30_000_000
 
 
+def test_run_set_float_warmup_reports_integers(tmp_path, capsys):
+    path = _tiny_scenario(tmp_path)
+    out_dir = tmp_path / "out"
+    rc = main(["run", str(path), "--set", "sim.warmup_ns=1e7",
+               "--set", 'algorithms=["conservative"]', "--output-dir", str(out_dir)])
+    assert rc == 0
+    payload = json.loads((out_dir / "conservative-ll1000000-n50000000.json").read_text())
+    assert type(payload["warmup_ns"]) is int and payload["warmup_ns"] == 10_000_000
+    assert all(type(ns) is int for ns in payload["energy_by_state_ns"].values())
+
+
+def test_run_set_non_integral_time_exits_2(tmp_path, capsys):
+    path = _tiny_scenario(tmp_path)
+    assert main(["run", str(path), "--set", "sim.t_wake_ns=4480.7"]) == 2
+    assert "sim.t_wake_ns must be an integer" in capsys.readouterr().err
+
+
 def test_run_without_sources_exits_2(tmp_path, capsys):
     path = _tiny_scenario(tmp_path, sources=[], ll_source=None, ll_rates_bps=[])
     assert main(["run", str(path)]) == 2

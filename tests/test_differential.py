@@ -89,5 +89,29 @@ _BASE = {"n_ports": 1, "capacity": 10_000_000_000, "algorithm": "conservative",
 @example(({**_BASE, "t_sleep": 23 * UNIT, "t_wake": 45 * UNIT, "buffer_limit": 10000},
           [(0, 1500, 0, 0), (45, 1500, 1, 46), (12, 125, 2, 0), (13, 125, 3, 0),
            (24, 250, 0, 46)]))
+# route cache, 10-unit epochs, 1500 B filling more than an interval: f1 is on
+# port 0 in interval 0, moved to port 1 at t = 10, silent until t = 20 (kept
+# at rate 0, still on port 1) and back at t = 20 beside f0 on port 0
+@example(({**_BASE, "n_ports": 3, "t_sleep": 3 * UNIT, "t_wake": 2 * UNIT,
+           "buffer_limit": 10000},
+          [(0, 1500, 0, 0), (0, 1500, 1, 0), (10, 1500, 0, 0), (10, 1500, 0, 0),
+           (0, 1500, 1, 0), (1, 125, 1, 0)]))
+# low-latency flows first seen mid-interval (f2 at t = 15, again at 16 and 18)
+# once interval 0's traffic has been planned, under spare_port (the spare
+# port) and two_queues (the high queue)
+@example(({**_BASE, "n_ports": 3, "algorithm": "spare_port", "t_wake": 2 * UNIT,
+           "buffer_limit": 10000},
+          [(0, 1500, 0, 0), (0, 125, 1, 46), (15, 125, 2, 46), (1, 125, 2, 46),
+           (0, 1500, 3, 0), (2, 250, 2, 46), (0, 125, 1, 46)]))
+@example(({**_BASE, "n_ports": 3, "algorithm": "two_queues", "t_wake": 2 * UNIT,
+           "buffer_limit": 10000},
+          [(0, 1500, 0, 0), (0, 125, 1, 46), (15, 1500, 3, 0), (0, 125, 2, 46),
+           (1, 125, 2, 46), (2, 250, 2, 46), (0, 125, 1, 46)]))
+# arrivals exactly on the epoch at t = 10 whose plan moves f0, routed to
+# port 0 in interval 0, behind the larger f1 onto port 1
+@example(({**_BASE, "n_ports": 3, "t_sleep": 3 * UNIT, "t_wake": 2 * UNIT,
+           "buffer_limit": 10000},
+          [(0, 1500, 0, 0), (0, 1500, 1, 0), (0, 125, 1, 0), (10, 1500, 0, 0),
+           (0, 125, 1, 0), (0, 250, 0, 0)]))
 def test_run_matches_oracle(case):
     _check(*case)

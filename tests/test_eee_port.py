@@ -27,22 +27,31 @@ def _cfg(**kw):
 def drive_port(port, arrivals):
     """Feed (t, size, queue) arrivals to one port the way the engine does.
 
-    Before each arrival the port fires its transitions due strictly before
-    that instant, so arrivals precede completions at the same nanosecond;
-    afterwards it runs until idle. Returns ``(departures, dropped)``:
-    ``[(seq, departure, tx_start)]`` in service order and the seqs of
-    tail-dropped frames.
+    Before each arrival the port's handlers fire its transitions due
+    strictly before that instant, so arrivals precede completions at the
+    same nanosecond; afterwards it runs until idle. Returns
+    ``(departures, dropped)``: ``[(seq, departure, tx_start)]`` in service
+    order and the seqs of tail-dropped frames.
     """
     departures = []
     dropped = []
-    port.deliver = lambda rec: departures.append(
-        (rec[0].seq, rec[0].arrival_time + rec[2], rec[3])
-    )
+
+    def fire_before(horizon):
+        while port.next_at < horizon:
+            now = port.next_at
+            if port.state is PortState.ACTIVE:
+                pkt, _, delay, started = port.on_tx_complete(now)
+                departures.append((pkt.seq, pkt.arrival_time + delay, started))
+            elif port.state is PortState.SLEEP_TRANS:
+                port.on_sleep_complete(now)
+            else:
+                port.on_wake_complete(now)
+
     for i, (t, size, queue) in enumerate(arrivals):
-        port.advance(t)
+        fire_before(t)
         if not port.enqueue(Packet(t, size, f"f{i}", 0, i), queue, NORMAL, t)[0]:
             dropped.append(i)
-    port.advance(float("inf"))
+    fire_before(float("inf"))
     return departures, dropped
 
 
@@ -83,8 +92,6 @@ def test_tx_time_rounds_to_nearest_ns():
 def test_wake_from_lpi_single_packet():
     port = EeePort(0, _cfg())
     assert port.enqueue(Packet(0, 1500, "f", 0, 0), Queue.LOW, NORMAL, 0) == (True, 4480)
-    assert port.state is PortState.WAKE_TRANS
-    port.advance(4480)  # the wake completes at 4480, not strictly before it
     assert port.state is PortState.WAKE_TRANS
     port.on_wake_complete(4480)
     assert (port.state, port.next_at) == (PortState.ACTIVE, 5680)

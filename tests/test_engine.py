@@ -22,7 +22,7 @@ from eeesim import (
     run,
 )
 from eeesim.allocation import FlowEstimate
-from eeesim.eee_port import EeePort
+from eeesim.eee_port import EeePort, PortState
 from eeesim.engine import FlowTable
 
 RSEED = 77002
@@ -271,6 +271,63 @@ def test_small_scale_port_count():
     ]
     report = run(config, merge(streams))
     assert report.mean_active_ports == 3.0
+
+
+@pytest.mark.parametrize("algorithm", [Algorithm.SPARE_PORT, Algorithm.TWO_QUEUES])
+def test_class_level_handler_wrappers_see_every_call(monkeypatch, algorithm):
+    # A profiler or tracer wraps the port handlers and dispatch on the class;
+    # the run must go through them for every arrival and transition.
+    config, _ = _mixed_scenario(algorithm)
+    streams = [gen_cbr(200_000_000, 1500, 0, 40_000_000, flow=f"bulk{i}")
+               for i in range(3)]
+    streams.append(gen_cbr(50_000_000, 125, 46, 40_000_000, flow="rt"))
+    pkts = list(merge(streams))  # the ports drain before the 50 ms end
+    plain = run(config, iter(pkts))
+
+    calls = {}
+    entered = {PortState.SLEEP_TRANS: 0, PortState.WAKE_TRANS: 0}
+    dispatched = []
+
+    def counting(name):
+        original = getattr(EeePort, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(EeePort, name, wrapper)
+
+    for name in ("enqueue", "on_tx_complete", "on_sleep_complete", "on_wake_complete"):
+        counting(name)
+    set_state, dispatch = EeePort._set_state, FlowTable.dispatch
+
+    def tally_state(self, new, now):
+        if new in entered:
+            entered[new] += 1
+        set_state(self, new, now)
+
+    def log_dispatch(self, pkt):
+        dispatched.append((pkt[2], pkt[0] // config.sampling_period_ns))
+        return dispatch(self, pkt)
+
+    monkeypatch.setattr(EeePort, "_set_state", tally_state)
+    monkeypatch.setattr(FlowTable, "dispatch", log_dispatch)
+    wrapped = run(config, iter(pkts))
+
+    assert wrapped.to_json() == plain.to_json()
+    assert wrapped.departures == plain.departures
+    totals = wrapped.totals
+    assert totals["queued_end"] == 0 and totals["dropped"] == 0
+    assert calls["enqueue"] == totals["arrived"] == len(pkts)
+    assert calls["on_tx_complete"] == totals["delivered"]
+    assert calls["on_wake_complete"] == entered[PortState.WAKE_TRANS] > 0
+    assert calls["on_sleep_complete"] == entered[PortState.SLEEP_TRANS] > 0
+    # one dispatch per (flow, control interval) with traffic, no more
+    assert len(dispatched) == len(set(dispatched))
+    assert set(dispatched) == {
+        (p.flow, p.arrival_time // config.sampling_period_ns) for p in pkts
+    }
+    assert len(dispatched) < len(pkts)
 
 
 # -- oracle agreement ------------------------------------------------------------

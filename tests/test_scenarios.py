@@ -122,6 +122,31 @@ def test_empty_ll_dscp_set_is_respected():
     assert config.ll_dscps == frozenset()
 
 
+def test_integer_sim_fields_stay_integers():
+    doc = mininet_scenario().to_json_dict()
+    doc["sim"].update(warmup_ns=1e8, duration_ns="3e8", t_wake_ns=4480.0,
+                      ll_dscps=[46.0])
+    config = build_sim_config(Scenario.from_dict(doc), "conservative")
+    assert type(config.warmup_ns) is int and config.warmup_ns == 100_000_000
+    assert type(config.duration_ns) is int and config.duration_ns == 300_000_000
+    assert type(config.port.t_wake_ns) is int and config.port.t_wake_ns == 4480
+    assert [type(d) for d in config.ll_dscps] == [int] and config.ll_dscps == {46}
+    doc["sim"]["warmup_ns"] = None
+    assert build_sim_config(Scenario.from_dict(doc), "conservative").warmup_ns is None
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t_wake_ns", 4480.7), ("warmup_ns", 1.5e8 + 0.5), ("n_ports", "5x"),
+    ("duration_ns", float("inf")), ("buffer_limit", None), ("capacity_bps", [1]),
+    ("ll_dscps", [46.5]),
+])
+def test_non_integral_sim_field_names_the_field(field, value):
+    doc = mininet_scenario().to_json_dict()
+    doc["sim"][field] = value
+    with pytest.raises(ConfigError, match=f"sim.{field} must be an integer"):
+        Scenario.from_dict(doc)
+
+
 def test_run_sweep_row_order_is_sweep_order(monkeypatch):
     monkeypatch.setenv("EEESIM_THREADS", "1")
     scenario = Scenario(
