@@ -62,6 +62,16 @@ def parse_time(text: str) -> int:
     return ns
 
 
+def _fraction(text: str) -> Fraction:
+    """argparse type for an exact factor such as 2, 0.5 or 3/2."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from None
+
+
 def _apply_overrides(scenario: Scenario, overrides) -> Scenario:
     """Apply --set dotted-path overrides to scalar scenario fields."""
     data = scenario.to_json_dict()
@@ -194,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a scalar scenario field, e.g. sim.duration_ns=1e8")
     p_run.add_argument("--trace", default=None,
                        help="replace synthetic bulk traffic with a trace-csv file")
-    p_run.add_argument("--trace-scale", type=Fraction, default=Fraction(1),
+    p_run.add_argument("--trace-scale", type=_fraction, default=Fraction(1),
                        help="divide trace timestamps by this exact factor, "
                             "e.g. 2, 0.5 or 3/2")
     p_run.add_argument("--epoch-csv", action="store_true",
@@ -218,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scale = sub.add_parser("scale", help="rescale a trace's arrival times")
     p_scale.add_argument("input")
-    p_scale.add_argument("--factor", type=Fraction, required=True,
+    p_scale.add_argument("--factor", type=_fraction, required=True,
                          help="divide timestamps by this exact factor, e.g. 2 "
                               "(doubles the rate), 0.1 or 3/2")
     p_scale.add_argument("--out", required=True)

@@ -14,6 +14,10 @@ validate their arguments when called but synthesize nothing before the first
 column is computed in int64 only where a bound shows that no intermediate
 exceeds ``2**63 - 1``, and with Python ints otherwise.
 
+:func:`trace_slabs` parses a chunk of plain ASCII rows with one
+:func:`numpy.loadtxt` call and checks it in bulk; a chunk with quotes, other
+characters or any fault goes to the csv row parser, the one judge of errors.
+
 :func:`merge_slabs` orders the packets of several sources by (time, source
 index, position in source) and yields plain 5-tuples ``(arrival_time,
 size, flow, dscp, seq)``. That tuple is the packet contract: the engine,
@@ -33,6 +37,7 @@ from array import array
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, count, islice
+from operator import length_hint
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -331,19 +336,122 @@ def _scale_col(t: np.ndarray, frac: Fraction) -> np.ndarray:
     return _round_div_col(t, frac.denominator, frac.numerator)
 
 
+#: one trace-csv record, field for field, as :func:`numpy.loadtxt` reads it
+_TRACE_DTYPE = np.dtype([("t", "i8"), ("flow", "O"), ("size", "i8"), ("dscp", "i8")])
+
+#: the bytes a chunk may hold and still go to ``loadtxt``: printable ASCII
+#: but ``"``, and tab to carriage return. ``loadtxt`` knows no csv quoting,
+#: strips ``\x1c``-``\x1f`` where ``int()`` refuses them, and (numpy 2.4)
+#: reads some non-ASCII letters as digits (``"\u01fe"`` as 462).
+_BULK_BYTES = bytes(range(0x09, 0x0E)) + b" !" + bytes(range(0x23, 0x7F))
+
+
+def _parse_rows(rows, lineno: int, last_t: int) -> tuple[Slab, int]:
+    """Columns of csv ``rows``, parsed and checked one row at a time.
+
+    This is the exact decider of what a trace may hold. ``lineno`` is the
+    record number before the first row and ``last_t`` the time of the row
+    before it (-1 if none). Returns the columns and the number of the last
+    record. Empty records are skipped; the first bad record, or one the csv
+    reader refuses, raises :class:`TraceError` naming its number.
+    """
+    # int columns go straight into arrays, a row at a time, so a slab costs
+    # 8 bytes per field rather than a row of strings
+    ts, sizes, dscps = array("q"), array("q"), array("q")
+    flows = []
+    try:
+        for lineno, row in enumerate(rows, lineno + 1):
+            if not row:
+                continue
+            try:  # the file is read with errors="surrogateescape"
+                ",".join(row).encode()
+            except UnicodeEncodeError as exc:
+                byte = ord(exc.object[exc.start]) - 0xDC00
+                raise TraceError(f"undecodable byte 0x{byte:02x}", line=lineno) from None
+            if len(row) != 4:
+                raise TraceError(f"expected 4 fields, got {len(row)}", line=lineno)
+            try:
+                t, size, dscp = int(row[0]), int(row[2]), int(row[3])
+            except ValueError as exc:
+                raise TraceError(f"malformed row: {exc}", line=lineno) from None
+            flow = row[1].strip()
+            if t < 0:
+                raise TraceError(f"negative timestamp {t}", line=lineno)
+            if not flow:
+                raise TraceError("empty flow id", line=lineno)
+            _check_size(size, lineno)
+            _check_dscp(dscp, lineno)
+            if t < last_t:
+                raise TraceError(f"timestamp {t} earlier than previous {last_t}", line=lineno)
+            last_t = t
+            try:
+                ts.append(t)
+            except OverflowError:
+                raise TraceError(f"timestamp {t} outside the int64 range", line=lineno) from None
+            sizes.append(size)
+            dscps.append(dscp)
+            flows.append(flow)
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise TraceError(f"malformed row: {exc}", line=lineno + 1) from None
+    return Slab(np.array(ts, dtype=np.int64), np.array(sizes, dtype=np.int64),
+                np.array(flows, dtype=object), np.array(dscps, dtype=np.int64)), lineno
+
+
+def _parse_bulk(lines: list, last_t: int) -> Slab | None:
+    """Columns of ``lines``, one csv record each, read by ``loadtxt`` and checked
+    in bulk; None leaves the chunk, and any error in it, to :func:`_parse_rows`."""
+    text = "".join(lines)
+    limit = csv.field_size_limit()  # the row parser refuses longer fields
+    if (not text.isascii() or text.encode().translate(None, _BULK_BYTES)
+            or len(text) > limit and max(map(len, lines)) > limit
+            or not text.strip("\r\n")):  # blank lines only: loadtxt would warn
+        return None
+    try:
+        rec = np.loadtxt(lines, delimiter=",", dtype=_TRACE_DTYPE, comments=None,
+                         ndmin=1)
+    except ValueError:
+        return None
+    t, size, dscp = rec["t"].copy(), rec["size"].copy(), rec["dscp"].copy()
+    flows = list(map(str.strip, rec["flow"].tolist()))
+    if (not all(flows) or t[0] < max(last_t, 0)
+            or (t[1:] < t[:-1]).any()
+            or size.min() < MIN_FRAME_BYTES or size.max() > MAX_FRAME_BYTES
+            or dscp.min() < 0 or dscp.max() > MAX_DSCP):
+        return None
+    return Slab(t, size, np.array(flows, dtype=object), dscp)
+
+
+def _records(lines: list, fh) -> Iterator[list]:
+    """The csv records that start in ``lines``; the last may read on into ``fh``."""
+    rest = iter(lines)
+    reader = csv.reader(chain(rest, fh))
+    while length_hint(rest):  # lines not yet consumed by the reader
+        yield next(reader)
+
+
 def trace_slabs(path, factor=1) -> Iterator[Slab]:
     """Slabs of a trace-csv file in file order, arrival times divided by ``factor``.
 
-    Expected header: ``t_ns,flow,bytes,dscp``. Malformed rows raise
-    :class:`TraceError` naming the line; timestamps running backwards raise
-    :class:`TraceError` as well. The file is opened at the first ``next()``.
+    Expected header: ``t_ns,flow,bytes,dscp``; fields follow csv quoting.
+    Each chunk of :data:`SLAB_PKTS` lines is parsed by one
+    :func:`numpy.loadtxt` call and checked in bulk, unless it holds a ``"``,
+    a character outside printable ASCII and tab to carriage return, a line
+    over ``csv.field_size_limit()`` or only blank lines, or ``loadtxt`` or a
+    check rejects it. Then the csv row parser, reading on to the end of a
+    quoted record the chunk cuts, parses it again and alone decides errors:
+    a malformed row, an undecodable byte or a timestamp running backwards
+    raises :class:`TraceError` naming the line (csv record number), an
+    unreadable file one naming the path. The file opens at the first ``next()``.
     """
     frac = _scale_factor(factor)
 
     def slabs():
-        with open(path, newline="") as fh:
-            rows = csv.reader(fh)
-            header = next(rows, None)
+        try:
+            fh = open(path, newline="", errors="surrogateescape")
+        except OSError as exc:
+            raise TraceError(f"cannot read trace {path}: {exc.strerror}") from None
+        with fh:
+            header = next(csv.reader(fh), None)
             if header is None or tuple(h.strip() for h in header) != TRACE_HEADER:
                 raise TraceError(
                     f"expected header {','.join(TRACE_HEADER)!r}, got {header!r}",
@@ -351,50 +459,15 @@ def trace_slabs(path, factor=1) -> Iterator[Slab]:
                 )
             last_t = -1
             lineno = 1
-            while True:
-                # int columns go straight into arrays, a row at a time, so a
-                # slab costs 8 bytes per field rather than a row of strings
-                ts, sizes, dscps = array("q"), array("q"), array("q")
-                flows = []
-                start = lineno
-                for row in islice(rows, SLAB_PKTS):
-                    lineno += 1
-                    if not row:
-                        continue
-                    if len(row) != 4:
-                        raise TraceError(f"expected 4 fields, got {len(row)}",
-                                         line=lineno)
-                    try:
-                        t, size, dscp = int(row[0]), int(row[2]), int(row[3])
-                    except ValueError as exc:
-                        raise TraceError(f"malformed row: {exc}", line=lineno) from None
-                    flow = row[1].strip()
-                    if t < 0:
-                        raise TraceError(f"negative timestamp {t}", line=lineno)
-                    if not flow:
-                        raise TraceError("empty flow id", line=lineno)
-                    _check_size(size, lineno)
-                    _check_dscp(dscp, lineno)
-                    if t < last_t:
-                        raise TraceError(
-                            f"timestamp {t} earlier than previous {last_t}", line=lineno
-                        )
-                    last_t = t
-                    try:
-                        ts.append(t)
-                    except OverflowError:
-                        raise TraceError(f"timestamp {t} outside the int64 range",
-                                         line=lineno) from None
-                    sizes.append(size)
-                    dscps.append(dscp)
-                    flows.append(flow)
-                if lineno == start:
-                    return
-                if ts:
-                    yield Slab(_scale_col(np.array(ts, dtype=np.int64), frac),
-                               np.array(sizes, dtype=np.int64),
-                               np.array(flows, dtype=object),
-                               np.array(dscps, dtype=np.int64))
+            while lines := list(islice(fh, SLAB_PKTS)):
+                slab = _parse_bulk(lines, last_t)
+                if slab is None:
+                    slab, lineno = _parse_rows(_records(lines, fh), lineno, last_t)
+                else:
+                    lineno += len(lines)
+                if len(slab.t):
+                    last_t = int(slab.t[-1])
+                    yield slab._replace(t=_scale_col(slab.t, frac))
 
     return slabs()
 

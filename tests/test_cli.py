@@ -357,3 +357,47 @@ def test_trace_scale_is_exact_fraction(tmp_path, capsys):
     assert rc == 0
     dumped = json.loads(capsys.readouterr().out)
     assert dumped["sources"][0]["scale"] == "1/10"
+
+
+def _exit_code(argv):
+    """main()'s return code, or argparse's exit code for a bad option."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _bad_trace(tmp_path, case):
+    """Path and trace-scale of a trace input that must exit 2, and the message."""
+    if case == "missing":
+        path = tmp_path / "missing.csv"
+        return path, "1", f"cannot read trace {path}: No such file or directory"
+    path = tmp_path / "trace.csv"
+    if case == "bad-byte":
+        path.write_bytes(b"t_ns,flow,bytes,dscp\n0,a,1500,0\n5,a\xff,1500,0\n")
+        return path, "1", "line 3: undecodable byte 0xff"
+    main(["gen", "--rate", "40M", "--size", "1500", "--duration", "20ms",
+          "--out", str(path)])
+    return path, "1/0", "zero denominator: '1/0'"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("case", ["missing", "bad-byte", "zero-denominator"])
+def test_run_bad_trace_exits_2(tmp_path, capsys, threads, case):
+    trace, scale, message = _bad_trace(tmp_path, case)
+    path = _tiny_scenario(tmp_path)
+    capsys.readouterr()
+    assert _exit_code(["run", str(path), "--trace", str(trace), "--trace-scale", scale,
+                       "--threads", threads, "--output-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("case", ["missing", "bad-byte", "zero-denominator"])
+def test_scale_bad_trace_exits_2(tmp_path, capsys, case):
+    trace, factor, message = _bad_trace(tmp_path, case)
+    capsys.readouterr()
+    assert _exit_code(["scale", str(trace), "--factor", factor,
+                       "--out", str(tmp_path / "out.csv")]) == 2
+    assert message in capsys.readouterr().err

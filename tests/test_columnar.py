@@ -6,6 +6,7 @@ the slab merge with the heap merge, including same-nanosecond ties across
 streams and slab boundaries exactly on packet times.
 """
 
+import csv
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -262,10 +263,15 @@ def test_run_reads_packets_and_plain_tuples_alike():
     ("0,a,100,0\n3,a,100,0\n9,a,100\n", 4, "expected 4 fields"),
     ("0,a,100,0\n3,a,x,0\n1,a,40,0\n", 3, "malformed row"),
     ("0,a,100,0\n99999999999999999999,a,100,0\n", 3, "int64"),
+    # line numbers count csv records; a quoted record may span lines
+    ('0,"a\nb",100,0\n5,a,40,0\n', 3, "frame size 40"),
+    ("0,a,100,0\n5,a\udcff,100,0\n", 3, "undecodable byte 0xff"),
+    pytest.param("0,a,100,0\n5," + "x" * 200_000 + ",100,0\n", 3,
+                 "field larger than field limit", id="flow-over-csv-field-limit"),
 ])
 def test_trace_errors_name_the_first_bad_line(tmp_path, slab, body, line, message):
     path = tmp_path / "t.csv"
-    path.write_text("t_ns,flow,bytes,dscp\n" + body)
+    path.write_bytes(("t_ns,flow,bytes,dscp\n" + body).encode("utf-8", "surrogateescape"))
     with slab_size(slab), pytest.raises(traffic.TraceError, match=message) as info:
         list(traffic.read_trace(path))
     assert f"line {line}" in str(info.value)
@@ -278,3 +284,91 @@ def test_trace_slabs_scale_and_number_in_file_order(tmp_path):
         assert list(traffic.read_trace(path)) == [
             (0, 100, "a", 0, 0), (7, 200, "b", 46, 1), (7, 64, "a", 0, 2)]
         assert _times(traffic.trace_slabs(path, Fraction(2))) == [0, 4, 4]
+
+
+# -- bulk trace parsing against the row parser ---------------------------------
+
+def _quoted(flow):
+    return '"' + flow.replace('"', '""') + '"'
+
+
+def _int_field(draw, value):
+    """``value`` as ``int()`` reads it: plain, signed, padded or with underscores."""
+    text = draw(st.sampled_from([str(value)] * 4 + [f"+{value}", f"{value:_}", f"0{value}"]))
+    pad = st.sampled_from(["", "", " ", "\t"])
+    return draw(pad) + text + draw(pad)
+
+
+#: one malformed record each, given the time of the record before it; the
+#: row parser names its line
+BAD_ROWS = [
+    "{t},z,40,0", "{t},z,9217,0", "{t},z,100,64", "{t},z,100,-1", "-1,z,100,0",
+    "{back},z,100,0", "{t},z,100", "{t},z,100,0,x", "{t},z,x,0", "{t}, ,100,0",
+    "99999999999999999999,z,100,0", "{t},z,100,0#c", "{t},z\udcff,100,0", "  ",
+    "{t},z,1.0,0",
+]
+
+
+@st.composite
+def trace_texts(draw, bad):
+    """Trace csv bodies with the forms that send a chunk to the row parser.
+
+    The record ``bad`` (None for none), put at a random place, is the only
+    fault, so its error is the first in the file.
+    """
+    flows = st.sampled_from(["a", "f#1", " b ", "c d", "\te"])
+    if draw(st.booleans()):
+        odd = st.text(alphabet='x,"\n #', min_size=1, max_size=4).filter(str.strip)
+        flows = flows | odd.map(_quoted)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines, times, t = [], [0], 0
+    for _ in range(draw(st.integers(0, 25))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+        else:
+            t += draw(st.sampled_from([0, 1, 7, 1000]))
+            lines.append(",".join((
+                _int_field(draw, t), draw(flows),
+                _int_field(draw, draw(st.sampled_from([64, 100, 1500, 9216]))),
+                _int_field(draw, draw(st.sampled_from([0, 46, 63]))))))
+        times.append(t)
+    if bad is not None:
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, bad.format(t=times[at], back=times[at] - 1))
+    return "".join(line + eol for line in lines)
+
+
+def _outcome(parse, path):
+    """Columns of ``parse(path)``'s slabs as lists, or its TraceError message."""
+    try:
+        slabs = list(parse(path))
+    except traffic.TraceError as exc:
+        return str(exc)
+    assert all(0 < len(s.t) <= traffic.SLAB_PKTS for s in slabs)
+    assert all(col.dtype == dtype for s in slabs
+               for col, dtype in zip(s, (np.int64, np.int64, object, np.int64)))
+    return [np.concatenate(cols).tolist() for cols in zip(*slabs)]
+
+
+def _row_parse(path):
+    """The row parser over the whole file: at most one slab."""
+    with open(path, newline="", errors="surrogateescape") as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        slab = traffic._parse_rows(rows, 1, -1)[0]
+    return [slab] if len(slab.t) else []
+
+
+@pytest.mark.parametrize("bad", [None] + BAD_ROWS)
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(data=st.data())
+def test_trace_slabs_match_the_row_parser(tmp_path, bad, data):
+    path = tmp_path / "t.csv"
+    body = data.draw(trace_texts(bad))
+    path.write_bytes(("t_ns,flow,bytes,dscp\n" + body).encode("utf-8", "surrogateescape"))
+    want = _outcome(_row_parse, path)
+    for slab in (1, 2, 3, 4096):
+        with slab_size(slab):
+            assert _outcome(traffic.trace_slabs, path) == want, slab
