@@ -15,8 +15,9 @@ column is computed in int64 only where a bound shows that no intermediate
 exceeds ``2**63 - 1``, and with Python ints otherwise.
 
 :func:`trace_slabs` parses a chunk of plain ASCII rows with one
-:func:`numpy.loadtxt` call and checks it in bulk; a chunk with quotes, other
-characters or any fault goes to the csv row parser, the one judge of errors.
+:func:`numpy.loadtxt` call and checks it in bulk; a chunk with quotes or
+other characters is read by the csv reader and checked in bulk, and a chunk
+with any fault goes to the csv row parser, the one judge of errors.
 
 :func:`merge_slabs` orders the packets of several sources by (time, source
 index, position in source) and yields plain 5-tuples ``(arrival_time,
@@ -32,6 +33,7 @@ the ports and the oracle read a packet by position only, so a
 from __future__ import annotations
 
 import csv
+import warnings
 import zlib
 from array import array
 from enum import Enum
@@ -346,73 +348,56 @@ _TRACE_DTYPE = np.dtype([("t", "i8"), ("flow", "O"), ("size", "i8"), ("dscp", "i
 _BULK_BYTES = bytes(range(0x09, 0x0E)) + b" !" + bytes(range(0x23, 0x7F))
 
 
-def _parse_rows(rows, lineno: int, last_t: int) -> tuple[Slab, int]:
+def _parse_rows(rows, lineno: int, last_t: int) -> Slab:
     """Columns of csv ``rows``, parsed and checked one row at a time.
 
     This is the exact decider of what a trace may hold. ``lineno`` is the
     record number before the first row and ``last_t`` the time of the row
-    before it (-1 if none). Returns the columns and the number of the last
-    record. Empty records are skipped; the first bad record, or one the csv
-    reader refuses, raises :class:`TraceError` naming its number.
+    before it (-1 if none). Empty records are skipped; the first bad record
+    raises :class:`TraceError` naming its number.
     """
     # int columns go straight into arrays, a row at a time, so a slab costs
     # 8 bytes per field rather than a row of strings
     ts, sizes, dscps = array("q"), array("q"), array("q")
     flows = []
-    try:
-        for lineno, row in enumerate(rows, lineno + 1):
-            if not row:
-                continue
-            try:  # the file is read with errors="surrogateescape"
-                ",".join(row).encode()
-            except UnicodeEncodeError as exc:
-                byte = ord(exc.object[exc.start]) - 0xDC00
-                raise TraceError(f"undecodable byte 0x{byte:02x}", line=lineno) from None
-            if len(row) != 4:
-                raise TraceError(f"expected 4 fields, got {len(row)}", line=lineno)
-            try:
-                t, size, dscp = int(row[0]), int(row[2]), int(row[3])
-            except ValueError as exc:
-                raise TraceError(f"malformed row: {exc}", line=lineno) from None
-            flow = row[1].strip()
-            if t < 0:
-                raise TraceError(f"negative timestamp {t}", line=lineno)
-            if not flow:
-                raise TraceError("empty flow id", line=lineno)
-            _check_size(size, lineno)
-            _check_dscp(dscp, lineno)
-            if t < last_t:
-                raise TraceError(f"timestamp {t} earlier than previous {last_t}", line=lineno)
-            last_t = t
-            try:
-                ts.append(t)
-            except OverflowError:
-                raise TraceError(f"timestamp {t} outside the int64 range", line=lineno) from None
-            sizes.append(size)
-            dscps.append(dscp)
-            flows.append(flow)
-    except csv.Error as exc:  # such as a field over csv.field_size_limit()
-        raise TraceError(f"malformed row: {exc}", line=lineno + 1) from None
+    for lineno, row in enumerate(rows, lineno + 1):
+        if not row:
+            continue
+        try:  # the file is read with errors="surrogateescape"
+            ",".join(row).encode()
+        except UnicodeEncodeError as exc:
+            byte = ord(exc.object[exc.start]) - 0xDC00
+            raise TraceError(f"undecodable byte 0x{byte:02x}", line=lineno) from None
+        if len(row) != 4:
+            raise TraceError(f"expected 4 fields, got {len(row)}", line=lineno)
+        try:
+            t, size, dscp = int(row[0]), int(row[2]), int(row[3])
+        except ValueError as exc:
+            raise TraceError(f"malformed row: {exc}", line=lineno) from None
+        flow = row[1].strip()
+        if t < 0:
+            raise TraceError(f"negative timestamp {t}", line=lineno)
+        if not flow:
+            raise TraceError("empty flow id", line=lineno)
+        _check_size(size, lineno)
+        _check_dscp(dscp, lineno)
+        if t < last_t:
+            raise TraceError(f"timestamp {t} earlier than previous {last_t}", line=lineno)
+        last_t = t
+        try:
+            ts.append(t)
+        except OverflowError:
+            raise TraceError(f"timestamp {t} outside the int64 range", line=lineno) from None
+        sizes.append(size)
+        dscps.append(dscp)
+        flows.append(flow)
     return Slab(np.array(ts, dtype=np.int64), np.array(sizes, dtype=np.int64),
-                np.array(flows, dtype=object), np.array(dscps, dtype=np.int64)), lineno
+                np.array(flows, dtype=object), np.array(dscps, dtype=np.int64))
 
 
-def _parse_bulk(lines: list, last_t: int) -> Slab | None:
-    """Columns of ``lines``, one csv record each, read by ``loadtxt`` and checked
-    in bulk; None leaves the chunk, and any error in it, to :func:`_parse_rows`."""
-    text = "".join(lines)
-    limit = csv.field_size_limit()  # the row parser refuses longer fields
-    if (not text.isascii() or text.encode().translate(None, _BULK_BYTES)
-            or len(text) > limit and max(map(len, lines)) > limit
-            or not text.strip("\r\n")):  # blank lines only: loadtxt would warn
-        return None
-    try:
-        rec = np.loadtxt(lines, delimiter=",", dtype=_TRACE_DTYPE, comments=None,
-                         ndmin=1)
-    except ValueError:
-        return None
-    t, size, dscp = rec["t"].copy(), rec["size"].copy(), rec["dscp"].copy()
-    flows = list(map(str.strip, rec["flow"].tolist()))
+def _checked(t, flows, size, dscp, last_t: int) -> Slab | None:
+    """Slab of parsed columns if every row passes :func:`_parse_rows`' checks."""
+    flows = list(map(str.strip, flows))
     if (not all(flows) or t[0] < max(last_t, 0)
             or (t[1:] < t[:-1]).any()
             or size.min() < MIN_FRAME_BYTES or size.max() > MAX_FRAME_BYTES
@@ -421,12 +406,62 @@ def _parse_bulk(lines: list, last_t: int) -> Slab | None:
     return Slab(t, size, np.array(flows, dtype=object), dscp)
 
 
-def _records(lines: list, fh) -> Iterator[list]:
-    """The csv records that start in ``lines``; the last may read on into ``fh``."""
+def _parse_lines(lines: list, last_t: int) -> Slab | None:
+    """Columns of ``lines``, one csv record each, read by one ``loadtxt`` call
+    and checked in bulk; None leaves the chunk to the csv reader."""
+    text = "".join(lines)
+    limit = csv.field_size_limit()  # the csv reader refuses longer fields
+    if (not text.isascii() or text.encode().translate(None, _BULK_BYTES)
+            or len(text) > limit and max(map(len, lines)) > limit):
+        return None
+    try:
+        # numpy 1.x reads an integer field such as "5.7" as a float, truncates
+        # it and only warns; blank lines alone also only warn ("no data")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = np.loadtxt(lines, delimiter=",", dtype=_TRACE_DTYPE, comments=None,
+                             ndmin=1)
+    except (ValueError, Warning):
+        return None
+    return _checked(rec["t"].copy(), rec["flow"].tolist(), rec["size"].copy(),
+                    rec["dscp"].copy(), last_t)
+
+
+def _parse_records(rows: list, last_t: int) -> Slab | None:
+    """Columns of csv ``rows`` read with ``int()`` a column at a time and checked
+    in bulk; None if any row is bad or none holds data."""
+    rows = [row for row in rows if row]
+    if not rows or set(map(len, rows)) != {4}:
+        return None
+    t, flows, size, dscp = zip(*rows)
+    try:
+        t, size, dscp = (np.fromiter(map(int, col), np.int64, len(rows))
+                         for col in (t, size, dscp))
+        # an undecodable byte, read as a surrogate escape, fails encode();
+        # int() refuses one itself
+        "".join(flows).encode()
+    except (ValueError, OverflowError):
+        return None
+    return _checked(t, flows, size, dscp, last_t)
+
+
+def _chunk_rows(lines: list, fh, lineno: int, last_t: int) -> list:
+    """The csv records that start in ``lines``; the last may read on into ``fh``.
+
+    A record the csv reader refuses, such as one with a field over
+    ``csv.field_size_limit()``, raises :class:`TraceError` naming its number,
+    unless :func:`_parse_rows` finds an earlier record bad.
+    """
     rest = iter(lines)
     reader = csv.reader(chain(rest, fh))
-    while length_hint(rest):  # lines not yet consumed by the reader
-        yield next(reader)
+    rows = []
+    try:
+        while length_hint(rest):  # lines not yet consumed by the reader
+            rows.append(next(reader))
+    except csv.Error as exc:
+        _parse_rows(rows, lineno, last_t)
+        raise TraceError(f"malformed row: {exc}", line=lineno + len(rows) + 1) from None
+    return rows
 
 
 def trace_slabs(path, factor=1) -> Iterator[Slab]:
@@ -435,13 +470,15 @@ def trace_slabs(path, factor=1) -> Iterator[Slab]:
     Expected header: ``t_ns,flow,bytes,dscp``; fields follow csv quoting.
     Each chunk of :data:`SLAB_PKTS` lines is parsed by one
     :func:`numpy.loadtxt` call and checked in bulk, unless it holds a ``"``,
-    a character outside printable ASCII and tab to carriage return, a line
-    over ``csv.field_size_limit()`` or only blank lines, or ``loadtxt`` or a
-    check rejects it. Then the csv row parser, reading on to the end of a
-    quoted record the chunk cuts, parses it again and alone decides errors:
-    a malformed row, an undecodable byte or a timestamp running backwards
-    raises :class:`TraceError` naming the line (csv record number), an
-    unreadable file one naming the path. The file opens at the first ``next()``.
+    a character outside printable ASCII and tab to carriage return or a line
+    over ``csv.field_size_limit()``, or ``loadtxt`` or a check rejects it.
+    Such a chunk is read by the csv reader, on to the end of a quoted record
+    the chunk cuts, converted with ``int()`` a column at a time and checked
+    in bulk again. Only a chunk that still fails goes to the row parser,
+    which alone decides errors: a malformed row, an undecodable byte or a
+    timestamp running backwards raises :class:`TraceError` naming the line
+    (csv record number), an unreadable file one naming the path. The file
+    opens at the first ``next()``.
     """
     frac = _scale_factor(factor)
 
@@ -460,11 +497,15 @@ def trace_slabs(path, factor=1) -> Iterator[Slab]:
             last_t = -1
             lineno = 1
             while lines := list(islice(fh, SLAB_PKTS)):
-                slab = _parse_bulk(lines, last_t)
-                if slab is None:
-                    slab, lineno = _parse_rows(_records(lines, fh), lineno, last_t)
-                else:
+                slab = _parse_lines(lines, last_t)
+                if slab is not None:
                     lineno += len(lines)
+                else:
+                    rows = _chunk_rows(lines, fh, lineno, last_t)
+                    slab = _parse_records(rows, last_t)
+                    if slab is None:
+                        slab = _parse_rows(rows, lineno, last_t)
+                    lineno += len(rows)
                 if len(slab.t):
                     last_t = int(slab.t[-1])
                     yield slab._replace(t=_scale_col(slab.t, frac))

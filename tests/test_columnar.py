@@ -6,7 +6,7 @@ the slab merge with the heap merge, including same-nanosecond ties across
 streams and slab boundaries exactly on packet times.
 """
 
-import csv
+import warnings
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -292,9 +292,16 @@ def _quoted(flow):
     return '"' + flow.replace('"', '""') + '"'
 
 
+#: Arabic-Indic digits, which ``int()`` reads like ASCII ones
+_ARABIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                             "\u0665\u0666\u0667\u0668\u0669")
+
+
 def _int_field(draw, value):
-    """``value`` as ``int()`` reads it: plain, signed, padded or with underscores."""
-    text = draw(st.sampled_from([str(value)] * 4 + [f"+{value}", f"{value:_}", f"0{value}"]))
+    """``value`` as ``int()`` reads it: plain, signed, padded, with underscores
+    or in non-ASCII digits."""
+    text = draw(st.sampled_from([str(value)] * 4 + [
+        f"+{value}", f"{value:_}", f"0{value}", str(value).translate(_ARABIC_DIGITS)]))
     pad = st.sampled_from(["", "", " ", "\t"])
     return draw(pad) + text + draw(pad)
 
@@ -316,7 +323,7 @@ def trace_texts(draw, bad):
     The record ``bad`` (None for none), put at a random place, is the only
     fault, so its error is the first in the file.
     """
-    flows = st.sampled_from(["a", "f#1", " b ", "c d", "\te"])
+    flows = st.sampled_from(["a", "f#1", " b ", "c d", "\te", "\u00e9"])
     if draw(st.booleans()):
         odd = st.text(alphabet='x,"\n #', min_size=1, max_size=4).filter(str.strip)
         flows = flows | odd.map(_quoted)
@@ -353,9 +360,8 @@ def _outcome(parse, path):
 def _row_parse(path):
     """The row parser over the whole file: at most one slab."""
     with open(path, newline="", errors="surrogateescape") as fh:
-        rows = csv.reader(fh)
-        next(rows)
-        slab = traffic._parse_rows(rows, 1, -1)[0]
+        lines = fh.readlines()[1:]
+        slab = traffic._parse_rows(traffic._chunk_rows(lines, fh, 1, -1), 1, -1)
     return [slab] if len(slab.t) else []
 
 
@@ -372,3 +378,40 @@ def test_trace_slabs_match_the_row_parser(tmp_path, bad, data):
     for slab in (1, 2, 3, 4096):
         with slab_size(slab):
             assert _outcome(traffic.trace_slabs, path) == want, slab
+
+
+def _loadtxt_float_fallback(lines, **kwargs):
+    """``np.loadtxt`` as numpy 1.23-1.26 reads an integer field that ``int()``
+    refuses but ``float()`` reads: truncated, with a DeprecationWarning."""
+    fixed = []
+    for line in lines:
+        t, flow, size, dscp = line.split(",")
+        fields = []
+        for field in (t, size, dscp.rstrip("\r\n")):
+            try:
+                int(field)
+            except ValueError:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning, stacklevel=2)
+                field = str(int(float(field)))
+            fields.append(field)
+        fixed.append(",".join((fields[0], flow, fields[1], fields[2])) + "\n")
+    return _REAL_LOADTXT(fixed, **kwargs)
+
+
+_REAL_LOADTXT = np.loadtxt
+
+
+@pytest.mark.parametrize("loadtxt", [_REAL_LOADTXT, _loadtxt_float_fallback],
+                         ids=["installed", "numpy1-float-fallback"])
+@pytest.mark.parametrize("row", ["5.0,a,100,0", "5,a,1e2,0", "5,a,100,7.9"])
+def test_float_integer_field_is_malformed_at_default_warning_filter(
+        tmp_path, monkeypatch, loadtxt, row):
+    path = tmp_path / "t.csv"
+    path.write_text(f"t_ns,flow,bytes,dscp\n0,a,100,0\n{row}\n")
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        with pytest.raises(traffic.TraceError, match="malformed row") as info:
+            list(traffic.trace_slabs(path))
+    assert "line 3" in str(info.value)
