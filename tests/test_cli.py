@@ -1,5 +1,6 @@
 """Command-line harness: trace tooling, scenario runs, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -120,6 +121,41 @@ def test_merge_produces_ordered_union(tmp_path):
     times = [p.arrival_time for p in merged]
     assert times == sorted(times)
     assert [p.seq for p in merged] == list(range(len(merged)))
+
+
+#: flow keys that need csv quoting or are not ASCII, and same-time rows
+_PIN_A = ('t_ns,flow,bytes,dscp\n0,"a,b",100,0\n0,"q""x",64,46\n5,é,1500,0\n'
+          '5,plain,200,63\n12,"line\nbreak",9216,1\n3000000001,ü,125,46\n')
+_PIN_B = ('t_ns,flow,bytes,dscp\n0,b0,100,0\n5,"x,y",64,0\n7,ß,1500,46\n'
+          '12,"z""",200,0\n')
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_trace_tools_write_pinned_bytes(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_bytes(_PIN_A.encode())
+    b.write_bytes(_PIN_B.encode())
+    runs = {
+        "gen": ["gen", "--rate", "997331", "--size", "125", "--dscp", "46",
+                "--duration", "20ms", "--offset", "7ns", "--flow", "g,ü"],
+        "scale2": ["scale", str(a), "--factor", "2"],
+        "scale3/7": ["scale", str(a), "--factor", "3/7"],
+        "merge": ["merge", str(a), str(b), str(a)],
+    }
+    digests = {}
+    for name, argv in runs.items():
+        out = tmp_path / f"{name.replace('/', '_')}.out.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        digests[name] = _sha256(out)
+    assert digests == {
+        "gen": "ab7db554ec3bb35a3bf869a1442b33d41a48854cfffd1c6a3f311bc73c60deed",
+        "scale2": "801d64ddc329fca79dcf1074d1924f7bda12c1629a7b7ccc89688b4fe4d2908f",
+        "scale3/7": "238615b6fe625f9a9ba97d9cece1dceca3a4608093490dd514b62f0881220219",
+        "merge": "58a8efb476213704debf8f1c27b47a56204d529fe6ba3d81490cfc327f05f999",
+    }
 
 
 def _tiny_scenario(tmp_path, **extra):
