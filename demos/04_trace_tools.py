@@ -10,32 +10,35 @@ a temporary directory.
 import tempfile
 from pathlib import Path
 
-from eeesim import gen_cbr, merge, read_trace, scale_trace, write_trace
+from eeesim import read_trace, write_trace
+from eeesim.traffic import cbr_slabs, merge_slabs, trace_slabs
 
 
 def mean_rate_bps(path):
     pkts = list(read_trace(path))
-    span = pkts[-1].arrival_time - pkts[0].arrival_time
-    return sum(p.size for p in pkts[:-1]) * 8 * 1e9 / span
+    span = pkts[-1][0] - pkts[0][0]
+    return sum(p[1] for p in pkts[:-1]) * 8 * 1e9 / span
 
 
 with tempfile.TemporaryDirectory() as tmp:
     tmp = Path(tmp)
 
     bulk = tmp / "bulk.csv"
-    n = write_trace(bulk, gen_cbr(3_250_000_000, 1250, 0, 20_000_000, flow="bulk"))
+    n = write_trace(bulk, merge_slabs([
+        cbr_slabs(3_250_000_000, 1250, 0, 20_000_000, flow="bulk")]))
     print(f"{bulk.name}: {n} rows, {mean_rate_bps(bulk) / 1e9:.3f} Gb/s")
 
     faster = tmp / "bulk-x2.csv"
-    write_trace(faster, scale_trace(read_trace(bulk), 2))
+    write_trace(faster, merge_slabs([trace_slabs(bulk, 2)]))
     print(f"{faster.name}: timestamps halved -> {mean_rate_bps(faster) / 1e9:.3f} Gb/s")
 
     voice = tmp / "voice.csv"
-    write_trace(voice, gen_cbr(10_000_000, 125, 46, 20_000_000, flow="voice"))
+    write_trace(voice, merge_slabs([
+        cbr_slabs(10_000_000, 125, 46, 20_000_000, flow="voice")]))
     print(f"{voice.name}: {mean_rate_bps(voice) / 1e6:.2f} Mb/s of DSCP-46 frames")
 
     both = tmp / "merged.csv"
-    total = write_trace(both, merge([read_trace(faster), read_trace(voice)]))
+    total = write_trace(both, merge_slabs([trace_slabs(faster), trace_slabs(voice)]))
     print(f"{both.name}: {total} rows, globally time-ordered, seq renumbered")
 
     print("\nfirst rows of the merged trace:")

@@ -28,10 +28,7 @@ from .traffic import (
     DEFAULT_LL_DSCPS,
     Packet,
     TrafficClass,
-    gen_cbr,
-    merge,
     read_trace,
-    scale_trace,
     write_trace,
 )
 
@@ -45,7 +42,6 @@ __all__ = [
     "EeePort", "EeePortConfig", "PortState", "Queue",
     "FlowTable", "MetricsReport", "SimConfig", "oracle_simulate", "run",
     "ConfigError", "SimulationFault", "TraceError",
-    "DEFAULT_LL_DSCPS", "Packet", "TrafficClass", "gen_cbr",
-    "merge", "read_trace", "scale_trace", "write_trace",
+    "DEFAULT_LL_DSCPS", "Packet", "TrafficClass", "read_trace", "write_trace",
     "__version__",
 ]

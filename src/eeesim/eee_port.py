@@ -117,12 +117,11 @@ class EeePort:
     __slots__ = (
         "index", "cfg", "state", "state_since", "next_at",
         "high", "low", "tx_packet", "tx_class", "tx_start",
-        "clock", "residence_ns", "win_start", "win_end", "transitions",
+        "clock", "residence_ns", "win_start", "win_end",
         "_limit", "_wire_ns",
     )
 
-    def __init__(self, index: int, cfg: EeePortConfig, window=(0, None),
-                 record_transitions: bool = False):
+    def __init__(self, index: int, cfg: EeePortConfig, window=(0, None)):
         cfg.validate()
         self.index = index
         self.cfg = cfg
@@ -138,7 +137,6 @@ class EeePort:
         self.residence_ns = [0] * len(PortState)
         self.win_start, end = window
         self.win_end = _INF if end is None else end
-        self.transitions = [] if record_transitions else None
         self._limit = cfg.buffer_limit
         self._wire_ns = _WireTimes(cfg)
 
@@ -154,8 +152,6 @@ class EeePort:
 
     def _set_state(self, new: PortState, now: int) -> None:
         self._accrue(now)
-        if self.transitions is not None:
-            self.transitions.append((now, self.state, new))
         self.state = new
         self.state_since = now
 

@@ -260,8 +260,8 @@ def run(config: SimConfig, stream) -> MetricsReport:
     """Simulate one packet stream through the bundle.
 
     ``stream`` yields packet tuples ``(arrival_time, size, flow, dscp,
-    seq)`` in time order, :class:`~eeesim.traffic.Packet` or plain; they
-    are read by position only.
+    seq)`` in time order, such as :func:`~eeesim.traffic.merge_slabs`
+    makes; they are read by position only.
 
     Fires a control epoch every sampling period (t = T, 2T, ...), dispatches
     each arrival per the incumbent plan, and returns metrics measured over

@@ -41,15 +41,7 @@ from .allocation import Algorithm, BundleConfig
 from .eee_port import EeePortConfig
 from .engine import MetricsReport, SimConfig, run
 from .errors import ConfigError
-from .traffic import (  # gen_frames and gen_bursty are re-exported
-    _round_div,
-    bursty_slabs,
-    cbr_slabs,
-    frames_slabs,
-    gen_bursty,
-    gen_frames,
-    trace_slabs,
-)
+from .traffic import _round_div, bursty_slabs, cbr_slabs, frames_slabs, trace_slabs
 # build_stream looks ``merge`` up at call time, so a profiler can wrap it.
 from .traffic import merge_slabs as merge
 

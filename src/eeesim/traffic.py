@@ -24,21 +24,19 @@ index, position in source) and yields plain 5-tuples ``(arrival_time,
 size, flow, dscp, seq)``. That tuple is the packet contract: the engine,
 the ports and the oracle read a packet by position only, so a
 :class:`Packet` and a plain tuple are the same thing to them.
-
-:func:`gen_cbr`, :func:`gen_frames`, :func:`gen_bursty`,
-:func:`read_trace`, :func:`scale_trace` and :func:`merge` are
-:class:`Packet` views over the same columns.
+:func:`write_trace` writes such tuples to a trace-csv file.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 import warnings
 import zlib
 from array import array
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, count, islice
+from itertools import chain, islice
 from operator import length_hint
 from typing import Iterable, Iterator, NamedTuple
 
@@ -159,30 +157,6 @@ def _take(slab: Slab, index) -> Slab:
 
 def _concat(slabs) -> Slab:
     return Slab(*(np.concatenate(cols) for cols in zip(*slabs)))
-
-
-def _packets(slabs: Iterable[Slab]) -> Iterator[Packet]:
-    """Packet view of a source; ``seq`` is the position in the source."""
-    seqs = count()
-    return chain.from_iterable(
-        map(Packet._make, zip(s.t.tolist(), s.size.tolist(), s.flow.tolist(),
-                              s.dscp.tolist(), seqs))
-        for s in slabs
-    )
-
-
-def _batches(packets: Iterable) -> Iterator[list]:
-    it = iter(packets)
-    while batch := list(islice(it, SLAB_PKTS)):
-        yield batch
-
-
-def _slabs_of(packets: Iterable) -> Iterator[Slab]:
-    """Columns of a stream of packet tuples."""
-    for batch in _batches(packets):
-        t, size, flow, dscp, _ = zip(*batch)
-        yield Slab(_int64(t), _int64(size), np.array(flow, dtype=object),
-                   _int64(dscp))
 
 
 # -- sources ------------------------------------------------------------------
@@ -579,71 +553,35 @@ def _merged_runs(sources):
         live = [i for i in live if last[i] != horizon or pull(i)]
 
 
-# -- Packet views -------------------------------------------------------------
+# -- trace files --------------------------------------------------------------
 
-def gen_cbr(rate_bps, pkt_size: int, dscp: int, duration_ns: int,
-            start_offset_ns: int = 0, flow: str = "cbr") -> Iterator[Packet]:
-    """Packets of :func:`cbr_slabs`; ``seq`` is the packet index."""
-    return _packets(cbr_slabs(rate_bps, pkt_size, dscp, duration_ns,
-                              start_offset_ns, flow))
+def read_trace(path) -> Iterator[tuple]:
+    """Packet tuples of :func:`trace_slabs`; ``seq`` follows file order."""
+    return merge_slabs([trace_slabs(path)])
 
 
-def gen_frames(rate_bps, pkt_size, dscp, duration_ns, line_rate_bps,
-               start_offset_ns=0, flow="frames", pkts_per_frame=None):
-    """Packets of :func:`frames_slabs`; ``seq`` is the packet index."""
-    return _packets(frames_slabs(rate_bps, pkt_size, dscp, duration_ns,
-                                 line_rate_bps, start_offset_ns, flow,
-                                 pkts_per_frame))
+def write_trace(path, stream: Iterable[tuple]) -> int:
+    """Write packet tuples to a trace-csv file. Returns the number of rows written.
 
-
-def gen_bursty(pkts_per_window, pkt_size, dscp, window_ns, bursts_per_window,
-               line_rate_bps, duration_ns, flow="bursty"):
-    """Packets of :func:`bursty_slabs`; ``seq`` is the packet index."""
-    return _packets(bursty_slabs(pkts_per_window, pkt_size, dscp, window_ns,
-                                 bursts_per_window, line_rate_bps, duration_ns,
-                                 flow))
-
-
-def read_trace(path) -> Iterator[Packet]:
-    """Packets of :func:`trace_slabs`; sequence numbers follow file order."""
-    return _packets(trace_slabs(path))
-
-
-def write_trace(path, stream: Iterable[Packet]) -> int:
-    """Write packets to a trace-csv file. Returns the number of rows written."""
+    Rows go to a temporary file beside ``path`` that replaces it after the
+    last row, so a stream that fails leaves ``path`` as it was, and the
+    stream may read ``path`` itself.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     written = 0
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(TRACE_HEADER)
-        for t, size, flow, dscp, _ in stream:
-            out.writerow((t, flow, size, dscp))
-            written += 1
+    try:
+        fh = open(tmp, "x", newline="")
+    except OSError as exc:
+        raise TraceError(f"cannot write trace {path}: {exc.strerror}") from None
+    try:
+        with fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(TRACE_HEADER)
+            for t, size, flow, dscp, _ in stream:
+                out.writerow((t, flow, size, dscp))
+                written += 1
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return written
-
-
-def scale_trace(stream: Iterable[Packet], factor) -> Iterator[Packet]:
-    """Divide every arrival time by ``factor`` (rounded to integer ns).
-
-    factor > 1 compresses the trace (higher rate), factor < 1 stretches it.
-    Sizes, flows, DSCPs and sequence numbers are unchanged; order is
-    preserved. Ties in the rounding are resolved upward.
-    """
-    frac = _scale_factor(factor)
-
-    def gen():
-        for batch in _batches(stream):
-            t, size, flow, dscp, seq = zip(*batch)
-            scaled = _scale_col(_int64(t), frac).tolist()
-            yield from map(Packet._make, zip(scaled, size, flow, dscp, seq))
-
-    return gen()
-
-
-def merge(streams: Iterable[Iterable[Packet]]) -> Iterator[Packet]:
-    """Merge time-ordered packet streams into one globally ordered stream.
-
-    Ordering key is (arrival_time, stream index, position in stream), so
-    replays are bit-identical for the same inputs. Sequence numbers are
-    reassigned globally in output order.
-    """
-    return map(Packet._make, merge_slabs(_slabs_of(s) for s in streams))

@@ -16,7 +16,7 @@ def _round_div(num, den):
     return (2 * num + den) // (2 * den)
 
 
-def gen_cbr(rate, pkt_size, dscp, duration_ns, start_offset_ns=0, flow="cbr"):
+def cbr(rate, pkt_size, dscp, duration_ns, start_offset_ns=0, flow="cbr"):
     """``rate`` is an int or a ``Fraction`` in bits per second."""
     step_num = pkt_size * 8 * 10**9 * rate.denominator
     step_den = rate.numerator
@@ -30,8 +30,8 @@ def gen_cbr(rate, pkt_size, dscp, duration_ns, start_offset_ns=0, flow="cbr"):
         i += 1
 
 
-def gen_frames(rate, pkt_size, dscp, duration_ns, line_rate_bps,
-               start_offset_ns=0, flow="frames", pkts_per_frame=None):
+def frames(rate, pkt_size, dscp, duration_ns, line_rate_bps,
+           start_offset_ns=0, flow="frames", pkts_per_frame=None):
     m = pkts_per_frame or max(1, math.ceil(rate / 100_000_000))
     bits = pkt_size * 8
     intra = _round_div(bits * 10**9, line_rate_bps)
@@ -52,8 +52,8 @@ def gen_frames(rate, pkt_size, dscp, duration_ns, line_rate_bps,
         f += 1
 
 
-def gen_bursty(pkts_per_window, pkt_size, dscp, window_ns, bursts_per_window,
-               line_rate_bps, duration_ns, flow="bursty"):
+def bursty(pkts_per_window, pkt_size, dscp, window_ns, bursts_per_window,
+           line_rate_bps, duration_ns, flow="bursty"):
     intra = _round_div(pkt_size * 8 * 10**9, line_rate_bps)
     slot = window_ns // bursts_per_window
     base_chunk, extra = divmod(pkts_per_window, bursts_per_window)

@@ -95,9 +95,7 @@ def test_scale_halves_timestamps(tmp_path):
     assert rc == 0
     orig = list(read_trace(src))
     scaled = list(read_trace(dst))
-    assert [p.arrival_time for p in scaled] == [
-        p.arrival_time // 2 for p in orig
-    ]
+    assert [p[0] for p in scaled] == [p[0] // 2 for p in orig]
 
 
 def test_scale_factor_is_exact(tmp_path):
@@ -105,7 +103,7 @@ def test_scale_factor_is_exact(tmp_path):
     src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
     src.write_text("t_ns,flow,bytes,dscp\n1000000000000000,a,64,0\n")
     assert main(["scale", str(src), "--factor", "0.1", "--out", str(dst)]) == 0
-    assert [p.arrival_time for p in read_trace(dst)] == [10**16]
+    assert [p[0] for p in read_trace(dst)] == [10**16]
 
 
 def test_merge_produces_ordered_union(tmp_path):
@@ -118,9 +116,9 @@ def test_merge_produces_ordered_union(tmp_path):
     assert rc == 0
     merged = list(read_trace(out))
     assert len(merged) == len(list(read_trace(a))) + len(list(read_trace(b)))
-    times = [p.arrival_time for p in merged]
+    times = [p[0] for p in merged]
     assert times == sorted(times)
-    assert [p.seq for p in merged] == list(range(len(merged)))
+    assert [p[4] for p in merged] == list(range(len(merged)))
 
 
 #: flow keys that need csv quoting or are not ASCII, and same-time rows
@@ -437,3 +435,37 @@ def test_scale_bad_trace_exits_2(tmp_path, capsys, case):
     assert _exit_code(["scale", str(trace), "--factor", factor,
                        "--out", str(tmp_path / "out.csv")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, case", [
+    ("scale", "missing"), ("scale", "bad-byte"), ("scale", "zero-denominator"),
+    ("merge", "missing"), ("merge", "bad-byte"),
+])
+def test_failing_input_leaves_out_unchanged(tmp_path, capsys, command, case):
+    trace, factor, _ = _bad_trace(tmp_path, case)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"t_ns,flow,bytes,dscp\n1,keep,64,0\n")
+    before = sorted(tmp_path.iterdir())
+    argv = (["scale", str(trace), "--factor", factor] if command == "scale"
+            else ["merge", str(out), str(trace)])
+    assert _exit_code(argv + ["--out", str(out)]) == 2
+    assert out.read_bytes() == b"t_ns,flow,bytes,dscp\n1,keep,64,0\n"
+    assert sorted(tmp_path.iterdir()) == before  # no temporary file left
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "out.csv"
+    assert main(["gen", "--rate", "1M", "--duration", "1ms", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write trace {out}: No such file or directory" in err
+    assert "Traceback" not in err
+
+
+def test_scale_in_place_matches_scale_to_another_file(tmp_path, capsys):
+    trace, other = tmp_path / "x.csv", tmp_path / "y.csv"
+    main(["gen", "--rate", "997331", "--size", "125", "--duration", "20ms",
+          "--out", str(trace)])
+    assert main(["scale", str(trace), "--factor", "2", "--out", str(other)]) == 0
+    assert main(["scale", str(trace), "--factor", "2", "--out", str(trace)]) == 0
+    assert trace.read_bytes() == other.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "y.csv"]

@@ -20,7 +20,7 @@ from eeesim import Algorithm, run
 from eeesim import scenarios, traffic
 from eeesim.errors import ConfigError
 from eeesim.scenarios import Scenario, build_sim_config, build_stream
-from eeesim.traffic import Slab, cbr_slabs, gen_bursty, gen_cbr, gen_frames, merge
+from eeesim.traffic import Slab, bursty_slabs, cbr_slabs, frames_slabs, merge_slabs
 
 SLAB_SIZES = st.sampled_from([1, 2, 3, 7, 64, traffic.SLAB_PKTS])
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True,
@@ -56,8 +56,8 @@ def test_cbr_matches_reference(data, slab):
     step = Fraction(size * 8 * 10**9) / Fraction(rate)
     duration = data.draw(st.integers(1, max(1, int(step * 300))))
     with slab_size(slab):
-        got = list(gen_cbr(rate, size, 46, duration, offset, "c"))
-    assert got == list(ref.gen_cbr(Fraction(rate), size, 46, duration, offset, "c"))
+        got = list(merge_slabs([cbr_slabs(rate, size, 46, duration, offset, "c")]))
+    assert got == list(ref.cbr(Fraction(rate), size, 46, duration, offset, "c"))
 
 
 @SETTINGS
@@ -73,8 +73,8 @@ def test_frames_matches_reference(data, slab):
     duration = data.draw(st.integers(1, 40 * frame_ns + 100))
     args = (rate, size, 0, duration, line, offset, "fr", m)
     with slab_size(slab):
-        got = list(gen_frames(*args))
-    assert got == list(ref.gen_frames(*args))
+        got = list(merge_slabs([frames_slabs(*args)]))
+    assert got == list(ref.frames(*args))
 
 
 @SETTINGS
@@ -86,12 +86,13 @@ def test_bursty_matches_reference(data, slab):
     line = data.draw(st.sampled_from([10**9, 10**10, 4 * 10**10]))
     intra = (2 * size * 8 * 10**9 + line) // (2 * line)
     chunk = -(-ppw // bursts)
-    window = data.draw(st.integers(bursts * ((chunk - 1) * intra + 1), 10**6))
+    fits = bursts * ((chunk - 1) * intra + 1)  # shortest window the bursts fit
+    window = data.draw(st.integers(fits, max(fits, 10**6)))
     duration = data.draw(st.integers(1, 4 * window))
     args = (ppw, size, 0, window, bursts, line, duration, "b")
     with slab_size(slab):
-        got = list(gen_bursty(*args))
-    assert got == list(ref.gen_bursty(*args))
+        got = list(merge_slabs([bursty_slabs(*args)]))
+    assert got == list(ref.bursty(*args))
 
 
 # -- merge ---------------------------------------------------------------------
@@ -126,8 +127,7 @@ def test_merge_matches_heap_merge(case, slab):
     streams, slabbed = case
     expected = list(ref.merge(streams))
     with slab_size(slab):
-        assert list(traffic.merge_slabs(slabbed)) == expected
-        assert list(merge(streams)) == expected
+        assert list(merge_slabs(slabbed)) == expected
 
 
 def test_merge_tie_at_slab_boundary():
@@ -138,7 +138,7 @@ def test_merge_tie_at_slab_boundary():
     b = [(10, 100, "b", 0, 0)]
     c = [(5, 100, "c", 0, 0), (10, 100, "c", 0, 1)]
     slabs = [[_slab_of(a[:2]), _slab_of(a[2:])], [_slab_of(b)], [_slab_of(c)]]
-    got = [(t, f) for t, _, f, _, _ in traffic.merge_slabs(slabs)]
+    got = [(t, f) for t, _, f, _, _ in merge_slabs(slabs)]
     assert got == [(0, "a"), (5, "c"), (10, "a"), (10, "a"), (10, "a"),
                    (10, "b"), (10, "c")]
 
@@ -150,7 +150,7 @@ def test_testbed_bulk_source_over_full_run():
     # beyond int64, so the column must come from the divmod split.
     rate, size, duration = 700_000_000, 1250, 8_500_000_000
     got = _times(cbr_slabs(rate, size, 0, duration))
-    want = [p[0] for p in ref.gen_cbr(Fraction(rate), size, 0, duration)]
+    want = [p[0] for p in ref.cbr(Fraction(rate), size, 0, duration)]
     assert 2 * (len(want) - 1) * size * 8 * 10**9 > 2**63
     assert got == want
 
@@ -158,7 +158,7 @@ def test_testbed_bulk_source_over_full_run():
 def test_fractional_rate_over_full_run():
     rate, size, duration = Fraction(10**9, 3), 1250, 8_500_000_000
     got = _times(cbr_slabs(rate, size, 0, duration, 7143))
-    want = [p[0] for p in ref.gen_cbr(rate, size, 0, duration, 7143)]
+    want = [p[0] for p in ref.cbr(rate, size, 0, duration, 7143)]
     step_num = size * 8 * 10**9 * rate.denominator
     assert 2 * (len(want) - 1) * step_num > 2**63
     assert got == want
@@ -166,8 +166,8 @@ def test_fractional_rate_over_full_run():
 
 def test_rate_beyond_int64_falls_back_to_python_ints():
     rate = Fraction(10**20 + 1, 10**11)  # numerator does not fit in int64
-    got = list(gen_cbr(rate, 1250, 0, 1_000_000))
-    assert got and got == list(ref.gen_cbr(rate, 1250, 0, 1_000_000))
+    got = list(merge_slabs([cbr_slabs(rate, 1250, 0, 1_000_000)]))
+    assert got and got == list(ref.cbr(rate, 1250, 0, 1_000_000))
 
 
 def test_trace_scaling_with_wide_fraction():
@@ -211,7 +211,7 @@ def test_sweep_point_rate_is_scaled_exactly():
     got = [p[0] for p in build_stream(scenario, point) if p[2] == "n0"]
 
     def ref_times(rate):
-        return [p[0] for p in ref.gen_cbr(Fraction(rate), 125, 0, 10_000_000)]
+        return [p[0] for p in ref.cbr(Fraction(rate), 125, 0, 10_000_000)]
 
     assert got == ref_times(523438)
     assert got != ref_times(523437)

@@ -24,32 +24,40 @@ def _cfg(**kw):
     return EeePortConfig(capacity_bps=TEN_G, **kw)
 
 
-def drive_port(port, arrivals):
+def drive_port(port, arrivals, transitions=None):
     """Feed (t, size, queue) arrivals to one port the way the engine does.
 
     Before each arrival the port's handlers fire its transitions due
     strictly before that instant, so arrivals precede completions at the
     same nanosecond; afterwards it runs until idle. Returns
     ``(departures, dropped)``: ``[(seq, departure, tx_start)]`` in service
-    order and the seqs of tail-dropped frames.
+    order and the seqs of tail-dropped frames. A ``transitions`` list gets
+    ``(now, old_state, new_state)`` for each state change.
     """
     departures = []
     dropped = []
+
+    def step(call, now, *args):
+        old = port.state
+        result = call(*args, now)
+        if transitions is not None and port.state is not old:
+            transitions.append((now, old, port.state))
+        return result
 
     def fire_before(horizon):
         while port.next_at < horizon:
             now = port.next_at
             if port.state is PortState.ACTIVE:
-                pkt, _, delay, started = port.on_tx_complete(now)
+                pkt, _, delay, started = step(port.on_tx_complete, now)
                 departures.append((pkt.seq, pkt.arrival_time + delay, started))
             elif port.state is PortState.SLEEP_TRANS:
-                port.on_sleep_complete(now)
+                step(port.on_sleep_complete, now)
             else:
-                port.on_wake_complete(now)
+                step(port.on_wake_complete, now)
 
     for i, (t, size, queue) in enumerate(arrivals):
         fire_before(t)
-        if not port.enqueue(Packet(t, size, f"f{i}", 0, i), queue, NORMAL, t)[0]:
+        if not step(port.enqueue, t, Packet(t, size, f"f{i}", 0, i), queue, NORMAL)[0]:
             dropped.append(i)
     fire_before(float("inf"))
     return departures, dropped
@@ -289,10 +297,11 @@ def test_busy_periods_invariant_under_queue_choice():
              Queue.LOW if choice == "all_low" else rng2.choice((Queue.HIGH, Queue.LOW)))
             for t, size in base
         ]
-        port = EeePort(0, _cfg(), record_transitions=True)
-        deps, _ = drive_port(port, arrivals)
+        port = EeePort(0, _cfg())
+        transitions = []
+        deps, _ = drive_port(port, arrivals, transitions)
         port.finalize(t + 10_000_000)
-        runs.append((port.transitions, list(port.residence_ns), len(deps),
+        runs.append((transitions, list(port.residence_ns), len(deps),
                      max(d[1] for d in deps)))
     # Identical transition logs mean identical busy periods; completions
     # inside a busy period may reorder, but its start/end and the residence

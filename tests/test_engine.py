@@ -16,14 +16,13 @@ from eeesim import (
     SimulationFault,
     TrafficClass,
     conservative_allocate,
-    gen_cbr,
-    merge,
     oracle_simulate,
     run,
 )
 from eeesim.allocation import FlowEstimate
 from eeesim.eee_port import EeePort, PortState
 from eeesim.engine import FlowTable
+from eeesim.traffic import cbr_slabs, merge_slabs
 
 RSEED = 77002
 TEN_G = 10_000_000_000
@@ -73,7 +72,7 @@ def test_arrival_at_exact_tx_completion_keeps_port_awake():
     # every arrival coincides with the previous departure and must be served
     # back to back rather than trigger a sleep/wake cycle.
     config = make_config(duration=2_000_000)
-    pkts = list(gen_cbr(TEN_G, 125, 0, 10_000, flow="wire"))
+    pkts = list(merge_slabs([cbr_slabs(TEN_G, 125, 0, 10_000, flow="wire")]))
     assert len(pkts) == 100
     report = run(config, pkts)
     delays = {delay for _, _, delay, _, _ in report.delay_log}
@@ -185,11 +184,11 @@ def _mixed_scenario(algorithm, include_ll=True):
         record_delay_log=True,
     )
     streams = [
-        gen_cbr(200_000_000, 1500, 0, 50_000_000, flow=f"bulk{i}") for i in range(3)
+        cbr_slabs(200_000_000, 1500, 0, 50_000_000, flow=f"bulk{i}") for i in range(3)
     ]
     if include_ll:
-        streams.append(gen_cbr(50_000_000, 125, 46, 50_000_000, flow="rt"))
-    return config, list(merge(streams))
+        streams.append(cbr_slabs(50_000_000, 125, 46, 50_000_000, flow="rt"))
+    return config, list(merge_slabs(streams))
 
 
 def test_run_is_deterministic():
@@ -267,9 +266,9 @@ def test_small_scale_port_count():
         warmup_ns=10_000_000,
     )
     streams = [
-        gen_cbr(200_000_000, 1500, 0, 20_000_000, flow=f"f{i}") for i in range(13)
+        cbr_slabs(200_000_000, 1500, 0, 20_000_000, flow=f"f{i}") for i in range(13)
     ]
-    report = run(config, merge(streams))
+    report = run(config, merge_slabs(streams))
     assert report.mean_active_ports == 3.0
 
 
@@ -278,10 +277,10 @@ def test_class_level_handler_wrappers_see_every_call(monkeypatch, algorithm):
     # A profiler or tracer wraps the port handlers and dispatch on the class;
     # the run must go through them for every arrival and transition.
     config, _ = _mixed_scenario(algorithm)
-    streams = [gen_cbr(200_000_000, 1500, 0, 40_000_000, flow=f"bulk{i}")
+    streams = [cbr_slabs(200_000_000, 1500, 0, 40_000_000, flow=f"bulk{i}")
                for i in range(3)]
-    streams.append(gen_cbr(50_000_000, 125, 46, 40_000_000, flow="rt"))
-    pkts = list(merge(streams))  # the ports drain before the 50 ms end
+    streams.append(cbr_slabs(50_000_000, 125, 46, 40_000_000, flow="rt"))
+    pkts = list(merge_slabs(streams))  # the ports drain before the 50 ms end
     plain = run(config, iter(pkts))
 
     calls = {}
@@ -325,7 +324,7 @@ def test_class_level_handler_wrappers_see_every_call(monkeypatch, algorithm):
     # one dispatch per (flow, control interval) with traffic, no more
     assert len(dispatched) == len(set(dispatched))
     assert set(dispatched) == {
-        (p.flow, p.arrival_time // config.sampling_period_ns) for p in pkts
+        (p[2], p[0] // config.sampling_period_ns) for p in pkts
     }
     assert len(dispatched) < len(pkts)
 

@@ -11,59 +11,66 @@ from eeesim.scenarios import (
     build_sim_config,
     build_stream,
     combined_csv,
-    gen_bursty,
-    gen_frames,
     load_scenario,
     mininet_scenario,
     qos_sweep_scenario,
     run_sweep,
 )
+from eeesim.traffic import bursty_slabs, frames_slabs, merge_slabs
 
 
-def test_gen_frames_low_rate_is_plain_cbr():
-    pkts = list(gen_frames(1_000_000, 125, 46, 10_000_000, 10_000_000_000))
-    gaps = {b.arrival_time - a.arrival_time for a, b in zip(pkts, pkts[1:])}
+def frames_pkts(*args, **kwargs):
+    """Packet tuples of one frames source."""
+    return list(merge_slabs([frames_slabs(*args, **kwargs)]))
+
+
+def bursty_pkts(*args, **kwargs):
+    """Packet tuples of one bursty source."""
+    return list(merge_slabs([bursty_slabs(*args, **kwargs)]))
+
+
+def test_frames_low_rate_is_plain_cbr():
+    pkts = frames_pkts(1_000_000, 125, 46, 10_000_000, 10_000_000_000)
+    gaps = {b[0] - a[0] for a, b in zip(pkts, pkts[1:])}
     assert gaps == {1_000_000}  # one packet per millisecond
 
 
-def test_gen_frames_high_rate_bundles_line_rate_trains():
-    pkts = list(gen_frames(1_000_000_000, 125, 46, 100_000, 10_000_000_000))
+def test_frames_high_rate_bundles_line_rate_trains():
+    pkts = frames_pkts(1_000_000_000, 125, 46, 100_000, 10_000_000_000)
     # 1 Gb/s of 125 B packets: trains of ten, 100 ns apart, every 10 us
-    assert [p.arrival_time for p in pkts[:12]] == [
+    assert [p[0] for p in pkts[:12]] == [
         0, 100, 200, 300, 400, 500, 600, 700, 800, 900, 10_000, 10_100
     ]
-    total_bits = sum(p.size * 8 for p in pkts)
+    total_bits = sum(p[1] * 8 for p in pkts)
     assert total_bits == 1_000_000_000 * 100_000 // 10**9  # exact mean rate
 
 
-def test_gen_frames_rejects_line_rate_below_mean():
+def test_frames_rejects_line_rate_below_mean():
     with pytest.raises(ConfigError):
-        gen_frames(2_000_000_000, 125, 46, 1000, 1_000_000_000)
+        frames_pkts(2_000_000_000, 125, 46, 1000, 1_000_000_000)
 
 
-def test_gen_bursty_exact_budget_per_window():
+def test_bursty_exact_budget_per_window():
     window = 1_000_000
-    pkts = list(gen_bursty(100, 1500, 0, window, 7, 10_000_000_000, 4 * window))
+    pkts = bursty_pkts(100, 1500, 0, window, 7, 10_000_000_000, 4 * window)
     counts = {}
     for p in pkts:
-        counts[p.arrival_time // window] = counts.get(p.arrival_time // window, 0) + 1
+        counts[p[0] // window] = counts.get(p[0] // window, 0) + 1
     assert counts == {0: 100, 1: 100, 2: 100, 3: 100}
-    times = [p.arrival_time for p in pkts]
+    times = [p[0] for p in pkts]
     assert times == sorted(times)
 
 
-def test_gen_bursty_jitter_is_deterministic():
+def test_bursty_jitter_is_deterministic():
     args = (50, 1500, 0, 1_000_000, 5, 10_000_000_000, 2_000_000)
-    assert list(gen_bursty(*args)) == list(gen_bursty(*args))
-    shifted = list(gen_bursty(*args, flow="other"))
-    assert [p.arrival_time for p in shifted] != [
-        p.arrival_time for p in gen_bursty(*args)
-    ]
+    assert bursty_pkts(*args) == bursty_pkts(*args)
+    shifted = bursty_pkts(*args, flow="other")
+    assert [p[0] for p in shifted] != [p[0] for p in bursty_pkts(*args)]
 
 
-def test_gen_bursty_rejects_overfull_slot():
+def test_bursty_rejects_overfull_slot():
     with pytest.raises(ConfigError):
-        gen_bursty(10_000, 1500, 0, 1_000_000, 1, 10_000_000_000, 1_000_000)
+        bursty_pkts(10_000, 1500, 0, 1_000_000, 1, 10_000_000_000, 1_000_000)
 
 
 def test_builtin_catalogue_and_aliases():

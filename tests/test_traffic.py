@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from eeesim import (
@@ -15,11 +16,11 @@ from eeesim import (
     SimConfig,
     TraceError,
     TrafficClass,
-    gen_cbr,
-    merge,
     read_trace,
-    scale_trace,
     write_trace,
+)
+from eeesim.traffic import (
+    Slab, _scale_col, _scale_factor, cbr_slabs, merge_slabs, trace_slabs,
 )
 
 RSEED = 1869
@@ -35,13 +36,41 @@ def classify(packet, ll_dscps=DEFAULT_LL_DSCPS):
     )
     table = FlowTable(config)
     table.dispatch(packet)
-    return table.classes[packet.flow]
+    return table.classes[packet[2]]
 
 
 def _write(tmp_path, text, name="trace.csv"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def _cbr(*args, **kwargs):
+    """Packet tuples of one CBR source."""
+    return list(merge_slabs([cbr_slabs(*args, **kwargs)]))
+
+
+def _scaled(tmp_path, pkts, factor):
+    """Packet tuples of ``pkts``, written as a trace and read back scaled."""
+    path = tmp_path / "unscaled.csv"
+    write_trace(path, pkts)
+    return list(merge_slabs([trace_slabs(path, factor)]))
+
+
+def _scale_times(times, factor):
+    return _scale_col(np.array(times, dtype=np.int64), _scale_factor(factor)).tolist()
+
+
+def _merge(streams):
+    """Packet tuples of time-ordered packet lists, merged as slabs."""
+    def slabs(pkts):
+        if not pkts:
+            return []
+        t, size, flow, dscp, _ = zip(*pkts)
+        return [Slab(np.array(t, dtype=np.int64), np.array(size, dtype=np.int64),
+                     np.array(flow, dtype=object), np.array(dscp, dtype=np.int64))]
+
+    return list(merge_slabs([slabs(s) for s in streams]))
 
 
 # -- read_trace --------------------------------------------------------------
@@ -89,33 +118,33 @@ def test_write_then_read_roundtrip(tmp_path):
     assert list(read_trace(path)) == pkts
 
 
-# -- scale_trace -------------------------------------------------------------
+# -- trace scaling -----------------------------------------------------------
 
-def test_scale_identity():
+def test_scale_identity(tmp_path):
     pkts = [Packet(t, 100, "f", 0, i) for i, t in enumerate((0, 7, 1234))]
-    assert list(scale_trace(pkts, 1)) == pkts
+    assert _scaled(tmp_path, pkts, 1) == pkts
 
 
-def test_scale_divides_times():
+def test_scale_divides_times(tmp_path):
     pkts = [Packet(t, 100, "f", 0, i) for i, t in enumerate((0, 1000, 3000))]
-    assert [p.arrival_time for p in scale_trace(pkts, 10)] == [0, 100, 300]
+    assert [p[0] for p in _scaled(tmp_path, pkts, 10)] == [0, 100, 300]
 
 
-def test_scale_rejects_nonpositive_factor():
+def test_scale_rejects_nonpositive_factor(tmp_path):
     with pytest.raises(ConfigError):
-        scale_trace([], 0)
+        trace_slabs(tmp_path / "unread.csv", 0)
     with pytest.raises(ConfigError):
-        scale_trace([], -2.5)
+        trace_slabs(tmp_path / "unread.csv", -2.5)
 
 
-def test_scale_doubles_mean_rate():
+def test_scale_doubles_mean_rate(tmp_path):
     # 1250 B every 3077 ns is roughly 3.25 Gb/s; factor 2 must double it.
-    base = list(gen_cbr(3_250_000_000, 1250, 0, 10_000_000))
-    scaled = list(scale_trace(base, 2))
+    base = _cbr(3_250_000_000, 1250, 0, 10_000_000)
+    scaled = _scaled(tmp_path, base, 2)
 
     def mean_rate(pkts):
-        span = pkts[-1].arrival_time - pkts[0].arrival_time
-        return sum(p.size for p in pkts[:-1]) * 8 * 1e9 / span
+        span = pkts[-1][0] - pkts[0][0]
+        return sum(p[1] for p in pkts[:-1]) * 8 * 1e9 / span
 
     assert mean_rate(scaled) == pytest.approx(2 * mean_rate(base), rel=1e-6)
     assert mean_rate(scaled) == pytest.approx(6.5e9, rel=1e-3)
@@ -126,11 +155,10 @@ def test_scale_roundtrip_within_one_ns():
     # final rounding step, so every timestamp lands within 1 ns.
     rng = random.Random(RSEED)
     times = sorted(rng.randrange(0, 10**9) for _ in range(300))
-    pkts = [Packet(t, 100, "f", 0, i) for i, t in enumerate(times)]
     for factor in (0.5, 0.1, 0.37, 1.0):
-        back = scale_trace(scale_trace(pkts, factor), 1.0 / factor)
-        for orig, rt in zip(pkts, back):
-            assert abs(rt.arrival_time - orig.arrival_time) <= 1
+        back = _scale_times(_scale_times(times, factor), 1.0 / factor)
+        for orig, rt in zip(times, back):
+            assert abs(rt - orig) <= 1
 
 
 def test_scale_roundtrip_bound_for_compression():
@@ -138,48 +166,47 @@ def test_scale_roundtrip_bound_for_compression():
     # bounded by (factor + 1) / 2.
     rng = random.Random(RSEED + 1)
     times = sorted(rng.randrange(0, 10**9) for _ in range(300))
-    pkts = [Packet(t, 100, "f", 0, i) for i, t in enumerate(times)]
     for factor in (2, 8, 25):
-        back = scale_trace(scale_trace(pkts, factor), 1.0 / factor)
+        back = _scale_times(_scale_times(times, factor), 1.0 / factor)
         bound = (factor + 1) / 2
-        for orig, rt in zip(pkts, back):
-            assert abs(rt.arrival_time - orig.arrival_time) <= bound
+        for orig, rt in zip(times, back):
+            assert abs(rt - orig) <= bound
 
 
-# -- gen_cbr -----------------------------------------------------------------
+# -- cbr_slabs ---------------------------------------------------------------
 
 def test_cbr_interarrival_is_ten_microseconds():
-    pkts = list(gen_cbr(100_000_000, 125, 46, 100_000))
-    gaps = {b.arrival_time - a.arrival_time for a, b in zip(pkts, pkts[1:])}
+    pkts = _cbr(100_000_000, 125, 46, 100_000)
+    gaps = {b[0] - a[0] for a, b in zip(pkts, pkts[1:])}
     assert gaps == {10_000}
 
 
 def test_cbr_packet_count_over_one_second():
-    pkts = list(gen_cbr(10_000_000, 125, 0, 1_000_000_000))
+    pkts = _cbr(10_000_000, 125, 0, 1_000_000_000)
     assert len(pkts) == 10_000
 
 
 def test_cbr_default_ll_dscp_classifies_low_latency():
-    pkt = next(iter(gen_cbr(1_000_000, 100, 46, 1_000_000)))
+    pkt = _cbr(1_000_000, 100, 46, 1_000_000)[0]
     assert classify(pkt) is TrafficClass.LOW_LATENCY
 
 
 def test_cbr_long_run_rate_exact_to_one_ppm():
     # Awkward rate: the ideal spacing is not an integer nanosecond count.
     rate = 997_331
-    pkts = list(gen_cbr(rate, 125, 0, 3_000_000_000))
-    span = pkts[-1].arrival_time - pkts[0].arrival_time
+    pkts = _cbr(rate, 125, 0, 3_000_000_000)
+    span = pkts[-1][0] - pkts[0][0]
     measured = (len(pkts) - 1) * 125 * 8 * 1e9 / span
     assert abs(measured / rate - 1) < 1e-6
 
 
 def test_cbr_rejects_bad_parameters():
     with pytest.raises(ConfigError):
-        gen_cbr(0, 125, 0, 1000)
+        cbr_slabs(0, 125, 0, 1000)
     with pytest.raises(ConfigError):
-        gen_cbr(1000, 125, 0, 0)
+        cbr_slabs(1000, 125, 0, 0)
     with pytest.raises(TraceError):
-        list(gen_cbr(1000, 40, 0, 1000))
+        _cbr(1000, 40, 0, 1000)
 
 
 # -- merge -------------------------------------------------------------------
@@ -187,21 +214,21 @@ def test_cbr_rejects_bad_parameters():
 def test_merge_interleaves_by_time():
     a = [Packet(0, 100, "a", 0, 0), Packet(20, 100, "a", 0, 1)]
     b = [Packet(10, 100, "b", 0, 0)]
-    out = list(merge([a, b]))
-    assert [(p.flow, p.arrival_time) for p in out] == [("a", 0), ("b", 10), ("a", 20)]
-    assert [p.seq for p in out] == [0, 1, 2]
+    out = _merge([a, b])
+    assert [(p[2], p[0]) for p in out] == [("a", 0), ("b", 10), ("a", 20)]
+    assert [p[4] for p in out] == [0, 1, 2]
 
 
 def test_merge_tie_breaks_by_stream_index():
     a = [Packet(5, 100, "a", 0, 0)]
     b = [Packet(5, 100, "b", 0, 0)]
-    assert [p.flow for p in merge([a, b])] == ["a", "b"]
-    assert [p.flow for p in merge([b, a])] == ["b", "a"]
+    assert [p[2] for p in _merge([a, b])] == ["a", "b"]
+    assert [p[2] for p in _merge([b, a])] == ["b", "a"]
 
 
 def test_merge_single_stream_identity():
     a = [Packet(t, 100, "a", 0, i) for i, t in enumerate((0, 3, 9))]
-    assert list(merge([a])) == a
+    assert _merge([a]) == a
 
 
 def test_merge_preserves_multiset():
@@ -214,19 +241,19 @@ def test_merge_preserves_multiset():
             t += rng.randrange(0, 50)
             stream.append(Packet(t, rng.randrange(64, 1500), f"s{s}", 0, i))
         streams.append(stream)
-    out = list(merge(streams))
+    out = _merge(streams)
     assert len(out) == sum(len(s) for s in streams)
-    key = lambda p: (p.arrival_time, p.size, p.flow, p.dscp)
+    key = lambda p: p[:4]  # (arrival_time, size, flow, dscp)
     assert Counter(map(key, out)) == Counter(
         key(p) for stream in streams for p in stream
     )
-    assert all(a.arrival_time <= b.arrival_time for a, b in zip(out, out[1:]))
+    assert all(a[0] <= b[0] for a, b in zip(out, out[1:]))
 
 
 def test_merge_rejects_unordered_stream():
     bad = [Packet(5, 100, "a", 0, 0), Packet(4, 100, "a", 0, 1)]
     with pytest.raises(TraceError):
-        list(merge([bad]))
+        _merge([bad])
 
 
 # -- classification by the flow table ------------------------------------
