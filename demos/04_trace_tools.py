@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 from eeesim import read_trace, write_trace
-from eeesim.traffic import cbr_slabs, merge_slabs, trace_slabs
+from eeesim.traffic import cbr_slabs, merge_slabs, packets, trace_slabs
 
 
 def mean_rate_bps(path):
@@ -24,21 +24,22 @@ with tempfile.TemporaryDirectory() as tmp:
     tmp = Path(tmp)
 
     bulk = tmp / "bulk.csv"
-    n = write_trace(bulk, merge_slabs([
-        cbr_slabs(3_250_000_000, 1250, 0, 20_000_000, flow="bulk")]))
+    n = write_trace(bulk, packets(merge_slabs([
+        cbr_slabs(3_250_000_000, 1250, 0, 20_000_000, flow="bulk")])))
     print(f"{bulk.name}: {n} rows, {mean_rate_bps(bulk) / 1e9:.3f} Gb/s")
 
     faster = tmp / "bulk-x2.csv"
-    write_trace(faster, merge_slabs([trace_slabs(bulk, 2)]))
+    write_trace(faster, packets(merge_slabs([trace_slabs(bulk, 2)])))
     print(f"{faster.name}: timestamps halved -> {mean_rate_bps(faster) / 1e9:.3f} Gb/s")
 
     voice = tmp / "voice.csv"
-    write_trace(voice, merge_slabs([
-        cbr_slabs(10_000_000, 125, 46, 20_000_000, flow="voice")]))
+    write_trace(voice, packets(merge_slabs([
+        cbr_slabs(10_000_000, 125, 46, 20_000_000, flow="voice")])))
     print(f"{voice.name}: {mean_rate_bps(voice) / 1e6:.2f} Mb/s of DSCP-46 frames")
 
     both = tmp / "merged.csv"
-    total = write_trace(both, merge_slabs([trace_slabs(faster), trace_slabs(voice)]))
+    total = write_trace(both, packets(merge_slabs([trace_slabs(faster),
+                                                   trace_slabs(voice)])))
     print(f"{both.name}: {total} rows, globally time-ordered, seq renumbered")
 
     print("\nfirst rows of the merged trace:")

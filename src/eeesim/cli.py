@@ -21,7 +21,7 @@ from .scenarios import (
     load_scenario,
     run_scenario,
 )
-from .traffic import cbr_slabs, merge_slabs, trace_slabs, write_trace
+from .traffic import cbr_slabs, merge_slabs, packets, trace_slabs, write_trace
 
 _RATE_SUFFIX = {"k": 10**3, "m": 10**6, "g": 10**9}
 _TIME_SUFFIX = {"ns": 1, "us": 10**3, "ms": 10**6, "s": 10**9}
@@ -133,19 +133,21 @@ def _cmd_gen(args) -> int:
         start_offset_ns=parse_time(args.offset),
         flow=args.flow,
     )
-    count = write_trace(args.out, merge_slabs([source]))
+    count = write_trace(args.out, packets(merge_slabs([source])))
     print(f"{args.out}: {count} packets")
     return 0
 
 
 def _cmd_scale(args) -> int:
-    count = write_trace(args.out, merge_slabs([trace_slabs(args.input, args.factor)]))
+    count = write_trace(args.out,
+                        packets(merge_slabs([trace_slabs(args.input, args.factor)])))
     print(f"{args.out}: {count} packets")
     return 0
 
 
 def _cmd_merge(args) -> int:
-    count = write_trace(args.out, merge_slabs([trace_slabs(p) for p in args.inputs]))
+    count = write_trace(args.out,
+                        packets(merge_slabs([trace_slabs(p) for p in args.inputs])))
     print(f"{args.out}: {count} packets")
     return 0
 

@@ -21,17 +21,42 @@ queue only if the high queue is empty. Both queues share one buffer of
 
 Every state except ``LPI`` ends at a time the port already knows,
 ``next_at``; nothing outside the port can change it. The port therefore
-runs lazily: its owner fires the transitions due before an arrival, one
-``on_*`` handler call each, before it hands the port that arrival.
+runs lazily, on one of two paths that leave it in the same state:
+
+* the handlers: its owner fires the transitions due before an arrival, one
+  ``on_*`` handler call each, before it hands the port that arrival with
+  :meth:`EeePort.enqueue`;
+* the busy-period kernel, :meth:`EeePort.serve`, which takes a time-ordered
+  run of arrivals as int64 arrays. With ``c`` the end of the previous
+  frame, a frame that arrives at ``a <= c`` starts at ``c``; otherwise the
+  port sleeps at ``c`` and the frame starts at ``max(a, c + t_sleep) +
+  t_wake``. Inside a busy period ends follow the prefix sums ``P`` of wire
+  times, so a period can end only where ``a_i - P_{i-1}`` sets a strict
+  running-max record, and one Python step per record finds every period.
+  Under strict priority a period holding both queues is re-ordered with one
+  step per high frame and one ``bisect`` per run of low frames. It fires
+  every timed transition before the run's last arrival and every wake that
+  an arrival at or before it triggers. The kernel declines (returns None)
+  where an arrival could be tail-dropped or a time could leave the int64
+  range; the handlers serve those arrivals.
+
+Each path accounts residence and counts the wake and sleep transitions it
+enters: the handlers one state change at a time in
+:meth:`EeePort._set_state`, the kernel a run of them at once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import compress
+
+import numpy as np
 
 from .errors import ConfigError, SimulationFault
+from .traffic import _objects
 
 
 class PortState(IntEnum):
@@ -56,6 +81,10 @@ class Queue(IntEnum):
 ACTIVE, LPI, SLEEP_TRANS, WAKE_TRANS = PortState
 HIGH = Queue.HIGH
 _INF = float("inf")
+_I64_MAX = 2**63 - 1
+#: the states a busy period passes through, in order, from the sleep after
+#: the previous frame to its first frame's start
+_PERIOD_STATES = np.array([SLEEP_TRANS, LPI, WAKE_TRANS, ACTIVE])
 
 
 @dataclass(slots=True)
@@ -111,13 +140,14 @@ class EeePort:
     current state: :meth:`on_tx_complete` (``ACTIVE``),
     :meth:`on_sleep_complete` (``SLEEP_TRANS``) or :meth:`on_wake_complete`
     (``WAKE_TRANS``). ``window`` is the ``(start, end)`` interval over which
-    residence times are accounted.
+    residence times are accounted; ``wakes`` and ``sleeps`` count the wake
+    and sleep transitions entered over the whole run.
     """
 
     __slots__ = (
         "index", "cfg", "state", "state_since", "next_at",
         "high", "low", "tx_packet", "tx_class", "tx_start",
-        "clock", "residence_ns", "win_start", "win_end",
+        "clock", "residence_ns", "win_start", "win_end", "wakes", "sleeps",
         "_limit", "_wire_ns",
     )
 
@@ -137,6 +167,7 @@ class EeePort:
         self.residence_ns = [0] * len(PortState)
         self.win_start, end = window
         self.win_end = _INF if end is None else end
+        self.wakes = self.sleeps = 0
         self._limit = cfg.buffer_limit
         self._wire_ns = _WireTimes(cfg)
 
@@ -152,6 +183,10 @@ class EeePort:
 
     def _set_state(self, new: PortState, now: int) -> None:
         self._accrue(now)
+        if new is WAKE_TRANS:
+            self.wakes += 1
+        elif new is SLEEP_TRANS:
+            self.sleeps += 1
         self.state = new
         self.state_since = now
 
@@ -231,6 +266,243 @@ class EeePort:
         self.tx_packet = pkt
         self.tx_start = now
         self.next_at = now + self._wire_ns[pkt[1]]
+
+    def serve(self, t, size, flow, dscp, seq, ci, high):
+        """Take a time-ordered run of arrivals in bulk: the busy-period kernel.
+
+        The arguments are the arrivals' columns: int64 ``t``, ``size``,
+        ``dscp``, ``seq`` and class index ``ci``, object ``flow``, and bool
+        ``high`` for the high queue. With ``H = t[-1]``, the port ends as
+        if each arrival had been handed to :meth:`enqueue` after the
+        transitions due before it: every timed transition before ``H`` and
+        every arrival-triggered wake at or before ``H`` is fired.
+
+        Returns ``(frames, start, end, done)``: ``frames`` holds the columns
+        ``(t, size, flow, dscp, seq, ci)`` of the frame in flight and the
+        queued frames the port held, then of the arrivals; ``start`` and
+        ``end`` are their wire times and ``done`` indexes the frames that
+        completed before ``H``. Returns None, and changes nothing, if an
+        arrival could meet a full buffer or a time could leave the int64
+        range; the caller then serves these arrivals with the handlers.
+        """
+        n = len(t)
+        last = int(t[-1])
+        if int(t[0]) < self.clock or (t[1:] < t[:-1]).any():
+            raise SimulationFault(f"port {self.index}: arrivals not time-ordered")
+        state = self.state
+        idle = state is SLEEP_TRANS or state is LPI
+        t_sleep, t_wake = self.cfg.t_sleep_ns, self.cfg.t_wake_ns
+        carried = [*self.high, *self.low]
+        flags = [True] * len(self.high) + [False] * len(self.low)
+        if state is ACTIVE:  # the frame in flight leads; it is never re-ordered
+            carried.insert(0, (self.tx_packet, self.tx_class))
+            flags.insert(0, False)
+        nc = len(carried)
+        if nc:
+            pkts, classes = zip(*carried)
+            old_t, old_size, old_flow, old_dscp, old_seq = zip(*pkts)
+            t = np.concatenate((np.array(old_t, dtype=np.int64), t))
+            size = np.concatenate((np.array(old_size, dtype=np.int64), size))
+            flow = np.concatenate((_objects(old_flow), flow))
+            dscp = np.concatenate((np.array(old_dscp, dtype=np.int64), dscp))
+            seq = np.concatenate((np.array(old_seq, dtype=np.int64), seq))
+            ci = np.concatenate((np.array(classes, dtype=np.int64), ci))
+            high = np.concatenate((np.array(flags, dtype=bool), high))
+        sizes, of_size = np.unique(size, return_inverse=True)
+        wires = [self._wire_ns[x] for x in sizes.tolist()]
+        # every start and end is at most this; intermediates stay below it too
+        base = last if self.next_at == _INF else max(last, self.next_at)
+        if base + t_sleep + t_wake + max(wires) * len(size) > _I64_MAX:
+            return None
+        w = np.array(wires, dtype=np.int64)[of_size]
+        before = np.cumsum(w) - w  # wire time of the frames ahead, FIFO order
+        slack = t - before
+
+        # A busy period whose first frame j starts at s_j holds frame i > j
+        # while slack_i <= s_j - before_j, so it can end only at a strict
+        # running-max record of slack. Each period opened here is kept as
+        # its first frame and the start of its wake.
+        prior = np.empty_like(slack)
+        np.maximum.accumulate(slack[:-1], out=prior[1:])
+        if idle:  # the first frame opens a busy period
+            ready = self.next_at if state is SLEEP_TRANS else self.state_since
+            wake = int(t[0])
+            if wake < ready:  # it waits for the end of the sleep transition
+                wake = ready
+            heads, wakes = [0], [wake]
+            theta = wake + t_wake
+            prior[0] = slack[0]
+        else:
+            heads, wakes = [0], []
+            theta = self.tx_start if state is ACTIVE else self.next_at
+            prior[0] = theta
+            np.maximum(prior, theta, out=prior)
+        thetas = [theta]
+        records = np.flatnonzero(slack > prior)
+        for k, d, a, p in zip(records.tolist(), slack[records].tolist(),
+                              t[records].tolist(), before[records].tolist()):
+            if d <= theta:  # arrives by the time the wire frees: same period
+                continue
+            ready = theta + p + t_sleep
+            # a frame arriving during the sleep transition waits for its end
+            wake = a if a > ready else ready
+            theta = wake + t_wake - p
+            heads.append(k)
+            wakes.append(wake)
+            thetas.append(theta)
+        start = np.repeat(np.array(thetas, dtype=np.int64),
+                          np.diff(heads + [len(t)])) + before
+        if high.any() and not high.all():
+            self._by_priority(t, w, high, start, heads, state is ACTIVE)
+        end = start + w
+        if (start < t).any():
+            raise SimulationFault(f"port {self.index}: a frame starts before it arrives")
+        flying = np.flatnonzero((start < last) & (end >= last))
+        if len(flying) > 1:
+            raise SimulationFault(
+                f"port {self.index}: {len(flying)} frames in flight at {last}")
+        if len(t) > self._limit:
+            # the i-th frame meets i frames, less those started before it
+            met = np.arange(nc, nc + n) - np.searchsorted(np.sort(start), t[nc:])
+            if (met >= self._limit).any():
+                return None
+
+        # Every period but the last ends before ``last``, so all its
+        # transitions fire; the last one may still be asleep or waking.
+        times, states = [], []
+        if state is WAKE_TRANS and self.next_at < last:
+            times.append(np.array([self.next_at]))
+            states.append(np.array([ACTIVE]))
+        if wakes:
+            # the frame before each period ends, the port sleeps, then wakes
+            prev_end = (np.array([self.state_since] * idle + thetas[:-1])
+                        + before[heads[-len(wakes):]])
+            ready = prev_end + t_sleep
+            wake = np.array(wakes)
+            if state is LPI:  # a cold port, in LPI since it started
+                ready[0] = self.state_since
+            at = np.stack((prev_end, ready, wake, wake + t_wake), axis=1)
+            fires = np.ones(at.shape, dtype=bool)
+            fires[:, 1] = wake > ready  # idle in LPI until an arrival woke it
+            if idle:  # already asleep or in LPI
+                fires[0, 0] = False
+                fires[0, 1] &= state is SLEEP_TRANS
+            woke = (fires[-1, 1] or ready[-1] < last
+                    or len(wakes) == 1 and state is LPI)
+            fires[-1, 2] = woke
+            fires[-1, 3] = woke and wakes[-1] + t_wake < last
+            times.append(at[fires])
+            states.append(np.broadcast_to(_PERIOD_STATES, at.shape)[fires])
+        if times:
+            self._enter(np.concatenate(times), np.concatenate(states))
+
+        self.clock = last
+        state = self.state
+        if state is ACTIVE:
+            if len(flying) != 1:
+                raise SimulationFault(
+                    f"port {self.index}: active at {last} with no frame in flight")
+            f = int(flying[0])
+            self.tx_packet = carried[f][0] if f < nc else (
+                int(t[f]), int(size[f]), flow[f], int(dscp[f]), int(seq[f]))
+            self.tx_class = int(ci[f])
+            self.tx_start = int(start[f])
+            self.next_at = int(end[f])
+        else:
+            if len(flying) or state is LPI:
+                raise SimulationFault(
+                    f"port {self.index}: {state.key} at {last} with frames to serve")
+            self.tx_packet = self.tx_class = None
+            self.next_at = self.state_since + (
+                t_sleep if state is SLEEP_TRANS else t_wake)
+        done = np.flatnonzero(end < last)
+        if len(done) and state is not ACTIVE:  # as on_tx_complete leaves it
+            self.tx_start = int(start[done].max())
+        waiting = np.flatnonzero(start >= last)
+        new = waiting[waiting >= nc]
+        items = [carried[i] for i in waiting[waiting < nc].tolist()]
+        items += zip(zip(t[new].tolist(), size[new].tolist(), flow[new].tolist(),
+                         dscp[new].tolist(), seq[new].tolist()), ci[new].tolist())
+        queue = high[waiting]
+        self.high = deque(compress(items, queue))
+        self.low = deque(compress(items, ~queue))
+        return (t, size, flow, dscp, seq, ci), start, end, done
+
+    def _enter(self, times, states) -> None:
+        """Enter ``states`` at ``times``, in order, as :meth:`_set_state` would."""
+        if not len(times):
+            return
+        since = np.concatenate(([self.state_since], times[:-1]))
+        was = np.concatenate(([self.state], states[:-1]))
+        win_end = self.win_end if self.win_end < _I64_MAX else _I64_MAX
+        spent = (np.minimum(times, win_end)
+                 - np.maximum(since, min(self.win_start, _I64_MAX)))
+        residence = np.zeros(len(PortState), dtype=np.int64)
+        np.add.at(residence, was, np.maximum(spent, 0))
+        for state, ns in enumerate(residence.tolist()):
+            self.residence_ns[state] += ns
+        self.wakes += int(np.count_nonzero(states == WAKE_TRANS))
+        self.sleeps += int(np.count_nonzero(states == SLEEP_TRANS))
+        self.state = PortState(int(states[-1]))
+        self.state_since = int(times[-1])
+
+    def _by_priority(self, t, w, high, start, heads, in_flight):
+        """Re-order ``start`` by strict priority in each busy period with both queues.
+
+        ``heads`` are the first frames of the busy periods; a leading frame
+        in flight keeps its place. One pass serves the periods in turn: a
+        high frame that has arrived goes next, else the low frames up to
+        the one that ends at or after the next high arrival, found by one
+        ``bisect`` over the low frames' prefix sums.
+        """
+        n = len(t)
+        first = np.array(heads)
+        first[0] += in_flight
+        length = np.diff(heads + [n])
+        length[0] -= in_flight
+        n_high = np.bincount(np.repeat(np.arange(len(heads)), length)[high[first[0]:]],
+                             minlength=len(heads))
+        mixed = (n_high > 0) & (n_high < length)
+        frames = np.flatnonzero(np.repeat(mixed, length)) + first[0]
+        h_idx = frames[high[frames]]
+        l_idx = frames[~high[frames]]
+        h_at, h_w = t[h_idx].tolist(), w[h_idx].tolist()
+        l_w = w[l_idx]
+        l_end = np.cumsum(l_w)
+        l_cum = [0] + l_end.tolist()  # wire time of the first m low frames
+        last = first[mixed] + length[mixed] - 1
+        h = l = 0
+        h_start, run_first, run_base = [], [], []
+        for tau, h_stop, l_stop, period_end in zip(
+                start[first[mixed]].tolist(), np.cumsum(n_high[mixed]).tolist(),
+                np.cumsum(length[mixed] - n_high[mixed]).tolist(),
+                (start[last] + w[last]).tolist()):
+            period_start = tau
+            while h < h_stop:
+                if h_at[h] <= tau:
+                    h_start.append(tau)
+                    tau += h_w[h]
+                    h += 1
+                elif l < l_stop:  # low frames until the next high one has arrived
+                    m = bisect_left(l_cum, h_at[h] - tau + l_cum[l], l + 1, l_stop)
+                    run_first.append(l)
+                    run_base.append(tau - l_cum[l])
+                    tau += l_cum[m] - l_cum[l]
+                    l = m
+                else:
+                    break
+            if l < l_stop:
+                run_first.append(l)
+                run_base.append(tau - l_cum[l])
+                tau += l_cum[l_stop] - l_cum[l]
+                l = l_stop
+            if h < h_stop or tau != period_end:
+                raise SimulationFault(
+                    f"port {self.index}: busy period at {period_start} does not "
+                    f"match its wire time")
+        start[h_idx] = h_start
+        start[l_idx] = np.repeat(np.array(run_base, dtype=np.int64),
+                                 np.diff(run_first + [len(l_idx)])) + (l_end - l_w)
 
     def finalize(self, end: int) -> None:
         """Close the accounting at the end of the measured run."""

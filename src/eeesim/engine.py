@@ -4,16 +4,34 @@ One simulation run is strictly single threaded: identical config and input
 stream produce a bit-identical report. Dispatch reads only the flow
 counters and the plan, never port state, and each port's next transition
 time is known to the port alone, so there is no global event queue: the
-loop makes one pass over the arrival stream and fires, lazily, the due
-transitions of only the port each arrival is sent to. A flow goes through
-:meth:`FlowTable.dispatch` once per control interval; its later packets
-reuse that route.
+loop makes one pass over the arrival stream a batch of int64 columns at a
+time and runs each port lazily.
 
-Events at the same nanosecond keep a fixed order: control epochs first (a
-plan takes effect at exactly t = nT), then arrivals in stream order, then
-transmit/sleep/wake completions. An arrival that lands exactly when the
-wire goes idle is therefore served back to back instead of paying a
-gratuitous sleep/wake cycle.
+Each batch is split at control-epoch instants (``searchsorted``, side
+"left") into segments within one control interval. Arrivals get small
+flow codes, numbered afresh each interval, and are routed through a route
+array over them: :meth:`FlowTable.dispatch` is called once per new (flow,
+interval), in first-seen order, and the other arrivals' bytes are added to
+the flow counters with an int64 ``np.add.at``. The segment is then grouped
+by port, stably, and each port takes its share in one of two ways:
+
+* the busy-period kernel, :meth:`EeePort.serve`, which serves whole busy
+  periods in numpy and leaves the port as the handlers would after the
+  segment's last arrival;
+* the handlers: per arrival, the port's due transitions fire one ``on_*``
+  call each, then :meth:`EeePort.enqueue` takes it.
+
+The handlers keep a port's share when the port's backlog outnumbers it, or
+when the kernel declines: an arrival could meet a full buffer, or a time
+could leave the int64 range. Both paths give the same departures, drops,
+residence and transition counts; only the order of delay samples and
+``delay_log`` rows differs, and no statistic depends on it.
+
+Events at the same nanosecond keep a fixed order on both paths: control
+epochs first (a plan takes effect at exactly t = nT), then arrivals in
+stream order, then transmit/sleep/wake completions. An arrival that lands
+exactly when the wire goes idle is therefore served back to back instead of
+paying a gratuitous sleep/wake cycle.
 """
 
 from __future__ import annotations
@@ -35,7 +53,7 @@ from .allocation import (
 )
 from .eee_port import ACTIVE, SLEEP_TRANS, EeePort, EeePortConfig, PortState, Queue
 from .errors import ConfigError, SimulationFault
-from .traffic import DEFAULT_LL_DSCPS, TrafficClass
+from .traffic import DEFAULT_LL_DSCPS, SLAB_PKTS, TrafficClass, batches
 
 _INF = float("inf")
 
@@ -140,14 +158,22 @@ class FlowTable:
 
 
 def _delay_stats(delays_ns) -> dict | None:
+    """Summary of int64 delay samples; it may reorder an int64 buffer in place.
+
+    Every statistic depends on the samples alone, not on their order: ports
+    hand them over in no fixed order.
+    """
     if not delays_ns:
         return None
     arr = np.asarray(delays_ns, dtype=np.int64)
+    n = int(arr.size)
     return {
-        "count": int(arr.size),
-        "mean_us": float(arr.mean()) / 1000.0,
-        "median_us": float(np.median(arr)) / 1000.0,
-        "p99_us": float(np.percentile(arr, 99)) / 1000.0,
+        "count": n,
+        "mean_us": int(arr.sum()) / n / 1000,
+        # partitioned in place rather than copied: a run's samples are its
+        # largest arrays
+        "median_us": float(np.median(arr, overwrite_input=True)) / 1000.0,
+        "p99_us": float(np.percentile(arr, 99, overwrite_input=True)) / 1000.0,
         "min_us": int(arr.min()) / 1000.0,
         "max_us": int(arr.max()) / 1000.0,
     }
@@ -159,8 +185,11 @@ class MetricsReport:
 
     ``energy_by_state_ns`` holds exact integer residence times summed over
     ports, so energy comparisons between runs can be made bit-exactly.
-    ``delay_log`` rows ``(flow, arrival, delay, tx_start, size)`` are grouped
-    by port as the ports catch up, not in global departure order.
+    ``delay_log`` rows ``(flow, arrival, delay, tx_start, size)`` come in no
+    fixed order: each port adds its rows as it catches up, and the busy-period
+    kernel adds a segment's rows at once. ``transitions`` holds each port's
+    ``(wakes, sleeps)``, the wake and sleep transitions it entered over the
+    whole run; like the departures it is not part of the report bytes.
     """
 
     algorithm: str
@@ -182,6 +211,7 @@ class MetricsReport:
     departures: dict | None = None
     drop_seqs: set | None = None
     delay_log: list | None = None
+    transitions: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
@@ -256,12 +286,140 @@ def render_report(data: dict) -> str:
     return "\n".join(f"{name:<{width}}  {value}" for name, value in rows) + "\n"
 
 
+class _FlowCodes(dict):
+    """Small int code of each flow key seen in a control interval, in
+    first-seen order."""
+
+    __slots__ = ("names",)
+
+    def __init__(self):
+        super().__init__()
+        self.names: list = []  # code -> flow key
+
+    def __missing__(self, flow) -> int:
+        self[flow] = code = len(self.names)
+        self.names.append(flow)
+        return code
+
+
+class _Tally:
+    """Departures and drops of one run, as the ports hand them over."""
+
+    def __init__(self, config: SimConfig, warmup: int):
+        self.warmup = warmup
+        # Per-class samples are indexed by class: 0 normal, 1 low latency.
+        # Delay samples are int64 arrays: 8 bytes each, not a Python int apiece.
+        self.delays = (array("q"), array("q"))
+        self.tracked = {flow: array("q") for flow in config.track_flows}
+        self.delay_log = [] if config.record_delay_log else None
+        self.departures = {} if config.record_departures else None
+        self.drop_seqs = set() if config.record_departures else None
+        self.drops_w = [0, 0]
+        self.delivered = self.dropped = 0
+
+    def frame(self, pkt, ci, delay, started) -> None:
+        """One frame finished by :meth:`EeePort.on_tx_complete`."""
+        self.delivered += 1
+        arrival = pkt[0]
+        if arrival >= self.warmup:
+            self.delays[ci].append(delay)
+            flow = pkt[2]
+            if flow in self.tracked:
+                self.tracked[flow].append(delay)
+            if self.delay_log is not None:
+                self.delay_log.append((flow, arrival, delay, started, pkt[1]))
+        if self.departures is not None:
+            self.departures[pkt[4]] = arrival + delay
+
+    def frames(self, frames, start, end, done) -> None:
+        """The frames ``done`` of a return of :meth:`EeePort.serve`."""
+        t, size, flow, _, seq, ci = frames
+        self.delivered += len(done)
+        if self.departures is not None:
+            self.departures.update(zip(seq[done].tolist(), end[done].tolist()))
+        done = done[t[done] >= self.warmup]
+        if not len(done):
+            return
+        delay = end[done] - t[done]
+        ci = ci[done]
+        for c, samples in enumerate(self.delays):
+            samples.frombytes(delay[ci == c].tobytes())
+        if self.tracked:
+            flows = flow[done]
+            for name, samples in self.tracked.items():
+                samples.frombytes(delay[flows == name].tobytes())
+        if self.delay_log is not None:
+            self.delay_log.extend(zip(flow[done].tolist(), t[done].tolist(),
+                                      delay.tolist(), start[done].tolist(),
+                                      size[done].tolist()))
+
+    def drop(self, pkt, ci) -> None:
+        self.dropped += 1
+        if pkt[0] >= self.warmup:
+            self.drops_w[ci] += 1
+        if self.drop_seqs is not None:
+            self.drop_seqs.add(pkt[4])
+
+
+#: Which path serves a port's arrivals of one segment: "auto" applies the
+#: rule in :func:`_serve_port`; "kernel" and "handlers" force one path
+#: (the kernel still declines where it would not be exact).
+_PATH = "auto"
+
+_QUEUE_OF = (Queue.LOW, Queue.HIGH)  # by the high-queue flag
+
+#: most arrivals routed at once; bounds the per-arrival arrays of a segment
+_SEGMENT_PKTS = 2 * SLAB_PKTS
+
+
+def _drain(port: EeePort, horizon, tally: _Tally) -> None:
+    """Fire the port's transitions due before ``horizon``, in order."""
+    while port.next_at < horizon:
+        now = port.next_at
+        state = port.state
+        if state is ACTIVE:
+            tally.frame(*port.on_tx_complete(now))
+        elif state is SLEEP_TRANS:
+            port.on_sleep_complete(now)
+        else:
+            port.on_wake_complete(now)
+
+
+def _serve_port(port: EeePort, seg: tuple, idx, tally: _Tally) -> None:
+    """Hand ``port`` the arrivals ``idx`` of one segment, whose columns are
+    ``seg`` = ``(t, size, flow, dscp, seq, ci, high)``.
+
+    They go :data:`SLAB_PKTS` at a time, which bounds the arrays copied.
+    The busy-period kernel takes each run unless the port's backlog
+    outnumbers it (turning a long backlog into arrays and back costs more
+    than the kernel saves) or it declines; the handlers take the rest.
+    """
+    for lo in range(0, len(idx), SLAB_PKTS):
+        take = idx[lo:lo + SLAB_PKTS]
+        run = [col[take] for col in seg]
+        if _PATH == "kernel" or _PATH == "auto" and port.occupancy <= len(run[0]):
+            served = port.serve(*run)
+            if served is not None:
+                tally.frames(*served)
+                continue
+        t, size, flow, dscp, seq, ci, high = run
+        for pkt, queue, c in zip(zip(t.tolist(), size.tolist(), flow.tolist(),
+                                     dscp.tolist(), seq.tolist()),
+                                 map(_QUEUE_OF.__getitem__, high.tolist()), ci.tolist()):
+            now = pkt[0]
+            if port.next_at < now:  # same-instant arrivals precede completions
+                _drain(port, now, tally)
+            if not port.enqueue(pkt, queue, c, now)[0]:
+                tally.drop(pkt, c)
+
+
 def run(config: SimConfig, stream) -> MetricsReport:
     """Simulate one packet stream through the bundle.
 
-    ``stream`` yields packet tuples ``(arrival_time, size, flow, dscp,
-    seq)`` in time order, such as :func:`~eeesim.traffic.merge_slabs`
-    makes; they are read by position only.
+    ``stream`` yields :class:`~eeesim.traffic.Batch` es, as
+    :func:`~eeesim.traffic.merge_slabs` makes, or packet tuples
+    ``(arrival_time, size, flow, dscp, seq)`` in time order, which
+    :func:`~eeesim.traffic.batches` packs into batches.
 
     Fires a control epoch every sampling period (t = T, 2T, ...), dispatches
     each arrival per the incumbent plan, and returns metrics measured over
@@ -276,53 +434,21 @@ def run(config: SimConfig, stream) -> MetricsReport:
     warmup = config.resolved_warmup()
     period = config.sampling_period_ns
 
-    # Per-class tallies are indexed by class: 0 normal, 1 low latency.
-    # Delay samples are int64 arrays: 8 bytes each, not a Python int apiece.
-    delays = (array("q"), array("q"))
-    drops_w = [0, 0]
-    arrived_total = delivered_total = dropped_total = 0
-    departures = {} if config.record_departures else None
-    drop_seqs = set() if config.record_departures else None
-    delay_log = [] if config.record_delay_log else None
-    tracked = {flow: array("q") for flow in config.track_flows}
-
-    def drain(port, horizon):
-        """Fire the port's transitions due before ``horizon``, in order."""
-        nonlocal delivered_total
-        while port.next_at < horizon:
-            now = port.next_at
-            state = port.state
-            if state is ACTIVE:
-                pkt, ci, delay, started = port.on_tx_complete(now)
-                delivered_total += 1
-                arrival = pkt[0]
-                if arrival >= warmup:
-                    delays[ci].append(delay)
-                    flow = pkt[2]
-                    if flow in tracked:
-                        tracked[flow].append(delay)
-                    if delay_log is not None:
-                        delay_log.append((flow, arrival, delay, started, pkt[1]))
-                if departures is not None:
-                    departures[pkt[4]] = arrival + delay
-            elif state is SLEEP_TRANS:
-                port.on_sleep_complete(now)
-            else:
-                port.on_wake_complete(now)
-
+    tally = _Tally(config, warmup)
+    arrived_total = 0
     ports = [EeePort(i, config.port, (warmup, duration)) for i in range(n_ports)]
     table = FlowTable(config)
     classes = table.classes
-    counters = table.counters
     dispatch = table.dispatch
     low_latency = TrafficClass.LOW_LATENCY
-    # flow -> (port, queue, class index) under the incumbent plan; a flow's
-    # first packet in each interval goes through dispatch, which registers it.
-    # Flows share the few distinct route tuples, so 10 k flows cost no more
-    # than their dict entries.
-    routes: dict = {}
-    shared = {(i, q, c): (port, q, c)
-              for i, port in enumerate(ports) for q in Queue for c in (0, 1)}
+    codes = _FlowCodes()
+    names = codes.names
+    # Per flow code of the current interval: the route (port << 2 | high
+    # queue << 1 | low-latency class), -1 until the flow's first packet
+    # goes through dispatch, which registers it and counts its bytes; and
+    # the bytes of its other packets. All three start afresh each epoch.
+    route = np.full(64, -1, dtype=np.int64)
+    nbytes = np.zeros(64, dtype=np.int64)
 
     # Time-weighted incumbent-plan width ("ports the algorithm is using").
     ap_acc = 0
@@ -332,53 +458,90 @@ def run(config: SimConfig, stream) -> MetricsReport:
 
     def fire_epoch(t):
         """Run the control epoch at ``t``; returns the next epoch's time."""
-        nonlocal ap_acc, ap_last, ap_k, counters
+        nonlocal ap_acc, ap_last, ap_k
         lo = ap_last if ap_last > warmup else warmup
         if t > lo:
             ap_acc += ap_k * (t - lo)
         ap_last = t
-        routes.clear()  # free it before the allocator builds the new plan
-        plan = table.control_epoch(t)
         counters = table.counters
+        for code in np.flatnonzero(nbytes).tolist():
+            counters[names[code]] += int(nbytes[code])
+        nbytes[:] = 0
+        route[:] = -1
+        codes.clear()  # free them before the allocator builds the new plan
+        names.clear()
+        plan = table.control_epoch(t)
         ap_k = plan.active_ports
         epoch_rows.append((t, plan.active_ports, [float(x) for x in plan.port_loads]))
         nt = t + period
         return nt if nt < duration else _INF
 
+    def segment(batch, lo, hi):
+        """Route arrivals ``lo:hi`` of ``batch``, all in one interval, to the ports."""
+        nonlocal route, nbytes
+        t, size, flow, dscp, seq = batch
+        c = np.fromiter(map(codes.__getitem__, flow[lo:hi].tolist()),
+                        dtype=np.int64, count=hi - lo)
+        if len(names) > len(route):
+            grow = max(len(names), 2 * len(route)) - len(route)
+            route = np.concatenate((route, np.full(grow, -1, dtype=np.int64)))
+            nbytes = np.concatenate((nbytes, np.zeros(grow, dtype=np.int64)))
+        r = route[c]
+        new = np.flatnonzero(r < 0)
+        if len(new):
+            _, first = np.unique(c[new], return_index=True)
+            idx = np.sort(new[first]) + lo
+            routes = []
+            for pkt in zip(t[idx].tolist(), size[idx].tolist(), flow[idx].tolist(),
+                           dscp[idx].tolist(), seq[idx].tolist()):
+                port_idx, queue = dispatch(pkt)
+                routes.append(port_idx << 2 | (queue is Queue.HIGH) << 1
+                              | (classes[pkt[2]] is low_latency))
+            route[c[idx - lo]] = routes
+            nbytes[c[idx - lo]] -= size[idx]  # dispatch counted these
+            r = route[c]
+        np.add.at(nbytes, c, size[lo:hi])
+        seg = (t[lo:hi], size[lo:hi], flow[lo:hi], dscp[lo:hi], seq[lo:hi],
+               r & 1, (r & 2) > 0)
+        on_port = r >> 2
+        order = np.argsort(on_port, kind="stable")
+        b = 0
+        for port, e in zip(ports, np.cumsum(np.bincount(on_port, minlength=n_ports))):
+            if e > b:
+                _serve_port(port, seg, order[b:e], tally)
+            b = e
+
     next_epoch = period if period < duration else _INF
     last_arrival = -1
-    for pkt in stream:
-        t = pkt[0]
-        if t >= duration:
+    for batch in batches(stream):
+        t = batch.t
+        n = len(t)
+        late = np.flatnonzero(t >= duration) if n and t.max() >= duration else ()
+        cut = int(late[0]) if len(late) else n
+        if cut:
+            prev = np.concatenate(([last_arrival], t[:cut - 1]))
+            back = np.flatnonzero(t[:cut] < prev)
+            if len(back):
+                raise SimulationFault(
+                    f"arrival stream not time-ordered at t={t[back[0]]}")
+            last_arrival = int(t[cut - 1])
+            arrived_total += cut
+            lo = 0
+            while lo < cut:
+                if next_epoch <= t[lo]:  # epochs precede same-instant arrivals
+                    next_epoch = fire_epoch(next_epoch)
+                    continue
+                hi = min(cut, lo + _SEGMENT_PKTS)
+                if next_epoch <= t[hi - 1]:
+                    hi = lo + int(np.searchsorted(t[lo:hi], next_epoch))
+                segment(batch, lo, hi)
+                lo = hi
+        if cut < n:
             break
-        if t < last_arrival:
-            raise SimulationFault(f"arrival stream not time-ordered at t={t}")
-        last_arrival = t
-        while next_epoch <= t:
-            next_epoch = fire_epoch(next_epoch)
-        arrived_total += 1
-        flow = pkt[2]
-        route = routes.get(flow)
-        if route is None:
-            port_idx, queue = dispatch(pkt)
-            route = routes[flow] = shared[
-                port_idx, queue, 1 if classes[flow] is low_latency else 0
-            ]
-        else:
-            counters[flow] += pkt[1]
-        port, queue, ci = route
-        if port.next_at < t:  # same-instant arrivals precede completions
-            drain(port, t)
-        if not port.enqueue(pkt, queue, ci, t)[0]:
-            dropped_total += 1
-            if t >= warmup:
-                drops_w[ci] += 1
-            if drop_seqs is not None:
-                drop_seqs.add(pkt[4])
     while next_epoch < duration:
         next_epoch = fire_epoch(next_epoch)
     for port in ports:
-        drain(port, duration)
+        _drain(port, duration, tally)
         port.finalize(duration)
     lo = ap_last if ap_last > warmup else warmup
     if duration > lo:
@@ -386,6 +549,7 @@ def run(config: SimConfig, stream) -> MetricsReport:
 
     measured_ns = duration - warmup
     queued_end = sum(p.occupancy + (p.tx_packet is not None) for p in ports)
+    delivered_total, dropped_total = tally.delivered, tally.dropped
     if arrived_total != delivered_total + dropped_total + queued_end:
         raise SimulationFault(
             f"packet conservation broken: {arrived_total} arrived != "
@@ -407,7 +571,7 @@ def run(config: SimConfig, stream) -> MetricsReport:
     total_energy = awake_ns * 1e-9 * p_active + by_state["lpi"] * 1e-9 * p_lpi
     normalized = total_energy / (n_ports * p_active * measured_ns * 1e-9)
 
-    normal, low = delays
+    normal, low = tally.delays
     return MetricsReport(
         algorithm=config.bundle.algorithm.value,
         n_ports=n_ports,
@@ -420,7 +584,7 @@ def run(config: SimConfig, stream) -> MetricsReport:
             "overall": _delay_stats(normal + low),
         },
         delivered={"normal": len(normal), "low_latency": len(low)},
-        drops={"normal": drops_w[0], "low_latency": drops_w[1]},
+        drops={"normal": tally.drops_w[0], "low_latency": tally.drops_w[1]},
         totals={
             "arrived": arrived_total,
             "delivered": delivered_total,
@@ -435,10 +599,12 @@ def run(config: SimConfig, stream) -> MetricsReport:
         normalized_energy=normalized,
         mean_active_ports=ap_acc / measured_ns,
         epoch_loads=epoch_rows,
-        flow_delays={flow: _delay_stats(samples) for flow, samples in tracked.items()},
-        departures=departures,
-        drop_seqs=drop_seqs,
-        delay_log=delay_log,
+        flow_delays={flow: _delay_stats(samples)
+                     for flow, samples in tally.tracked.items()},
+        departures=tally.departures,
+        drop_seqs=tally.drop_seqs,
+        delay_log=tally.delay_log,
+        transitions=[(p.wakes, p.sleeps) for p in ports],
     )
 
 

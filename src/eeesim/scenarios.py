@@ -16,12 +16,12 @@ integer arithmetic as the CBR generator (see :mod:`eeesim.traffic`):
   line-rate bursts with deterministic jitter, standing in for the burstiness
   of captured backbone traffic.
 
-:func:`build_stream` turns a sweep point into one lazy iterator of packet
-tuples ``(arrival_time, size, flow, dscp, seq)``: each source becomes a
-lazy iterable of int64 column slabs and the module-level ``merge`` orders
-them. It returns before any packet is synthesized; a run pulls the slabs
-as it consumes the stream. Rates are scaled for a sweep point with exact
-fractions, never floats.
+:func:`build_stream` turns a sweep point into one lazy iterator of merged
+packet batches (columns of ``(arrival_time, size, flow, dscp, seq)``): each
+source becomes a lazy iterable of int64 column slabs and the module-level
+``merge`` orders them. It returns before any packet is synthesized; a run
+pulls the slabs as it consumes the stream. Rates are scaled for a sweep
+point with exact fractions, never floats.
 """
 
 from __future__ import annotations
@@ -235,7 +235,7 @@ def _materialize(src: dict, scenario: Scenario, scale_factor=Fraction(1)):
 
 
 def build_stream(scenario: Scenario, point: dict):
-    """Merged packet-tuple stream for one sweep point; nothing is built yet."""
+    """Merged batch stream for one sweep point; nothing is built yet."""
     base = scenario.base_normal_rate_bps()
     factor = Fraction(1)
     if scenario.normal_rates_bps:

@@ -20,11 +20,14 @@ other characters is read by the csv reader and checked in bulk, and a chunk
 with any fault goes to the csv row parser, the one judge of errors.
 
 :func:`merge_slabs` orders the packets of several sources by (time, source
-index, position in source) and yields plain 5-tuples ``(arrival_time,
-size, flow, dscp, seq)``. That tuple is the packet contract: the engine,
-the ports and the oracle read a packet by position only, so a
-:class:`Packet` and a plain tuple are the same thing to them.
-:func:`write_trace` writes such tuples to a trace-csv file.
+index, position in source) and yields :class:`Batch` es, one int64 or
+object column per field of the packet tuple ``(arrival_time, size, flow,
+dscp, seq)``; the engine reads them column by column. That tuple is the
+packet contract: the ports and the oracle read a packet by position only,
+so a :class:`Packet` and a plain tuple are the same thing to them.
+:func:`packets` is the one place that turns batches into tuples and
+:func:`batches` the one place that turns tuples into batches.
+:func:`write_trace` writes packet tuples to a trace-csv file.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ TRACE_HEADER = ("t_ns", "flow", "bytes", "dscp")
 #: the sleep/wake time scale (one packet per frame up to 100 Mb/s).
 FRAME_UNIT_BPS = 100_000_000
 
-#: packets per slab; merge output is converted to tuples in runs this long.
+#: packets per slab; batches are converted to and from tuples in runs this long.
 SLAB_PKTS = 4096
 
 _I64_MAX = 2**63 - 1
@@ -85,6 +88,16 @@ class Slab(NamedTuple):
     size: np.ndarray   # int64
     flow: np.ndarray   # object (str)
     dscp: np.ndarray   # int64
+
+
+class Batch(NamedTuple):
+    """Merged packets in stream order, one column per packet-tuple field."""
+
+    t: np.ndarray      # int64 arrival times
+    size: np.ndarray   # int64
+    flow: np.ndarray   # object (str)
+    dscp: np.ndarray   # int64
+    seq: np.ndarray    # int64
 
 
 def _round_div(num: int, den: int) -> int:
@@ -117,6 +130,13 @@ def _int64(values) -> np.ndarray:
         raise ConfigError("packet field exceeds the int64 range") from None
 
 
+def _objects(values) -> np.ndarray:
+    """Object array holding ``values``, one element each."""
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
 def _round_div_col(x: np.ndarray, num: int, den: int, offset: int = 0) -> np.ndarray:
     """``offset + _round_div(x * num, den)`` for each element of ``x``.
 
@@ -141,8 +161,9 @@ def _count_below(num: int, den: int, limit: int) -> int:
 
 def _const_columns(n: int, size: int, flow: str, dscp: int) -> tuple:
     """Size, flow and dscp columns for up to ``n`` packets of one source."""
-    return (np.full(n, size, dtype=np.int64), np.full(n, flow, dtype=object),
-            np.full(n, dscp, dtype=np.int64))
+    flows = np.empty(n, dtype=object)
+    flows.fill(flow)  # one shared str; np.full would make n copies of it
+    return np.full(n, size, dtype=np.int64), flows, np.full(n, dscp, dtype=np.int64)
 
 
 def _const_slab(t: np.ndarray, columns: tuple) -> Slab:
@@ -489,21 +510,16 @@ def trace_slabs(path, factor=1) -> Iterator[Slab]:
 
 # -- merge --------------------------------------------------------------------
 
-def merge_slabs(sources: Iterable[Iterable[Slab]]) -> Iterator[tuple]:
-    """Merge time-ordered slab sources into one stream of packet tuples.
+def merge_slabs(sources: Iterable[Iterable[Slab]]) -> Iterator[Batch]:
+    """Merge time-ordered slab sources into one stream of :class:`Batch` es.
 
-    Yields ``(arrival_time, size, flow, dscp, seq)`` ordered by (time,
-    source index, position in source), with ``seq`` numbering the output.
-    Each round emits every buffered packet earlier than the smallest last
-    buffered time of the sources not yet exhausted, then refills the
-    sources that set it, so the order does not depend on where slabs end.
-    Nothing is read from the sources before the first ``next()``.
+    Packets are ordered by (time, source index, position in source), with
+    ``seq`` numbering the output. Each round emits, as one batch, every
+    buffered packet earlier than the smallest last buffered time of the
+    sources not yet exhausted, then refills the sources that set it, so the
+    order does not depend on where slabs end. Nothing is read from the
+    sources before the first ``next()``.
     """
-    return chain.from_iterable(_merged_runs(sources))
-
-
-def _merged_runs(sources):
-    """Runs of merged packet tuples, as ``zip`` iterators, for :func:`merge_slabs`."""
     feeds = [iter(s) for s in sources]
     buf = [None] * len(feeds)   # not yet emitted packets of each source
     last = [-1] * len(feeds)    # time of each source's last buffered packet
@@ -542,22 +558,43 @@ def _merged_runs(sources):
             if len(parts) > 1:
                 out = _concat(parts)
                 out = _take(out, np.argsort(out.t, kind="stable"))
-            for lo in range(0, len(out.t), SLAB_PKTS):
-                hi = lo + SLAB_PKTS
-                yield zip(out.t[lo:hi].tolist(), out.size[lo:hi].tolist(),
-                          out.flow[lo:hi].tolist(), out.dscp[lo:hi].tolist(),
-                          range(seq + lo, seq + hi))
-            seq += len(out.t)
+            n = len(out.t)
+            yield Batch(*out, np.arange(seq, seq + n, dtype=np.int64))
+            seq += n
         if not live:
             return
         live = [i for i in live if last[i] != horizon or pull(i)]
+
+
+def packets(stream: Iterable[Batch]) -> Iterator[tuple]:
+    """Packet tuples ``(arrival_time, size, flow, dscp, seq)`` of ``stream``'s batches."""
+    for batch in stream:
+        for lo in range(0, len(batch.t), SLAB_PKTS):
+            yield from zip(*(col[lo:lo + SLAB_PKTS].tolist() for col in batch))
+
+
+def batches(stream: Iterable) -> Iterator[Batch]:
+    """Batches of a stream of packet tuples, or of batches, which pass through.
+
+    Tuples are read by position, :data:`SLAB_PKTS` at a time; a field
+    outside the int64 range raises :class:`ConfigError`.
+    """
+    it = iter(stream)
+    for first in it:
+        if isinstance(first, Batch):
+            yield first
+            yield from it
+            return
+        rows = [first, *islice(it, SLAB_PKTS - 1)]
+        t, size, flow, dscp, seq = zip(*rows)
+        yield Batch(_int64(t), _int64(size), _objects(flow), _int64(dscp), _int64(seq))
 
 
 # -- trace files --------------------------------------------------------------
 
 def read_trace(path) -> Iterator[tuple]:
     """Packet tuples of :func:`trace_slabs`; ``seq`` follows file order."""
-    return merge_slabs([trace_slabs(path)])
+    return packets(merge_slabs([trace_slabs(path)]))
 
 
 def write_trace(path, stream: Iterable[tuple]) -> int:

@@ -20,7 +20,9 @@ from eeesim import Algorithm, run
 from eeesim import scenarios, traffic
 from eeesim.errors import ConfigError
 from eeesim.scenarios import Scenario, build_sim_config, build_stream
-from eeesim.traffic import Slab, bursty_slabs, cbr_slabs, frames_slabs, merge_slabs
+from eeesim.traffic import (
+    Slab, bursty_slabs, cbr_slabs, frames_slabs, merge_slabs, packets,
+)
 
 SLAB_SIZES = st.sampled_from([1, 2, 3, 7, 64, traffic.SLAB_PKTS])
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True,
@@ -56,7 +58,8 @@ def test_cbr_matches_reference(data, slab):
     step = Fraction(size * 8 * 10**9) / Fraction(rate)
     duration = data.draw(st.integers(1, max(1, int(step * 300))))
     with slab_size(slab):
-        got = list(merge_slabs([cbr_slabs(rate, size, 46, duration, offset, "c")]))
+        got = list(packets(merge_slabs([cbr_slabs(rate, size, 46, duration, offset,
+                                                     "c")])))
     assert got == list(ref.cbr(Fraction(rate), size, 46, duration, offset, "c"))
 
 
@@ -73,7 +76,7 @@ def test_frames_matches_reference(data, slab):
     duration = data.draw(st.integers(1, 40 * frame_ns + 100))
     args = (rate, size, 0, duration, line, offset, "fr", m)
     with slab_size(slab):
-        got = list(merge_slabs([frames_slabs(*args)]))
+        got = list(packets(merge_slabs([frames_slabs(*args)])))
     assert got == list(ref.frames(*args))
 
 
@@ -91,7 +94,7 @@ def test_bursty_matches_reference(data, slab):
     duration = data.draw(st.integers(1, 4 * window))
     args = (ppw, size, 0, window, bursts, line, duration, "b")
     with slab_size(slab):
-        got = list(merge_slabs([bursty_slabs(*args)]))
+        got = list(packets(merge_slabs([bursty_slabs(*args)])))
     assert got == list(ref.bursty(*args))
 
 
@@ -127,7 +130,7 @@ def test_merge_matches_heap_merge(case, slab):
     streams, slabbed = case
     expected = list(ref.merge(streams))
     with slab_size(slab):
-        assert list(merge_slabs(slabbed)) == expected
+        assert list(packets(merge_slabs(slabbed))) == expected
 
 
 def test_merge_tie_at_slab_boundary():
@@ -138,9 +141,19 @@ def test_merge_tie_at_slab_boundary():
     b = [(10, 100, "b", 0, 0)]
     c = [(5, 100, "c", 0, 0), (10, 100, "c", 0, 1)]
     slabs = [[_slab_of(a[:2]), _slab_of(a[2:])], [_slab_of(b)], [_slab_of(c)]]
-    got = [(t, f) for t, _, f, _, _ in merge_slabs(slabs)]
+    got = [(t, f) for t, _, f, _, _ in packets(merge_slabs(slabs))]
     assert got == [(0, "a"), (5, "c"), (10, "a"), (10, "a"), (10, "a"),
                    (10, "b"), (10, "c")]
+
+
+def test_synthetic_flow_column_shares_one_str():
+    # 8 bytes a packet for the flow, not a str object each
+    sources = [cbr_slabs(10**9, 100, 0, 10**6, flow="cbr-flow"),
+               frames_slabs(10**9, 100, 0, 10**6, 10**10, flow="frames-flow"),
+               bursty_slabs(400, 100, 0, 10**6, 2, 10**10, 10**6, flow="bursty-flow")]
+    for source in sources:
+        flows = np.concatenate([slab.flow for slab in source])
+        assert len(flows) > 1 and len({id(f) for f in flows}) == 1
 
 
 # -- exact int64 arithmetic ----------------------------------------------------
@@ -166,7 +179,7 @@ def test_fractional_rate_over_full_run():
 
 def test_rate_beyond_int64_falls_back_to_python_ints():
     rate = Fraction(10**20 + 1, 10**11)  # numerator does not fit in int64
-    got = list(merge_slabs([cbr_slabs(rate, 1250, 0, 1_000_000)]))
+    got = list(packets(merge_slabs([cbr_slabs(rate, 1250, 0, 1_000_000)])))
     assert got and got == list(ref.cbr(rate, 1250, 0, 1_000_000))
 
 
@@ -208,7 +221,7 @@ def test_sweep_point_rate_is_scaled_exactly():
     scenario = _two_source_scenario()
     point = scenario.sweep_points()[0]
     assert int(round(201 * (point["normal_rate_bps"] / 384))) == 523437
-    got = [p[0] for p in build_stream(scenario, point) if p[2] == "n0"]
+    got = [p[0] for p in packets(build_stream(scenario, point)) if p[2] == "n0"]
 
     def ref_times(rate):
         return [p[0] for p in ref.cbr(Fraction(rate), 125, 0, 10_000_000)]
@@ -243,11 +256,13 @@ def test_run_reads_packets_and_plain_tuples_alike():
     config = build_sim_config(scenario, Algorithm.TWO_QUEUES.value)
     config.record_departures = True
     point = scenario.sweep_points()[0]
-    packets = list(map(traffic.Packet._make, build_stream(scenario, point)))
-    a = run(config, packets)
-    b = run(config, map(tuple, packets))
-    assert a.to_json() == b.to_json()
-    assert a.departures == b.departures and a.drop_seqs == b.drop_seqs
+    pkts = list(map(traffic.Packet._make, packets(build_stream(scenario, point))))
+    a = run(config, pkts)
+    b = run(config, map(tuple, pkts))
+    c = run(config, build_stream(scenario, point))
+    assert a.to_json() == b.to_json() == c.to_json()
+    assert a.departures == b.departures == c.departures
+    assert a.drop_seqs == b.drop_seqs == c.drop_seqs
 
 
 # -- trace parsing -------------------------------------------------------------

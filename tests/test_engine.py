@@ -19,10 +19,11 @@ from eeesim import (
     oracle_simulate,
     run,
 )
+from eeesim import engine
 from eeesim.allocation import FlowEstimate
 from eeesim.eee_port import EeePort, PortState
 from eeesim.engine import FlowTable
-from eeesim.traffic import cbr_slabs, merge_slabs
+from eeesim.traffic import cbr_slabs, merge_slabs, packets
 
 RSEED = 77002
 TEN_G = 10_000_000_000
@@ -72,7 +73,7 @@ def test_arrival_at_exact_tx_completion_keeps_port_awake():
     # every arrival coincides with the previous departure and must be served
     # back to back rather than trigger a sleep/wake cycle.
     config = make_config(duration=2_000_000)
-    pkts = list(merge_slabs([cbr_slabs(TEN_G, 125, 0, 10_000, flow="wire")]))
+    pkts = list(packets(merge_slabs([cbr_slabs(TEN_G, 125, 0, 10_000, flow="wire")])))
     assert len(pkts) == 100
     report = run(config, pkts)
     delays = {delay for _, _, delay, _, _ in report.delay_log}
@@ -188,7 +189,7 @@ def _mixed_scenario(algorithm, include_ll=True):
     ]
     if include_ll:
         streams.append(cbr_slabs(50_000_000, 125, 46, 50_000_000, flow="rt"))
-    return config, list(merge_slabs(streams))
+    return config, list(packets(merge_slabs(streams)))
 
 
 def test_run_is_deterministic():
@@ -275,12 +276,14 @@ def test_small_scale_port_count():
 @pytest.mark.parametrize("algorithm", [Algorithm.SPARE_PORT, Algorithm.TWO_QUEUES])
 def test_class_level_handler_wrappers_see_every_call(monkeypatch, algorithm):
     # A profiler or tracer wraps the port handlers and dispatch on the class;
-    # the run must go through them for every arrival and transition.
+    # on the handler path the run must go through them for every arrival and
+    # transition. The busy-period kernel skips the handlers (see
+    # test_kernel_counts_transitions_like_the_handlers).
     config, _ = _mixed_scenario(algorithm)
     streams = [cbr_slabs(200_000_000, 1500, 0, 40_000_000, flow=f"bulk{i}")
                for i in range(3)]
     streams.append(cbr_slabs(50_000_000, 125, 46, 40_000_000, flow="rt"))
-    pkts = list(merge_slabs(streams))  # the ports drain before the 50 ms end
+    pkts = list(packets(merge_slabs(streams)))  # the ports drain before the 50 ms end
     plain = run(config, iter(pkts))
 
     calls = {}
@@ -311,6 +314,7 @@ def test_class_level_handler_wrappers_see_every_call(monkeypatch, algorithm):
 
     monkeypatch.setattr(EeePort, "_set_state", tally_state)
     monkeypatch.setattr(FlowTable, "dispatch", log_dispatch)
+    monkeypatch.setattr(engine, "_PATH", "handlers")
     wrapped = run(config, iter(pkts))
 
     assert wrapped.to_json() == plain.to_json()
@@ -374,11 +378,12 @@ def _lose_third_frame(monkeypatch):
 
     def lossy(self, pkt, queue, cls, now):
         result = enqueue(self, pkt, queue, cls, now)
-        if pkt.seq == 2:
+        if pkt[4] == 2:
             self.low.pop()  # accepted, then silently lost
         return result
 
     monkeypatch.setattr(EeePort, "enqueue", lossy)
+    monkeypatch.setattr(engine, "_PATH", "handlers")
 
 
 def _skip_final_accounting(monkeypatch):

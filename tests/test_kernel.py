@@ -1,0 +1,288 @@
+"""Busy-period kernel against the handler path and the oracle.
+
+``engine._PATH`` picks how the engine serves each port's arrivals of one
+segment; these tests force the kernel (``"kernel"``, which still declines
+where a drop or an int64 overflow could occur) or the handlers
+(``"handlers"``) and require the same reports, departures, drops and port
+states. Every time is a multiple of ``UNIT``, so arrivals often fall exactly
+on a transmit, sleep or wake completion or on an epoch.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from eeesim import (
+    Algorithm,
+    BundleConfig,
+    EeePortConfig,
+    Packet,
+    SimConfig,
+    SimulationFault,
+    engine,
+    oracle_simulate,
+    run,
+)
+from eeesim.eee_port import EeePort
+from eeesim.engine import _delay_stats
+from eeesim.traffic import Batch, cbr_slabs, merge_slabs, packets
+
+UNIT = 100  # ns
+#: wire times 100, 200 and 1200 ns at 10 Gb/s; ten times that at 1 Gb/s
+SIZES = (125, 250, 1500)
+CAPACITIES = (1_000_000_000, 10_000_000_000)
+TEN_G = 10_000_000_000
+
+_STATE = ("state", "state_since", "next_at", "clock", "tx_packet", "tx_class",
+          "tx_start", "residence_ns", "wakes", "sleeps")
+
+
+def _snapshot(port):
+    fields = {name: getattr(port, name) for name in _STATE}
+    fields["residence_ns"] = list(port.residence_ns)
+    fields["high"], fields["low"] = list(port.high), list(port.low)
+    return port.index, fields
+
+
+def _batches(pkts, cuts):
+    """``pkts`` as batches cut before each position in ``cuts``."""
+    bounds = sorted({c for c in cuts if 0 < c < len(pkts)}) + [len(pkts)]
+    lo = 0
+    for hi in bounds:
+        t, size, flow, dscp, seq = zip(*pkts[lo:hi])
+        flows = np.empty(hi - lo, dtype=object)
+        flows[:] = flow
+        yield Batch(np.array(t), np.array(size), flows, np.array(dscp), np.array(seq))
+        lo = hi
+
+
+def _run(monkeypatch, path, config, stream):
+    """Report of ``run`` on ``path`` and the port states after each segment."""
+    states = []
+    serve_port = engine._serve_port
+
+    def recording(port, *args):
+        serve_port(port, *args)
+        states.append(_snapshot(port))
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_PATH", path)
+        m.setattr(engine, "_serve_port", recording)
+        report = run(config, stream)
+    return report, states
+
+
+def _assert_same(a, b):
+    assert a.to_json() == b.to_json()
+    assert a.departures == b.departures
+    assert a.drop_seqs == b.drop_seqs
+    assert a.delay_log is None or sorted(a.delay_log) == sorted(b.delay_log)
+    assert a.transitions == b.transitions
+
+
+@st.composite
+def cases(draw):
+    params = {
+        "n_ports": draw(st.integers(1, 3)),
+        "capacity": draw(st.sampled_from(CAPACITIES)),
+        "algorithm": draw(st.sampled_from([a.value for a in Algorithm])),
+        "t_sleep": draw(st.sampled_from([0, UNIT, 3 * UNIT, 23 * UNIT])),
+        "t_wake": draw(st.sampled_from([0, UNIT, 2 * UNIT, 45 * UNIT])),
+        "buffer_limit": draw(st.sampled_from([1, 2, 3, 5, 10000])),
+        "period": draw(st.sampled_from([10 * UNIT, 30 * UNIT, 100 * UNIT])),
+    }
+    # (gap in units, size, flow, dscp); gap 0 puts arrivals in one nanosecond
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, 30), st.sampled_from(SIZES),
+                  st.integers(0, 3), st.sampled_from([0, 46])),
+        min_size=1, max_size=40,
+    ))
+    cuts = draw(st.lists(st.integers(1, 39), max_size=6))
+    return params, rows, cuts
+
+
+def _check(monkeypatch, params, rows, cuts):
+    cap = params["capacity"]
+    port = EeePortConfig(capacity_bps=cap, t_sleep_ns=params["t_sleep"],
+                         t_wake_ns=params["t_wake"],
+                         buffer_limit=params["buffer_limit"])
+    t = 0
+    pkts = []
+    for seq, (gap, size, flow, dscp) in enumerate(rows):
+        t += gap * UNIT
+        pkts.append((t, size, f"f{flow}", dscp, seq))
+    # long enough for every port to drain, as the oracle always does
+    drain = port.t_sleep_ns + port.t_wake_ns + sum(port.tx_time_ns(p[1]) for p in pkts)
+    config = SimConfig(
+        bundle=BundleConfig(n_ports=params["n_ports"], capacity_bps=cap,
+                            algorithm=Algorithm(params["algorithm"])),
+        port=port,
+        duration_ns=t + drain + 1,
+        sampling_period_ns=params["period"],
+        warmup_ns=0,
+        record_departures=True,
+        record_delay_log=True,
+    )
+    by_kernel, kernel_states = _run(monkeypatch, "kernel", config, _batches(pkts, cuts))
+    by_handlers, handler_states = _run(monkeypatch, "handlers", config,
+                                       _batches(pkts, cuts))
+    _assert_same(by_kernel, by_handlers)
+    assert kernel_states == handler_states
+    by_default, _ = _run(monkeypatch, "auto", config, pkts)
+    _assert_same(by_default, by_handlers)
+    departures, dropped = oracle_simulate(config, pkts)
+    assert by_kernel.departures == departures
+    assert by_kernel.drop_seqs == dropped
+    assert by_kernel.totals["queued_end"] == 0
+
+
+_BASE = {"n_ports": 1, "capacity": TEN_G, "algorithm": "conservative",
+         "t_sleep": 3 * UNIT, "t_wake": 2 * UNIT, "buffer_limit": 10000,
+         "period": 100 * UNIT}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(cases())
+# one port: an arrival exactly at the first frame's end (t = 12), one during
+# the sleep that follows (t = 25, sleep 24..27), one exactly at the end of
+# the next sleep (t = 33: frame 27..29 + wake.. sleep 30..33), batches cut
+# inside the busy periods
+@example(({**_BASE, "t_sleep": 3 * UNIT},
+          [(0, 1500, 0, 0), (12, 125, 0, 0), (13, 125, 0, 0), (8, 125, 0, 0),
+           (0, 250, 1, 0)], [1, 3]))
+# two_queues: a low-latency frame arriving exactly when a low frame ends
+# (t = 12) jumps the low frames queued before it
+@example(({**_BASE, "algorithm": "two_queues", "t_wake": 0},
+          [(0, 1500, 0, 0), (0, 1500, 0, 0), (0, 1500, 0, 0), (12, 125, 1, 46),
+           (0, 250, 1, 46), (1, 1500, 0, 0)], [2, 5]))
+# a three-frame buffer that fills in one nanosecond
+@example(({**_BASE, "buffer_limit": 3},
+          [(0, 1500, 0, 0), (0, 1500, 0, 0), (0, 1500, 0, 0), (0, 1500, 0, 0),
+           (0, 1500, 0, 0), (20, 125, 0, 0)], [3]))
+def test_kernel_matches_handlers_and_oracle(monkeypatch, case):
+    _check(monkeypatch, *case)
+
+
+def _two_queue_config(**port_kw):
+    return SimConfig(
+        bundle=BundleConfig(n_ports=3, capacity_bps=TEN_G,
+                            algorithm=Algorithm.TWO_QUEUES),
+        port=EeePortConfig(capacity_bps=TEN_G, **port_kw),
+        duration_ns=50_000_000,
+        sampling_period_ns=10_000_000,
+        warmup_ns=20_000_000,
+        record_departures=True,
+        track_flows=frozenset({"rt", "bulk0"}),
+    )
+
+
+def _mixed_stream():
+    streams = [cbr_slabs(2_000_000_000, 1500, 0, 40_000_000, flow=f"bulk{i}")
+               for i in range(3)]
+    streams.append(cbr_slabs(50_000_000, 125, 46, 40_000_000, flow="rt"))
+    return merge_slabs(streams)
+
+
+def test_kernel_counts_transitions_like_the_handlers(monkeypatch):
+    config = _two_queue_config()
+    enqueued = []
+    enqueue = EeePort.enqueue
+
+    def counting(self, *args):
+        enqueued.append(args[-1])
+        return enqueue(self, *args)
+
+    monkeypatch.setattr(EeePort, "enqueue", counting)
+    by_kernel, _ = _run(monkeypatch, "kernel", config, _mixed_stream())
+    assert not enqueued  # no arrival could meet the buffer: all in the kernel
+    by_handlers, _ = _run(monkeypatch, "handlers", config, _mixed_stream())
+    assert len(enqueued) == by_handlers.totals["arrived"]
+    _assert_same(by_kernel, by_handlers)
+    wakes, sleeps = zip(*by_kernel.transitions)
+    assert sum(wakes) > 0 and sum(sleeps) > 0
+    # a busy period wakes once and sleeps once when it ends; the last one
+    # may not have ended
+    assert all(s <= w <= s + 1 for w, s in by_kernel.transitions)
+
+
+@pytest.mark.parametrize("t_wake, declined", [
+    (2**62, 0), (2**63 - 10**6, 0), (2**63, 200)])
+def test_times_near_the_int64_limit_match_the_handlers(monkeypatch, t_wake, declined):
+    # The first two wakes keep every time inside int64, just below 2**63 for
+    # the second; with the third the kernel's bound fails, so it declines and
+    # the handlers serve all 200 arrivals with Python ints.
+    config = SimConfig(
+        bundle=BundleConfig(n_ports=2, capacity_bps=TEN_G,
+                            algorithm=Algorithm.TWO_QUEUES),
+        port=EeePortConfig(capacity_bps=TEN_G, t_wake_ns=t_wake, t_sleep_ns=7),
+        duration_ns=2**62 + 10**9,
+        sampling_period_ns=2**60,
+        warmup_ns=0,
+        record_departures=True,
+    )
+    pkts = [Packet(i * 1000, 1500, f"f{i % 3}", 46 * (i % 2), i) for i in range(200)]
+    enqueued = []
+    enqueue = EeePort.enqueue
+
+    def counting(self, *args):
+        enqueued.append(args[-1])
+        return enqueue(self, *args)
+
+    monkeypatch.setattr(EeePort, "enqueue", counting)
+    by_kernel, states = _run(monkeypatch, "kernel", config, pkts)
+    assert len(enqueued) == declined
+    by_handlers, handler_states = _run(monkeypatch, "handlers", config, pkts)
+    _assert_same(by_kernel, by_handlers)
+    assert states == handler_states
+
+
+def test_one_bit_per_second_matches_the_handlers(monkeypatch):
+    # 12,000 s of wire time per 1500 B frame: large, exact ints throughout
+    config = SimConfig(
+        bundle=BundleConfig(n_ports=1, capacity_bps=1,
+                            algorithm=Algorithm.CONSERVATIVE),
+        port=EeePortConfig(capacity_bps=1),
+        duration_ns=10**17,
+        sampling_period_ns=10**16,
+        warmup_ns=0,
+        record_departures=True,
+    )
+    pkts = [Packet(i * 10**12, (64, 1500)[i % 2], "f", 0, i) for i in range(300)]
+    by_kernel, states = _run(monkeypatch, "kernel", config, pkts)
+    by_handlers, handler_states = _run(monkeypatch, "handlers", config, pkts)
+    _assert_same(by_kernel, by_handlers)
+    assert states == handler_states
+    assert by_kernel.totals["delivered"] > 0
+
+
+def test_kernel_rejects_arrivals_out_of_order():
+    port = EeePort(0, EeePortConfig(capacity_bps=TEN_G))
+    cols = [np.array(x, dtype=np.int64) for x in ([5, 3], [100, 100])]
+    flows = np.array(["a", "a"], dtype=object)
+    other = [np.zeros(2, dtype=np.int64)] * 3
+    with pytest.raises(SimulationFault, match="not time-ordered"):
+        port.serve(*cols, flows, *other, np.zeros(2, dtype=bool))
+
+
+def test_delay_stats_do_not_depend_on_sample_order():
+    rng = random.Random(8)
+    samples = [rng.randrange(10**7) for _ in range(50_001)]
+    stats = _delay_stats(samples)
+    for _ in range(5):
+        rng.shuffle(samples)
+        assert _delay_stats(samples) == stats
+    assert stats["mean_us"] == sum(samples) / len(samples) / 1000
+
+
+def test_default_path_serves_the_fixed_stream_like_the_handlers(monkeypatch):
+    config = _two_queue_config(buffer_limit=40)
+    pkts = list(packets(_mixed_stream()))
+    by_default, states = _run(monkeypatch, "auto", config, iter(pkts))
+    by_handlers, handler_states = _run(monkeypatch, "handlers", config, iter(pkts))
+    _assert_same(by_default, by_handlers)
+    assert states == handler_states

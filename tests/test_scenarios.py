@@ -16,17 +16,17 @@ from eeesim.scenarios import (
     qos_sweep_scenario,
     run_sweep,
 )
-from eeesim.traffic import bursty_slabs, frames_slabs, merge_slabs
+from eeesim.traffic import bursty_slabs, frames_slabs, merge_slabs, packets
 
 
 def frames_pkts(*args, **kwargs):
     """Packet tuples of one frames source."""
-    return list(merge_slabs([frames_slabs(*args, **kwargs)]))
+    return list(packets(merge_slabs([frames_slabs(*args, **kwargs)])))
 
 
 def bursty_pkts(*args, **kwargs):
     """Packet tuples of one bursty source."""
-    return list(merge_slabs([bursty_slabs(*args, **kwargs)]))
+    return list(packets(merge_slabs([bursty_slabs(*args, **kwargs)])))
 
 
 def test_frames_low_rate_is_plain_cbr():
@@ -177,6 +177,6 @@ def test_run_sweep_row_order_is_sweep_order(monkeypatch):
     assert len(csv_text.splitlines()) == 5
     cfg = build_sim_config(scenario, "conservative")
     assert cfg.bundle.n_ports == 2
-    stream = list(build_stream(scenario, jobs[0][1]))
-    # build_stream yields plain (arrival_time, size, flow, dscp, seq) tuples
+    stream = list(packets(build_stream(scenario, jobs[0][1])))
+    # build_stream yields batches of plain (arrival_time, size, flow, dscp, seq) tuples
     assert stream and all(a[0] <= b[0] for a, b in zip(stream, stream[1:]))

@@ -20,7 +20,7 @@ from eeesim import (
     write_trace,
 )
 from eeesim.traffic import (
-    Slab, _scale_col, _scale_factor, cbr_slabs, merge_slabs, trace_slabs,
+    Slab, _scale_col, _scale_factor, cbr_slabs, merge_slabs, packets, trace_slabs,
 )
 
 RSEED = 1869
@@ -47,14 +47,14 @@ def _write(tmp_path, text, name="trace.csv"):
 
 def _cbr(*args, **kwargs):
     """Packet tuples of one CBR source."""
-    return list(merge_slabs([cbr_slabs(*args, **kwargs)]))
+    return list(packets(merge_slabs([cbr_slabs(*args, **kwargs)])))
 
 
 def _scaled(tmp_path, pkts, factor):
     """Packet tuples of ``pkts``, written as a trace and read back scaled."""
     path = tmp_path / "unscaled.csv"
     write_trace(path, pkts)
-    return list(merge_slabs([trace_slabs(path, factor)]))
+    return list(packets(merge_slabs([trace_slabs(path, factor)])))
 
 
 def _scale_times(times, factor):
@@ -70,7 +70,7 @@ def _merge(streams):
         return [Slab(np.array(t, dtype=np.int64), np.array(size, dtype=np.int64),
                      np.array(flow, dtype=object), np.array(dscp, dtype=np.int64))]
 
-    return list(merge_slabs([slabs(s) for s in streams]))
+    return list(packets(merge_slabs([slabs(s) for s in streams])))
 
 
 # -- read_trace --------------------------------------------------------------
