@@ -124,32 +124,24 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_gen(args) -> int:
-    source = cbr_slabs(
-        parse_rate(args.rate),
-        args.size,
-        args.dscp,
-        parse_time(args.duration),
-        start_offset_ns=parse_time(args.offset),
-        flow=args.flow,
-    )
-    count = write_trace(args.out, packets(merge_slabs([source])))
-    print(f"{args.out}: {count} packets")
+def _write_merged(out, sources) -> int:
+    """Write the merge of slab ``sources`` to the trace file ``out``."""
+    print(f"{out}: {write_trace(out, packets(merge_slabs(sources)))} packets")
     return 0
+
+
+def _cmd_gen(args) -> int:
+    return _write_merged(args.out, [cbr_slabs(
+        parse_rate(args.rate), args.size, args.dscp, parse_time(args.duration),
+        start_offset_ns=parse_time(args.offset), flow=args.flow)])
 
 
 def _cmd_scale(args) -> int:
-    count = write_trace(args.out,
-                        packets(merge_slabs([trace_slabs(args.input, args.factor)])))
-    print(f"{args.out}: {count} packets")
-    return 0
+    return _write_merged(args.out, [trace_slabs(args.input, args.factor)])
 
 
 def _cmd_merge(args) -> int:
-    count = write_trace(args.out,
-                        packets(merge_slabs([trace_slabs(p) for p in args.inputs])))
-    print(f"{args.out}: {count} packets")
-    return 0
+    return _write_merged(args.out, [trace_slabs(p) for p in args.inputs])
 
 
 def _cmd_mininet(args) -> int:

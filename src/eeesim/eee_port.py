@@ -1,6 +1,6 @@
 """One IEEE 802.3az port: sleep/wake state machine, dual priority queues.
 
-The port is a single-owner state machine: only the engine's loop mutates
+The port is a single-owner state machine: only its owner's calls mutate
 it, so there is no locking. State changes happen at integer-nanosecond
 instants and every transition is accounted so that state residence times
 over any window sum to the window length.
@@ -21,28 +21,30 @@ queue only if the high queue is empty. Both queues share one buffer of
 
 Every state except ``LPI`` ends at a time the port already knows,
 ``next_at``; nothing outside the port can change it. The port therefore
-runs lazily, on one of two paths that leave it in the same state:
+runs lazily: :meth:`EeePort.serve` takes a time-ordered run of arrivals
+and :meth:`EeePort.drain` fires what is due before the end of the run.
+``serve`` takes each run on one of two paths, which leave the port in the
+same state and give the same completions and drops, in another order:
 
-* the handlers: its owner fires the transitions due before an arrival, one
-  ``on_*`` handler call each, before it hands the port that arrival with
-  :meth:`EeePort.enqueue`;
-* the busy-period kernel, :meth:`EeePort.serve`, which takes a time-ordered
-  run of arrivals as int64 arrays. With ``c`` the end of the previous
-  frame, a frame that arrives at ``a <= c`` starts at ``c``; otherwise the
-  port sleeps at ``c`` and the frame starts at ``max(a, c + t_sleep) +
-  t_wake``. Inside a busy period ends follow the prefix sums ``P`` of wire
-  times, so a period can end only where ``a_i - P_{i-1}`` sets a strict
-  running-max record, and one Python step per record finds every period.
-  Under strict priority a period holding both queues is re-ordered with one
-  step per high frame and one ``bisect`` per run of low frames. It fires
-  every timed transition before the run's last arrival and every wake that
-  an arrival at or before it triggers. The kernel declines (returns None)
-  where an arrival could be tail-dropped or a time could leave the int64
-  range; the handlers serve those arrivals.
+* the busy-period kernel, :meth:`EeePort._kernel`, on int64 arrays. With
+  ``c`` the end of the previous frame, a frame arriving at ``a <= c``
+  starts at ``c``, otherwise at ``max(a, c + t_sleep) + t_wake``. With
+  ``P`` the prefix sums of wire times, a busy period can end only where
+  ``a_i - P_{i-1}`` sets a strict running-max record, and one Python step
+  per record finds every period. A period holding both queues is
+  re-ordered by strict priority: one step per high frame, one ``bisect``
+  per run of low frames;
+* the handlers: per arrival, each transition due before it fires with one
+  ``on_*`` call, then :meth:`EeePort.enqueue` takes it.
 
-Each path accounts residence and counts the wake and sleep transitions it
-enters: the handlers one state change at a time in
-:meth:`EeePort._set_state`, the kernel a run of them at once.
+The kernel takes a run unless the port's backlog outnumbers it (turning a
+long backlog into arrays and back costs more than the kernel saves), or it
+declines: an arrival could meet a full buffer, or a time could leave the
+int64 range. The handlers take the rest. ``_PATH`` can force one path.
+
+Residence and the wake and sleep counts are accounted in one place,
+:meth:`EeePort._enter`: a run of states at once for the kernel, one state
+at a time for the handlers (:meth:`EeePort._set_state`).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import compress
+from itertools import compress, count
 
 import numpy as np
 
@@ -80,11 +82,15 @@ class Queue(IntEnum):
 
 ACTIVE, LPI, SLEEP_TRANS, WAKE_TRANS = PortState
 HIGH = Queue.HIGH
+_QUEUE_OF = (Queue.LOW, HIGH)  # by the high-queue flag
 _INF = float("inf")
 _I64_MAX = 2**63 - 1
 #: the states a busy period passes through, in order, from the sleep after
 #: the previous frame to its first frame's start
 _PERIOD_STATES = np.array([SLEEP_TRANS, LPI, WAKE_TRANS, ACTIVE])
+#: "auto" applies the path rule above; "kernel" and "handlers" force one path
+#: (the kernel still declines where it would not be exact)
+_PATH = "auto"
 
 
 @dataclass(slots=True)
@@ -166,7 +172,7 @@ class EeePort:
         self.clock = 0
         self.residence_ns = [0] * len(PortState)
         self.win_start, end = window
-        self.win_end = _INF if end is None else end
+        self.win_end = _I64_MAX if end is None else end
         self.wakes = self.sleeps = 0
         self._limit = cfg.buffer_limit
         self._wire_ns = _WireTimes(cfg)
@@ -175,20 +181,13 @@ class EeePort:
     def occupancy(self) -> int:
         return len(self.high) + len(self.low)
 
-    def _accrue(self, now: int) -> None:
-        lo = self.state_since if self.state_since > self.win_start else self.win_start
-        hi = now if now < self.win_end else self.win_end
-        if hi > lo:
-            self.residence_ns[self.state] += hi - lo
+    @property
+    def held(self) -> int:  # frames queued or on the wire
+        return len(self.high) + len(self.low) + (self.tx_packet is not None)
 
     def _set_state(self, new: PortState, now: int) -> None:
-        self._accrue(now)
-        if new is WAKE_TRANS:
-            self.wakes += 1
-        elif new is SLEEP_TRANS:
-            self.sleeps += 1
-        self.state = new
-        self.state_since = now
+        """Enter ``new`` at ``now``: the handlers' one state change."""
+        self._enter(np.array([now]), np.array([new]))
 
     def enqueue(self, pkt, queue: Queue, cls: int, now: int):
         """Accept or tail-drop an arriving frame.
@@ -268,7 +267,7 @@ class EeePort:
         self.next_at = now + self._wire_ns[pkt[1]]
 
     def serve(self, t, size, flow, dscp, seq, ci, high):
-        """Take a time-ordered run of arrivals in bulk: the busy-period kernel.
+        """Take a time-ordered run of arrivals: the port's one entry point.
 
         The arguments are the arrivals' columns: int64 ``t``, ``size``,
         ``dscp``, ``seq`` and class index ``ci``, object ``flow``, and bool
@@ -277,14 +276,52 @@ class EeePort:
         transitions due before it: every timed transition before ``H`` and
         every arrival-triggered wake at or before ``H`` is fired.
 
-        Returns ``(frames, start, end, done)``: ``frames`` holds the columns
-        ``(t, size, flow, dscp, seq, ci)`` of the frame in flight and the
-        queued frames the port held, then of the arrivals; ``start`` and
-        ``end`` are their wire times and ``done`` indexes the frames that
-        completed before ``H``. Returns None, and changes nothing, if an
-        arrival could meet a full buffer or a time could leave the int64
-        range; the caller then serves these arrivals with the handlers.
+        Returns ``(frames, start, end, done, dropped)``: ``frames`` holds
+        the columns ``(t, size, flow, dscp, seq, ci)`` of frames the run
+        touched, ``start`` and ``end`` their wire times, ``done`` indexes
+        the frames that completed before ``H`` and ``dropped`` the arrivals
+        that were tail-dropped.
         """
+        if _PATH == "kernel" or _PATH == "auto" and self.occupancy <= len(t):
+            served = self._kernel(t, size, flow, dscp, seq, ci, high)
+            if served is not None:
+                return (*served, np.empty(0, dtype=np.int64))
+        finished, dropped = [], []
+        arrivals = zip(*(col.tolist() for col in (t, size, flow, dscp, seq)))
+        queues = map(_QUEUE_OF.__getitem__, high.tolist())
+        for i, pkt, queue, c in zip(count(), arrivals, queues, ci.tolist()):
+            now = pkt[0]
+            if self.next_at < now:  # same-instant arrivals precede completions
+                self._fire(now, finished)
+            if not self.enqueue(pkt, queue, c, now)[0]:
+                dropped.append(i)
+        return (*_completions(finished), np.array(dropped, dtype=np.int64))
+
+    def drain(self, horizon):
+        """Fire the transitions due before ``horizon``; returns the frames
+        finished as :meth:`serve` does, without ``dropped``."""
+        finished = []
+        self._fire(horizon, finished)
+        return _completions(finished)
+
+    def _fire(self, horizon, finished: list) -> None:
+        """:meth:`drain` that extends ``finished`` by the fields of each frame
+        finished: ``t, size, flow, dscp, seq, class, delay, tx_start``."""
+        while self.next_at < horizon:
+            now = self.next_at
+            state = self.state
+            if state is ACTIVE:
+                pkt, cls, delay, started = self.on_tx_complete(now)
+                finished += pkt
+                finished += cls, delay, started
+            elif state is SLEEP_TRANS:
+                self.on_sleep_complete(now)
+            else:
+                self.on_wake_complete(now)
+
+    def _kernel(self, t, size, flow, dscp, seq, ci, high):
+        """:meth:`serve` on whole busy periods, without ``dropped``; None, changing
+        nothing, where not exact. ``frames`` lead with the frames held before."""
         n = len(t)
         last = int(t[-1])
         if int(t[0]) < self.clock or (t[1:] < t[:-1]).any():
@@ -429,20 +466,21 @@ class EeePort:
         return (t, size, flow, dscp, seq, ci), start, end, done
 
     def _enter(self, times, states) -> None:
-        """Enter ``states`` at ``times``, in order, as :meth:`_set_state` would."""
+        """Enter ``states`` at ``times``, in order: account the residence of
+        each state left, count the wakes and sleeps entered. Re-entering the
+        state the port is in (as :meth:`finalize` does) is no transition."""
         if not len(times):
             return
         since = np.concatenate(([self.state_since], times[:-1]))
         was = np.concatenate(([self.state], states[:-1]))
-        win_end = self.win_end if self.win_end < _I64_MAX else _I64_MAX
-        spent = (np.minimum(times, win_end)
-                 - np.maximum(since, min(self.win_start, _I64_MAX)))
+        spent = np.minimum(times, self.win_end) - np.maximum(since, self.win_start)
         residence = np.zeros(len(PortState), dtype=np.int64)
         np.add.at(residence, was, np.maximum(spent, 0))
         for state, ns in enumerate(residence.tolist()):
             self.residence_ns[state] += ns
-        self.wakes += int(np.count_nonzero(states == WAKE_TRANS))
-        self.sleeps += int(np.count_nonzero(states == SLEEP_TRANS))
+        entered = states[states != was]
+        self.wakes += int(np.count_nonzero(entered == WAKE_TRANS))
+        self.sleeps += int(np.count_nonzero(entered == SLEEP_TRANS))
         self.state = PortState(int(states[-1]))
         self.state_since = int(times[-1])
 
@@ -506,5 +544,15 @@ class EeePort:
 
     def finalize(self, end: int) -> None:
         """Close the accounting at the end of the measured run."""
-        self._accrue(end)
-        self.state_since = end
+        self._enter(np.array([end]), np.array([self.state]))
+
+
+def _completions(finished):
+    """The fields of finished frames, as :meth:`EeePort._fire` lists them, as
+    ``(frames, start, end, done)`` of the kernel."""
+    # flat, with no object per frame: records kept alive kept the GC busy
+    n = len(finished) // 8
+    t, size, dscp, seq, ci, delay, start = (np.fromiter(finished[k::8], np.int64, n)
+                                            for k in (0, 1, 3, 4, 5, 6, 7))
+    flow = _objects(finished[2::8])
+    return (t, size, flow, dscp, seq, ci), start, t + delay, np.arange(len(t))

@@ -13,19 +13,10 @@ flow codes, numbered afresh each interval, and are routed through a route
 array over them: :meth:`FlowTable.dispatch` is called once per new (flow,
 interval), in first-seen order, and the other arrivals' bytes are added to
 the flow counters with an int64 ``np.add.at``. The segment is then grouped
-by port, stably, and each port takes its share in one of two ways:
-
-* the busy-period kernel, :meth:`EeePort.serve`, which serves whole busy
-  periods in numpy and leaves the port as the handlers would after the
-  segment's last arrival;
-* the handlers: per arrival, the port's due transitions fire one ``on_*``
-  call each, then :meth:`EeePort.enqueue` takes it.
-
-The handlers keep a port's share when the port's backlog outnumbers it, or
-when the kernel declines: an arrival could meet a full buffer, or a time
-could leave the int64 range. Both paths give the same departures, drops,
-residence and transition counts; only the order of delay samples and
-``delay_log`` rows differs, and no statistic depends on it.
+by port, stably, and each port takes its share :data:`SLAB_PKTS` arrivals
+at a time through :meth:`EeePort.serve`; :mod:`eeesim.eee_port` says which
+of its two paths serves them. The paths differ only in the order of delay
+samples and ``delay_log`` rows, and no statistic depends on it.
 
 Events at the same nanosecond keep a fixed order on both paths: control
 epochs first (a plan takes effect at exactly t = nT), then arrivals in
@@ -51,7 +42,7 @@ from .allocation import (
     estimate_rates,
     initial_plan,
 )
-from .eee_port import ACTIVE, SLEEP_TRANS, EeePort, EeePortConfig, PortState, Queue
+from .eee_port import EeePort, EeePortConfig, PortState, Queue
 from .errors import ConfigError, SimulationFault
 from .traffic import DEFAULT_LL_DSCPS, SLAB_PKTS, TrafficClass, batches
 
@@ -80,8 +71,8 @@ class SimConfig:
         self.port.validate()
         if self.sampling_period_ns <= 0:
             raise ConfigError("sampling period must be positive")
-        if self.duration_ns <= 0:
-            raise ConfigError("duration must be positive")
+        if not 0 < self.duration_ns < 2**63:  # port times are int64
+            raise ConfigError("duration must be positive and below 2**63 ns")
         if not 0 <= self.resolved_warmup() < self.duration_ns:
             raise ConfigError("warmup must satisfy 0 <= warmup < duration")
 
@@ -186,10 +177,10 @@ class MetricsReport:
     ``energy_by_state_ns`` holds exact integer residence times summed over
     ports, so energy comparisons between runs can be made bit-exactly.
     ``delay_log`` rows ``(flow, arrival, delay, tx_start, size)`` come in no
-    fixed order: each port adds its rows as it catches up, and the busy-period
-    kernel adds a segment's rows at once. ``transitions`` holds each port's
-    ``(wakes, sleeps)``, the wake and sleep transitions it entered over the
-    whole run; like the departures it is not part of the report bytes.
+    fixed order: each port adds them a run of arrivals at a time.
+    ``transitions`` holds each port's ``(wakes, sleeps)``, the wake and sleep
+    transitions it entered over the whole run; like the departures it is not
+    part of the report bytes.
     """
 
     algorithm: str
@@ -317,20 +308,6 @@ class _Tally:
         self.drops_w = [0, 0]
         self.delivered = self.dropped = 0
 
-    def frame(self, pkt, ci, delay, started) -> None:
-        """One frame finished by :meth:`EeePort.on_tx_complete`."""
-        self.delivered += 1
-        arrival = pkt[0]
-        if arrival >= self.warmup:
-            self.delays[ci].append(delay)
-            flow = pkt[2]
-            if flow in self.tracked:
-                self.tracked[flow].append(delay)
-            if self.delay_log is not None:
-                self.delay_log.append((flow, arrival, delay, started, pkt[1]))
-        if self.departures is not None:
-            self.departures[pkt[4]] = arrival + delay
-
     def frames(self, frames, start, end, done) -> None:
         """The frames ``done`` of a return of :meth:`EeePort.serve`."""
         t, size, flow, _, seq, ci = frames
@@ -353,64 +330,19 @@ class _Tally:
                                       delay.tolist(), start[done].tolist(),
                                       size[done].tolist()))
 
-    def drop(self, pkt, ci) -> None:
-        self.dropped += 1
-        if pkt[0] >= self.warmup:
-            self.drops_w[ci] += 1
+    def drops(self, run, dropped) -> None:
+        """The arrivals ``dropped`` of the ``run`` handed to :meth:`EeePort.serve`."""
+        t, _, _, _, seq, ci, _ = run
+        self.dropped += len(dropped)
+        late = ci[dropped][t[dropped] >= self.warmup]
+        for c, n in enumerate(np.bincount(late, minlength=2).tolist()):
+            self.drops_w[c] += n
         if self.drop_seqs is not None:
-            self.drop_seqs.add(pkt[4])
+            self.drop_seqs.update(seq[dropped].tolist())
 
-
-#: Which path serves a port's arrivals of one segment: "auto" applies the
-#: rule in :func:`_serve_port`; "kernel" and "handlers" force one path
-#: (the kernel still declines where it would not be exact).
-_PATH = "auto"
-
-_QUEUE_OF = (Queue.LOW, Queue.HIGH)  # by the high-queue flag
 
 #: most arrivals routed at once; bounds the per-arrival arrays of a segment
 _SEGMENT_PKTS = 2 * SLAB_PKTS
-
-
-def _drain(port: EeePort, horizon, tally: _Tally) -> None:
-    """Fire the port's transitions due before ``horizon``, in order."""
-    while port.next_at < horizon:
-        now = port.next_at
-        state = port.state
-        if state is ACTIVE:
-            tally.frame(*port.on_tx_complete(now))
-        elif state is SLEEP_TRANS:
-            port.on_sleep_complete(now)
-        else:
-            port.on_wake_complete(now)
-
-
-def _serve_port(port: EeePort, seg: tuple, idx, tally: _Tally) -> None:
-    """Hand ``port`` the arrivals ``idx`` of one segment, whose columns are
-    ``seg`` = ``(t, size, flow, dscp, seq, ci, high)``.
-
-    They go :data:`SLAB_PKTS` at a time, which bounds the arrays copied.
-    The busy-period kernel takes each run unless the port's backlog
-    outnumbers it (turning a long backlog into arrays and back costs more
-    than the kernel saves) or it declines; the handlers take the rest.
-    """
-    for lo in range(0, len(idx), SLAB_PKTS):
-        take = idx[lo:lo + SLAB_PKTS]
-        run = [col[take] for col in seg]
-        if _PATH == "kernel" or _PATH == "auto" and port.occupancy <= len(run[0]):
-            served = port.serve(*run)
-            if served is not None:
-                tally.frames(*served)
-                continue
-        t, size, flow, dscp, seq, ci, high = run
-        for pkt, queue, c in zip(zip(t.tolist(), size.tolist(), flow.tolist(),
-                                     dscp.tolist(), seq.tolist()),
-                                 map(_QUEUE_OF.__getitem__, high.tolist()), ci.tolist()):
-            now = pkt[0]
-            if port.next_at < now:  # same-instant arrivals precede completions
-                _drain(port, now, tally)
-            if not port.enqueue(pkt, queue, c, now)[0]:
-                tally.drop(pkt, c)
 
 
 def run(config: SimConfig, stream) -> MetricsReport:
@@ -507,8 +439,13 @@ def run(config: SimConfig, stream) -> MetricsReport:
         order = np.argsort(on_port, kind="stable")
         b = 0
         for port, e in zip(ports, np.cumsum(np.bincount(on_port, minlength=n_ports))):
-            if e > b:
-                _serve_port(port, seg, order[b:e], tally)
+            # SLAB_PKTS at a time, which bounds the arrays copied
+            for lo in range(b, e, SLAB_PKTS):
+                run = [col[order[lo:min(lo + SLAB_PKTS, e)]] for col in seg]
+                *served, dropped = port.serve(*run)
+                tally.frames(*served)
+                if len(dropped):
+                    tally.drops(run, dropped)
             b = e
 
     next_epoch = period if period < duration else _INF
@@ -541,14 +478,14 @@ def run(config: SimConfig, stream) -> MetricsReport:
     while next_epoch < duration:
         next_epoch = fire_epoch(next_epoch)
     for port in ports:
-        _drain(port, duration, tally)
+        tally.frames(*port.drain(duration))
         port.finalize(duration)
     lo = ap_last if ap_last > warmup else warmup
     if duration > lo:
         ap_acc += ap_k * (duration - lo)
 
     measured_ns = duration - warmup
-    queued_end = sum(p.occupancy + (p.tx_packet is not None) for p in ports)
+    queued_end = sum(p.held for p in ports)
     delivered_total, dropped_total = tally.delivered, tally.dropped
     if arrived_total != delivered_total + dropped_total + queued_end:
         raise SimulationFault(

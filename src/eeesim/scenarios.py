@@ -62,6 +62,12 @@ _SIM_DEFAULTS = {
 }
 _SIM_INTS = ("n_ports", "capacity_bps", "t_sleep_ns", "t_wake_ns", "buffer_limit",
              "sampling_period_ns", "warmup_ns", "duration_ns")
+_LISTS = ("sources", "algorithms", "ll_rates_bps", "normal_rates_bps")
+#: the fields each source kind needs, and the integer fields a source may have
+_SOURCE_NEEDS = {"trace": ("path",), **dict.fromkeys(
+    ("cbr", "frames", "bursty"), ("flow", "size", "dscp", "rate_bps"))}
+_SOURCE_INTS = ("size", "dscp", "rate_bps", "offset_ns", "line_rate_bps",
+                "burst_pkts", "pkts_per_frame")
 
 
 def _exact_int(name, value) -> int:
@@ -74,6 +80,10 @@ def _exact_int(name, value) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _src_int(src: dict, key, default=None) -> int:
+    return _exact_int(key, src.get(key, default))
 
 
 @dataclass
@@ -90,20 +100,36 @@ class Scenario:
     output_dir: str | None = None
 
     def validate(self) -> None:
+        lists = {key: getattr(self, key) for key in _LISTS}
+        for key in ("ll_dscps", "track_flows"):
+            lists[f"sim.{key}"] = self.sim_value(key)
+        for key, value in lists.items():
+            if not isinstance(value, list):
+                raise ConfigError(f"{key} must be a list, got {value!r}")
         if not self.sources and self.ll_source is None:
             raise ConfigError(f"scenario {self.name!r} has no traffic sources")
         if not self.algorithms:
             raise ConfigError(f"scenario {self.name!r} lists no algorithms")
         for alg in self.algorithms:
-            Algorithm(alg)
+            if alg not in [a.value for a in Algorithm]:
+                raise ConfigError(f"algorithms: unknown algorithm {alg!r}")
         if self.ll_rates_bps and self.ll_source is None:
             raise ConfigError("ll_rates_bps sweep needs an ll_source template")
         if self.ll_rates_bps and self.normal_rates_bps:
             raise ConfigError("only one sweep axis is supported per scenario")
-        for src in list(self.sources) + ([self.ll_source] if self.ll_source else []):
-            kind = src.get("kind")
-            if kind not in ("cbr", "frames", "bursty", "trace"):
-                raise ConfigError(f"unknown source kind {kind!r}")
+        sources = [(f"sources[{i}]", src) for i, src in enumerate(self.sources)]
+        sources += [("ll_source", self.ll_source)] * (self.ll_source is not None)
+        for name, src in sources:
+            kind = src.get("kind") if isinstance(src, dict) else None
+            if type(kind) is not str or kind not in _SOURCE_NEEDS:
+                raise ConfigError(f"{name}: unknown source kind {kind!r}")
+            swept = name == "ll_source" and self.ll_rates_bps  # rate from the sweep
+            for key in _SOURCE_NEEDS[kind]:
+                if key not in src and not (swept and key == "rate_bps"):
+                    raise ConfigError(f"{name} ({kind}) needs field {key!r}")
+            for key in _SOURCE_INTS:
+                if src.get(key) is not None:
+                    _exact_int(f"{name}.{key}", src[key])
         unknown = set(self.sim) - set(_SIM_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown sim fields: {sorted(unknown)}")
@@ -111,6 +137,11 @@ class Scenario:
             self.sim_int(key)
         for dscp in self.sim_value("ll_dscps"):
             _exact_int("sim.ll_dscps", dscp)
+        for key in ("bound_fraction", "p_active", "p_lpi"):
+            try:
+                float(self.sim_value(key))
+            except (TypeError, ValueError):
+                raise ConfigError(f"sim.{key} must be a number") from None
 
     def sim_value(self, key):
         return self.sim.get(key, _SIM_DEFAULTS[key])
@@ -123,21 +154,21 @@ class Scenario:
         return _exact_int(f"sim.{key}", value)
 
     def base_normal_rate_bps(self) -> int:
-        return sum(int(src.get("rate_bps", 0)) for src in self.sources)
+        return sum(_src_int(src, "rate_bps", 0) for src in self.sources)
 
     def sweep_points(self) -> list:
         base = self.base_normal_rate_bps()
         if self.ll_rates_bps:
             return [
-                {"ll_rate_bps": int(r), "normal_rate_bps": base}
+                {"ll_rate_bps": _exact_int("ll_rates_bps", r), "normal_rate_bps": base}
                 for r in self.ll_rates_bps
             ]
         if self.normal_rates_bps:
             return [
-                {"ll_rate_bps": 0, "normal_rate_bps": int(r)}
+                {"ll_rate_bps": 0, "normal_rate_bps": _exact_int("normal_rates_bps", r)}
                 for r in self.normal_rates_bps
             ]
-        ll = int(self.ll_source["rate_bps"]) if self.ll_source else 0
+        ll = _src_int(self.ll_source, "rate_bps") if self.ll_source else 0
         return [{"ll_rate_bps": ll, "normal_rate_bps": base}]
 
     def to_json_dict(self) -> dict:
@@ -163,12 +194,9 @@ class Scenario:
             scenario = cls(
                 name=data["name"],
                 sim=dict(data.get("sim", {})),
-                sources=list(data.get("sources", [])),
-                algorithms=list(data.get("algorithms", [])),
                 ll_source=data.get("ll_source"),
-                ll_rates_bps=list(data.get("ll_rates_bps", [])),
-                normal_rates_bps=list(data.get("normal_rates_bps", [])),
                 output_dir=data.get("output_dir"),
+                **{key: data.get(key, []) for key in _LISTS},
             )
         except KeyError as exc:
             raise ConfigError(f"scenario is missing field {exc}") from None
@@ -207,30 +235,23 @@ def _materialize(src: dict, scenario: Scenario, scale_factor=Fraction(1)):
     kind = src["kind"]
     if kind == "trace":
         return trace_slabs(src["path"], Fraction(src.get("scale", 1)) * scale_factor)
-    size = int(src["size"])
-    dscp = int(src["dscp"])
+    size, dscp = _src_int(src, "size"), _src_int(src, "dscp")
     flow = str(src["flow"])
-    rate = round(int(src["rate_bps"]) * scale_factor)
+    rate = round(_src_int(src, "rate_bps") * scale_factor)
+    offset = _src_int(src, "offset_ns", 0)
+    line_rate = _src_int(src, "line_rate_bps", scenario.sim_int("capacity_bps"))
     if kind == "cbr":
-        return cbr_slabs(rate, size, dscp, duration,
-                         int(src.get("offset_ns", 0)), flow)
+        return cbr_slabs(rate, size, dscp, duration, offset, flow)
     if kind == "frames":
-        return frames_slabs(rate, size, dscp, duration,
-                            int(src.get("line_rate_bps",
-                                        scenario.sim_int("capacity_bps"))),
-                            int(src.get("offset_ns", 0)), flow,
+        return frames_slabs(rate, size, dscp, duration, line_rate, offset, flow,
                             src.get("pkts_per_frame"))
     if kind == "bursty":
         window = scenario.sim_int("sampling_period_ns")
         ppw = _round_div(rate * window, size * 8 * 10**9)
         if ppw < 1:
             raise ConfigError(f"source {flow!r}: rate too low for one packet per window")
-        target = int(src.get("burst_pkts", 500))
-        bursts = max(1, round(Fraction(ppw, target)))
-        return bursty_slabs(ppw, size, dscp, window, bursts,
-                            int(src.get("line_rate_bps",
-                                        scenario.sim_int("capacity_bps"))),
-                            duration, flow)
+        bursts = max(1, round(Fraction(ppw, _src_int(src, "burst_pkts", 500))))
+        return bursty_slabs(ppw, size, dscp, window, bursts, line_rate, duration, flow)
     raise ConfigError(f"unknown source kind {kind!r}")
 
 

@@ -469,3 +469,27 @@ def test_scale_in_place_matches_scale_to_another_file(tmp_path, capsys):
     assert main(["scale", str(trace), "--factor", "2", "--out", str(trace)]) == 0
     assert trace.read_bytes() == other.read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "y.csv"]
+
+
+_CBR = {"kind": "cbr", "flow": "bulk", "dscp": 0, "rate_bps": 50_000_000}
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    ({"sources": [_CBR]}, [], "sources[0] (cbr) needs field 'size'"),
+    ({"sources": [{**_CBR, "size": "big"}]}, [], "sources[0].size must be an integer"),
+    ({"sources": [{"kind": "trace"}]}, [], "sources[0] (trace) needs field 'path'"),
+    ({}, ["--set", "sim.ll_dscps=46"], "sim.ll_dscps must be a list"),
+    ({}, ["--set", "sources=5"], "sources must be a list"),
+    ({}, ["--set", 'sim.bound_fraction="x"'], "sim.bound_fraction must be a number"),
+    ({}, ["--set", 'algorithms="two_queues"'], "algorithms must be a list"),
+    ({}, ["--set", 'algorithms=["nope"]'], "unknown algorithm 'nope'"),
+    ({}, ["--set", 'sim.track_flows="probe-ll"'], "sim.track_flows must be a list"),
+], ids=["no-size", "size-big", "trace-no-path", "ll-dscps-int", "sources-int",
+        "bound-fraction-str", "algorithms-str", "algorithm-unknown", "track-flows-str"])
+def test_run_bad_scenario_field_exits_2(tmp_path, capsys, doc, argv, message):
+    path = _tiny_scenario(tmp_path, **doc)
+    out = tmp_path / "out"
+    assert _exit_code(["run", str(path), *argv, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()

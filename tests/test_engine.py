@@ -19,7 +19,7 @@ from eeesim import (
     oracle_simulate,
     run,
 )
-from eeesim import engine
+from eeesim import eee_port
 from eeesim.allocation import FlowEstimate
 from eeesim.eee_port import EeePort, PortState
 from eeesim.engine import FlowTable
@@ -314,7 +314,7 @@ def test_class_level_handler_wrappers_see_every_call(monkeypatch, algorithm):
 
     monkeypatch.setattr(EeePort, "_set_state", tally_state)
     monkeypatch.setattr(FlowTable, "dispatch", log_dispatch)
-    monkeypatch.setattr(engine, "_PATH", "handlers")
+    monkeypatch.setattr(eee_port, "_PATH", "handlers")
     wrapped = run(config, iter(pkts))
 
     assert wrapped.to_json() == plain.to_json()
@@ -383,7 +383,7 @@ def _lose_third_frame(monkeypatch):
         return result
 
     monkeypatch.setattr(EeePort, "enqueue", lossy)
-    monkeypatch.setattr(engine, "_PATH", "handlers")
+    monkeypatch.setattr(eee_port, "_PATH", "handlers")
 
 
 def _skip_final_accounting(monkeypatch):
@@ -405,6 +405,13 @@ def test_invalid_window_rejected():
     config = make_config()
     config.warmup_ns = config.duration_ns
     with pytest.raises(ConfigError):
+        run(config, [])
+
+
+def test_duration_beyond_int64_rejected():
+    config = make_config()
+    config.duration_ns = 2**63
+    with pytest.raises(ConfigError, match="below 2"):
         run(config, [])
 
 

@@ -1,11 +1,12 @@
 """Busy-period kernel against the handler path and the oracle.
 
-``engine._PATH`` picks how the engine serves each port's arrivals of one
-segment; these tests force the kernel (``"kernel"``, which still declines
+``eee_port._PATH`` picks how :meth:`EeePort.serve` serves each run of
+arrivals; these tests force the kernel (``"kernel"``, which still declines
 where a drop or an int64 overflow could occur) or the handlers
 (``"handlers"``) and require the same reports, departures, drops and port
-states. Every time is a multiple of ``UNIT``, so arrivals often fall exactly
-on a transmit, sleep or wake completion or on an epoch.
+states after every ``serve`` call. Every time is a multiple of ``UNIT``, so
+arrivals often fall exactly on a transmit, sleep or wake completion or on
+an epoch.
 """
 
 import random
@@ -22,7 +23,7 @@ from eeesim import (
     Packet,
     SimConfig,
     SimulationFault,
-    engine,
+    eee_port,
     oracle_simulate,
     run,
 )
@@ -60,19 +61,29 @@ def _batches(pkts, cuts):
 
 
 def _run(monkeypatch, path, config, stream):
-    """Report of ``run`` on ``path`` and the port states after each segment."""
+    """Report of ``run`` on ``path``, and each port's state and what it
+    returned after every :meth:`EeePort.serve` call."""
     states = []
-    serve_port = engine._serve_port
+    serve = EeePort.serve
 
-    def recording(port, *args):
-        serve_port(port, *args)
-        states.append(_snapshot(port))
+    def recording(port, *arrivals):
+        *served, dropped = serve(port, *arrivals)
+        seq = arrivals[4]
+        states.append((_snapshot(port), _returned(served), seq[dropped].tolist()))
+        return (*served, dropped)
 
     with monkeypatch.context() as m:
-        m.setattr(engine, "_PATH", path)
-        m.setattr(engine, "_serve_port", recording)
+        m.setattr(eee_port, "_PATH", path)
+        m.setattr(EeePort, "serve", recording)
         report = run(config, stream)
     return report, states
+
+
+def _returned(served):
+    """The completions of one ``serve`` return, independent of the path:
+    sorted ``(seq, start, end)`` of the frames done."""
+    (_, _, _, _, seq, _), start, end, done = served
+    return sorted(zip(seq[done].tolist(), start[done].tolist(), end[done].tolist()))
 
 
 def _assert_same(a, b):
