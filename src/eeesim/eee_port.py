@@ -37,10 +37,12 @@ same state and give the same completions and drops, in another order:
 * the handlers: per arrival, each transition due before it fires with one
   ``on_*`` call, then :meth:`EeePort.enqueue` takes it.
 
-The kernel takes a run unless the port's backlog outnumbers it (turning a
-long backlog into arrays and back costs more than the kernel saves), or it
-declines: an arrival could meet a full buffer, or a time could leave the
-int64 range. The handlers take the rest. ``_PATH`` can force one path.
+The kernel takes a run only if the frames queued plus the run's arrivals
+fit in ``buffer_limit``, so no arrival can meet a full buffer, and the
+port's backlog does not outnumber the run (turning a long backlog into
+arrays and back costs more than the kernel saves). It declines a run where
+a time could leave the int64 range. The handlers take the rest. ``_PATH``
+can force one path.
 
 Residence and the wake and sleep counts are accounted in one place,
 :meth:`EeePort._enter`: a run of states at once for the kernel, one state
@@ -89,7 +91,7 @@ _I64_MAX = 2**63 - 1
 #: the previous frame to its first frame's start
 _PERIOD_STATES = np.array([SLEEP_TRANS, LPI, WAKE_TRANS, ACTIVE])
 #: "auto" applies the path rule above; "kernel" and "handlers" force one path
-#: (the kernel still declines where it would not be exact)
+#: (a run that could drop, or leave int64, still goes to the handlers)
 _PATH = "auto"
 
 
@@ -282,7 +284,9 @@ class EeePort:
         the frames that completed before ``H`` and ``dropped`` the arrivals
         that were tail-dropped.
         """
-        if _PATH == "kernel" or _PATH == "auto" and self.occupancy <= len(t):
+        occupancy, n = self.occupancy, len(t)
+        if occupancy + n <= self._limit and (
+                _PATH == "kernel" or _PATH == "auto" and occupancy <= n):
             served = self._kernel(t, size, flow, dscp, seq, ci, high)
             if served is not None:
                 return (*served, np.empty(0, dtype=np.int64))
@@ -320,9 +324,9 @@ class EeePort:
                 self.on_wake_complete(now)
 
     def _kernel(self, t, size, flow, dscp, seq, ci, high):
-        """:meth:`serve` on whole busy periods, without ``dropped``; None, changing
-        nothing, where not exact. ``frames`` lead with the frames held before."""
-        n = len(t)
+        """:meth:`serve` on a run that cannot drop, on whole busy periods, without
+        ``dropped``; None, changing nothing, where a time could leave int64.
+        ``frames`` lead with the frames held before."""
         last = int(t[-1])
         if int(t[0]) < self.clock or (t[1:] < t[:-1]).any():
             raise SimulationFault(f"port {self.index}: arrivals not time-ordered")
@@ -398,11 +402,6 @@ class EeePort:
         if len(flying) > 1:
             raise SimulationFault(
                 f"port {self.index}: {len(flying)} frames in flight at {last}")
-        if len(t) > self._limit:
-            # the i-th frame meets i frames, less those started before it
-            met = np.arange(nc, nc + n) - np.searchsorted(np.sort(start), t[nc:])
-            if (met >= self._limit).any():
-                return None
 
         # Every period but the last ends before ``last``, so all its
         # transitions fire; the last one may still be asleep or waking.

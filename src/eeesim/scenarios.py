@@ -41,7 +41,9 @@ from .allocation import Algorithm, BundleConfig
 from .eee_port import EeePortConfig
 from .engine import MetricsReport, SimConfig, run
 from .errors import ConfigError
-from .traffic import _round_div, bursty_slabs, cbr_slabs, frames_slabs, trace_slabs
+from .traffic import (
+    MAX_DSCP, _round_div, bursty_slabs, cbr_slabs, frames_slabs, trace_slabs,
+)
 # build_stream looks ``merge`` up at call time, so a profiler can wrap it.
 from .traffic import merge_slabs as merge
 
@@ -68,14 +70,17 @@ _SOURCE_NEEDS = {"trace": ("path",), **dict.fromkeys(
     ("cbr", "frames", "bursty"), ("flow", "size", "dscp", "rate_bps"))}
 _SOURCE_INTS = ("size", "dscp", "rate_bps", "offset_ns", "line_rate_bps",
                 "burst_pkts", "pkts_per_frame")
+#: the source fields that count packets, so must be at least one
+_SOURCE_COUNTS = ("burst_pkts", "pkts_per_frame")
 
 
 def _exact_int(name, value) -> int:
     """``value`` as an exact int (``1e8`` is one); a ConfigError naming ``name``
-    if it is not integral (``4480.7`` would otherwise be truncated)."""
+    if it is not integral (``4480.7`` would otherwise be truncated) or is a
+    bool."""
     try:
         exact = Fraction(value)
-        if exact.denominator == 1:
+        if exact.denominator == 1 and not isinstance(value, bool):
             return int(exact)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -84,6 +89,20 @@ def _exact_int(name, value) -> int:
 
 def _src_int(src: dict, key, default=None) -> int:
     return _exact_int(key, src.get(key, default))
+
+
+def _check_trace(name: str, src: dict) -> None:
+    """A ConfigError naming the field unless ``path`` is a string and
+    ``scale``, if given, a positive number."""
+    if not isinstance(src["path"], str):
+        raise ConfigError(f"{name}.path must be a string, got {src['path']!r}")
+    scale = src.get("scale", 1)
+    try:
+        if not isinstance(scale, bool) and Fraction(scale) > 0:
+            return
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise ConfigError(f"{name}.scale must be a positive number, got {scale!r}")
 
 
 @dataclass
@@ -129,14 +148,22 @@ class Scenario:
                     raise ConfigError(f"{name} ({kind}) needs field {key!r}")
             for key in _SOURCE_INTS:
                 if src.get(key) is not None:
-                    _exact_int(f"{name}.{key}", src[key])
+                    value = _exact_int(f"{name}.{key}", src[key])
+                    if key in _SOURCE_COUNTS and value < 1:
+                        raise ConfigError(f"{name}.{key} must be >= 1, got {value}")
+            if kind == "trace":
+                _check_trace(name, src)
         unknown = set(self.sim) - set(_SIM_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown sim fields: {sorted(unknown)}")
         for key in _SIM_INTS:
             self.sim_int(key)
         for dscp in self.sim_value("ll_dscps"):
-            _exact_int("sim.ll_dscps", dscp)
+            if not 0 <= _exact_int("sim.ll_dscps", dscp) <= MAX_DSCP:
+                raise ConfigError(f"sim.ll_dscps: dscp {dscp} outside [0, {MAX_DSCP}]")
+        for flow in self.sim_value("track_flows"):
+            if not isinstance(flow, str):
+                raise ConfigError(f"sim.track_flows entries must be strings, got {flow!r}")
         for key in ("bound_fraction", "p_active", "p_lpi"):
             try:
                 float(self.sim_value(key))
@@ -243,8 +270,9 @@ def _materialize(src: dict, scenario: Scenario, scale_factor=Fraction(1)):
     if kind == "cbr":
         return cbr_slabs(rate, size, dscp, duration, offset, flow)
     if kind == "frames":
+        m = src.get("pkts_per_frame")
         return frames_slabs(rate, size, dscp, duration, line_rate, offset, flow,
-                            src.get("pkts_per_frame"))
+                            None if m is None else _exact_int("pkts_per_frame", m))
     if kind == "bursty":
         window = scenario.sim_int("sampling_period_ns")
         ppw = _round_div(rate * window, size * 8 * 10**9)

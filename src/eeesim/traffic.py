@@ -8,16 +8,17 @@ Traffic is built in columns. A *source* (:func:`cbr_slabs`,
 :func:`frames_slabs`, :func:`bursty_slabs`, :func:`trace_slabs`) is a lazy
 iterable of :class:`Slab` s: int64 numpy columns ``t``, ``size`` and
 ``dscp`` plus an object column ``flow``, time-ordered, at most
-:data:`SLAB_PKTS` packets each (a frames slab holds whole frames). Sources
-validate their arguments when called but synthesize nothing before the first
-``next()``. Every arrival time comes from an exact integer formula; a
-column is computed in int64 only where a bound shows that no intermediate
-exceeds ``2**63 - 1``, and with Python ints otherwise.
+:data:`SLAB_PKTS` packets each (a frames slab holds whole frames). CBR is a
+frames train of one packet per frame. Sources validate their arguments when
+called but synthesize nothing before the first ``next()``. Every arrival
+time comes from an exact integer formula; a column is computed in int64
+only where a bound shows that no intermediate exceeds ``2**63 - 1``, and
+with Python ints otherwise.
 
 :func:`trace_slabs` parses a chunk of plain ASCII rows with one
-:func:`numpy.loadtxt` call and checks it in bulk; a chunk with quotes or
-other characters is read by the csv reader and checked in bulk, and a chunk
-with any fault goes to the csv row parser, the one judge of errors.
+:func:`numpy.loadtxt` call and checks it in bulk; any other chunk (quotes,
+other characters or a fault) is read by the csv reader and goes to the row
+parser, the one judge of errors.
 
 :func:`merge_slabs` orders the packets of several sources by (time, source
 index, position in source) and yields :class:`Batch` es, one int64 or
@@ -190,33 +191,13 @@ def cbr_slabs(rate_bps, pkt_size: int, dscp: int, duration_ns: int,
     so the long-run rate is exact even when the ideal inter-arrival time is
     not an integer number of nanoseconds. The first packet arrives at
     ``start_offset_ns``; the last one strictly before ``start_offset_ns +
-    duration_ns``.
+    duration_ns``. This is a :func:`frames_slabs` train of one packet per
+    frame.
     """
-    rate = Fraction(rate_bps)
-    if rate <= 0:
-        raise ConfigError(f"rate must be positive, got {rate_bps}")
     if duration_ns <= 0:
         raise ConfigError(f"duration must be positive, got {duration_ns}")
-    if start_offset_ns < 0:
-        raise ConfigError(f"start offset must be non-negative, got {start_offset_ns}")
-    _check_size(pkt_size)
-    _check_dscp(dscp)
-    _check_end(start_offset_ns + duration_ns)
-
-    # i-th ideal arrival = i * (size*8 / rate) seconds; keep it as an exact
-    # integer ratio so rounding errors never accumulate.
-    step_num = pkt_size * 8 * 10**9 * rate.denominator
-    step_den = rate.numerator
-    total = _count_below(step_num, step_den, duration_ns)
-
-    def slabs():
-        columns = _const_columns(min(SLAB_PKTS, total), pkt_size, flow, dscp)
-        for lo in range(0, total, SLAB_PKTS):
-            i = np.arange(lo, min(lo + SLAB_PKTS, total), dtype=np.int64)
-            t = _round_div_col(i, step_num, step_den, start_offset_ns)
-            yield _const_slab(t, columns)
-
-    return slabs()
+    return frames_slabs(rate_bps, pkt_size, dscp, duration_ns, rate_bps,
+                        start_offset_ns, flow, 1)
 
 
 def frames_slabs(rate_bps, pkt_size, dscp, duration_ns, line_rate_bps,
@@ -224,35 +205,42 @@ def frames_slabs(rate_bps, pkt_size, dscp, duration_ns, line_rate_bps,
     """Packet trains at line rate, paced so the mean rate is exact.
 
     Each frame carries ``pkts_per_frame`` back-to-back packets (spacing =
-    wire time at ``line_rate_bps``); frames repeat so the long-run average
-    equals ``rate_bps``. With one packet per frame this is plain CBR. The
-    source ends at its first packet at or after ``start_offset_ns +
+    wire time at ``line_rate_bps``); frame ``f`` starts at ``start_offset +
+    round(f * pkts_per_frame * size * 8e9 / rate)``, so the long-run
+    average equals ``rate_bps``, which may be a :class:`~fractions.Fraction`.
+    The source ends at its first packet at or after ``start_offset_ns +
     duration_ns``.
     """
-    rate = int(rate_bps)
+    rate = Fraction(rate_bps)
     if rate <= 0:
         raise ConfigError(f"rate must be positive, got {rate_bps}")
     if line_rate_bps < rate:
         raise ConfigError("line rate below mean rate")
     if start_offset_ns < 0:
         raise ConfigError(f"start offset must be non-negative, got {start_offset_ns}")
+    if pkts_per_frame is not None and pkts_per_frame < 1:
+        raise ConfigError(f"pkts_per_frame must be >= 1, got {pkts_per_frame}")
     _check_size(pkt_size)
     _check_dscp(dscp)
     m = pkts_per_frame or max(1, -(-rate // FRAME_UNIT_BPS))
     bits = pkt_size * 8
     intra = _round_div(bits * 10**9, line_rate_bps)
-    frame_bits_ns = m * bits * 10**9  # frame period = this / rate
     end = start_offset_ns + duration_ns
-    _check_end(end + m * intra)
-    n_frames = _count_below(frame_bits_ns, rate, duration_ns) if duration_ns > 0 else 0
+    _check_end(end + (m - 1) * intra)
+    # frame f starts f * frame_num / frame_den ns after the offset, an exact
+    # integer ratio so rounding errors never accumulate
+    frame_num = m * bits * 10**9 * rate.denominator
+    frame_den = rate.numerator
+    n_frames = _count_below(frame_num, frame_den, duration_ns) if duration_ns > 0 else 0
     per_slab = max(1, SLAB_PKTS // m)
-    within = np.arange(m, dtype=np.int64) * intra
+    # each k * intra fits int64 by the check above; intra alone need not (m = 1)
+    within = np.array([k * intra for k in range(m)], dtype=np.int64)
 
     def slabs():
-        columns = _const_columns(per_slab * m, pkt_size, flow, dscp)
+        columns = _const_columns(min(per_slab, n_frames) * m, pkt_size, flow, dscp)
         for lo in range(0, n_frames, per_slab):
             f = np.arange(lo, min(lo + per_slab, n_frames), dtype=np.int64)
-            starts = _round_div_col(f, frame_bits_ns, rate, start_offset_ns)
+            starts = _round_div_col(f, frame_num, frame_den, start_offset_ns)
             t = (starts[:, None] + within).ravel()
             late = np.flatnonzero(t >= end)
             if late.size:
@@ -390,20 +378,10 @@ def _parse_rows(rows, lineno: int, last_t: int) -> Slab:
                 np.array(flows, dtype=object), np.array(dscps, dtype=np.int64))
 
 
-def _checked(t, flows, size, dscp, last_t: int) -> Slab | None:
-    """Slab of parsed columns if every row passes :func:`_parse_rows`' checks."""
-    flows = list(map(str.strip, flows))
-    if (not all(flows) or t[0] < max(last_t, 0)
-            or (t[1:] < t[:-1]).any()
-            or size.min() < MIN_FRAME_BYTES or size.max() > MAX_FRAME_BYTES
-            or dscp.min() < 0 or dscp.max() > MAX_DSCP):
-        return None
-    return Slab(t, size, np.array(flows, dtype=object), dscp)
-
-
 def _parse_lines(lines: list, last_t: int) -> Slab | None:
     """Columns of ``lines``, one csv record each, read by one ``loadtxt`` call
-    and checked in bulk; None leaves the chunk to the csv reader."""
+    and checked in bulk as :func:`_parse_rows` checks each row; None leaves
+    the chunk to the csv reader and the row parser."""
     text = "".join(lines)
     limit = csv.field_size_limit()  # the csv reader refuses longer fields
     if (not text.isascii() or text.encode().translate(None, _BULK_BYTES)
@@ -418,26 +396,14 @@ def _parse_lines(lines: list, last_t: int) -> Slab | None:
                              ndmin=1)
     except (ValueError, Warning):
         return None
-    return _checked(rec["t"].copy(), rec["flow"].tolist(), rec["size"].copy(),
-                    rec["dscp"].copy(), last_t)
-
-
-def _parse_records(rows: list, last_t: int) -> Slab | None:
-    """Columns of csv ``rows`` read with ``int()`` a column at a time and checked
-    in bulk; None if any row is bad or none holds data."""
-    rows = [row for row in rows if row]
-    if not rows or set(map(len, rows)) != {4}:
+    t, size, dscp = rec["t"].copy(), rec["size"].copy(), rec["dscp"].copy()
+    flows = list(map(str.strip, rec["flow"].tolist()))
+    if (not all(flows) or t[0] < max(last_t, 0)
+            or (t[1:] < t[:-1]).any()
+            or size.min() < MIN_FRAME_BYTES or size.max() > MAX_FRAME_BYTES
+            or dscp.min() < 0 or dscp.max() > MAX_DSCP):
         return None
-    t, flows, size, dscp = zip(*rows)
-    try:
-        t, size, dscp = (np.fromiter(map(int, col), np.int64, len(rows))
-                         for col in (t, size, dscp))
-        # an undecodable byte, read as a surrogate escape, fails encode();
-        # int() refuses one itself
-        "".join(flows).encode()
-    except (ValueError, OverflowError):
-        return None
-    return _checked(t, flows, size, dscp, last_t)
+    return Slab(t, size, np.array(flows, dtype=object), dscp)
 
 
 def _chunk_rows(lines: list, fh, lineno: int, last_t: int) -> list:
@@ -468,12 +434,11 @@ def trace_slabs(path, factor=1) -> Iterator[Slab]:
     a character outside printable ASCII and tab to carriage return or a line
     over ``csv.field_size_limit()``, or ``loadtxt`` or a check rejects it.
     Such a chunk is read by the csv reader, on to the end of a quoted record
-    the chunk cuts, converted with ``int()`` a column at a time and checked
-    in bulk again. Only a chunk that still fails goes to the row parser,
-    which alone decides errors: a malformed row, an undecodable byte or a
-    timestamp running backwards raises :class:`TraceError` naming the line
-    (csv record number), an unreadable file one naming the path. The file
-    opens at the first ``next()``.
+    the chunk cuts, and parsed by the row parser, which alone decides
+    errors: a malformed row, an undecodable byte or a timestamp running
+    backwards raises :class:`TraceError` naming the line (csv record
+    number), an unreadable file one naming the path. The file opens at the
+    first ``next()``.
     """
     frac = _scale_factor(factor)
 
@@ -497,9 +462,7 @@ def trace_slabs(path, factor=1) -> Iterator[Slab]:
                     lineno += len(lines)
                 else:
                     rows = _chunk_rows(lines, fh, lineno, last_t)
-                    slab = _parse_records(rows, last_t)
-                    if slab is None:
-                        slab = _parse_rows(rows, lineno, last_t)
+                    slab = _parse_rows(rows, lineno, last_t)
                     lineno += len(rows)
                 if len(slab.t):
                     last_t = int(slab.t[-1])

@@ -472,6 +472,9 @@ def test_scale_in_place_matches_scale_to_another_file(tmp_path, capsys):
 
 
 _CBR = {"kind": "cbr", "flow": "bulk", "dscp": 0, "rate_bps": 50_000_000}
+_TRACE = {"kind": "trace", "path": "t.csv"}
+_FRAMES = {**_CBR, "kind": "frames", "size": 125}
+_BURSTY = {**_CBR, "kind": "bursty", "size": 1500}
 
 
 @pytest.mark.parametrize("doc, argv, message", [
@@ -484,8 +487,30 @@ _CBR = {"kind": "cbr", "flow": "bulk", "dscp": 0, "rate_bps": 50_000_000}
     ({}, ["--set", 'algorithms="two_queues"'], "algorithms must be a list"),
     ({}, ["--set", 'algorithms=["nope"]'], "unknown algorithm 'nope'"),
     ({}, ["--set", 'sim.track_flows="probe-ll"'], "sim.track_flows must be a list"),
+    ({"sources": [{**_TRACE, "path": 999_999}]}, [], "sources[0].path must be a string"),
+    ({"sources": [{**_TRACE, "path": ["t.csv"]}]}, [], "sources[0].path must be a string"),
+    ({"sources": [{**_TRACE, "scale": "x"}]}, [], "sources[0].scale must be a positive"),
+    ({"sources": [{**_TRACE, "scale": "1/0"}]}, [], "sources[0].scale must be a positive"),
+    ({"sources": [{**_TRACE, "scale": [2]}]}, [], "sources[0].scale must be a positive"),
+    ({"sources": [{**_TRACE, "scale": True}]}, [], "sources[0].scale must be a positive"),
+    ({"sources": [{**_FRAMES, "pkts_per_frame": 0}]}, [],
+     "sources[0].pkts_per_frame must be >= 1"),
+    ({"sources": [{**_FRAMES, "pkts_per_frame": -1}]}, [],
+     "sources[0].pkts_per_frame must be >= 1"),
+    ({"sources": [{**_BURSTY, "burst_pkts": 0}]}, [], "sources[0].burst_pkts must be >= 1"),
+    ({"sources": [{**_BURSTY, "burst_pkts": -5}]}, [], "sources[0].burst_pkts must be >= 1"),
+    ({"sources": [{**_CBR, "size": 1500, "dscp": True}]}, [],
+     "sources[0].dscp must be an integer"),
+    ({}, ["--set", "sim.n_ports=true"], "sim.n_ports must be an integer"),
+    ({}, ["--set", "sim.warmup_ns=true"], "sim.warmup_ns must be an integer"),
+    ({}, ["--set", "sim.ll_dscps=[99]"], "sim.ll_dscps: dscp 99 outside [0, 63]"),
+    ({}, ["--set", "sim.track_flows=[[1]]"], "sim.track_flows entries must be strings"),
 ], ids=["no-size", "size-big", "trace-no-path", "ll-dscps-int", "sources-int",
-        "bound-fraction-str", "algorithms-str", "algorithm-unknown", "track-flows-str"])
+        "bound-fraction-str", "algorithms-str", "algorithm-unknown", "track-flows-str",
+        "trace-path-int", "trace-path-list", "scale-str", "scale-zero-denominator",
+        "scale-list", "scale-bool", "pkts-per-frame-0", "pkts-per-frame-negative",
+        "burst-pkts-0", "burst-pkts-negative", "dscp-bool", "n-ports-bool",
+        "warmup-bool", "ll-dscp-99", "track-flows-nested"])
 def test_run_bad_scenario_field_exits_2(tmp_path, capsys, doc, argv, message):
     path = _tiny_scenario(tmp_path, **doc)
     out = tmp_path / "out"

@@ -66,7 +66,10 @@ def test_cbr_matches_reference(data, slab):
 @SETTINGS
 @given(data=st.data(), slab=SLAB_SIZES)
 def test_frames_matches_reference(data, slab):
-    rate = data.draw(st.integers(10**5, 4 * 10**9))
+    rate = data.draw(st.one_of(
+        st.integers(10**5, 4 * 10**9),
+        st.builds(Fraction, st.integers(10**5, 4 * 10**12), st.integers(1, 1000)),
+    ))
     line = data.draw(st.sampled_from([10**9, 10**10, 4 * 10**10]).filter(
         lambda x: x >= rate) | st.just(rate))
     size = data.draw(st.integers(64, 1500))
@@ -228,6 +231,19 @@ def test_sweep_point_rate_is_scaled_exactly():
 
     assert got == ref_times(523438)
     assert got != ref_times(523437)
+
+
+def test_integral_float_pkts_per_frame_reads_as_int():
+    # 2.0 passes validation as an exact integer, so it must build as 2 does
+    streams = []
+    for m in (2, 2.0):
+        scenario = _two_source_scenario()
+        scenario.sources = [{"kind": "frames", "flow": "rt", "size": 125, "dscp": 46,
+                             "rate_bps": 50_000_000, "pkts_per_frame": m}]
+        scenario.normal_rates_bps = []
+        scenario.validate()
+        streams.append(list(packets(build_stream(scenario, scenario.sweep_points()[0]))))
+    assert streams[0] and streams[0] == streams[1]
 
 
 def test_build_stream_synthesizes_nothing_until_next(monkeypatch):

@@ -1,8 +1,8 @@
 """Busy-period kernel against the handler path and the oracle.
 
 ``eee_port._PATH`` picks how :meth:`EeePort.serve` serves each run of
-arrivals; these tests force the kernel (``"kernel"``, which still declines
-where a drop or an int64 overflow could occur) or the handlers
+arrivals; these tests force the kernel (``"kernel"``; a run that could
+drop, or leave int64, still goes to the handlers) or the handlers
 (``"handlers"``) and require the same reports, departures, drops and port
 states after every ``serve`` call. Every time is a multiple of ``UNIT``, so
 arrivals often fall exactly on a transmit, sleep or wake completion or on

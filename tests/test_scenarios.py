@@ -50,6 +50,12 @@ def test_frames_rejects_line_rate_below_mean():
         frames_pkts(2_000_000_000, 125, 46, 1000, 1_000_000_000)
 
 
+@pytest.mark.parametrize("pkts_per_frame", [0, -1])
+def test_frames_rejects_frames_without_packets(pkts_per_frame):
+    with pytest.raises(ConfigError, match="pkts_per_frame must be >= 1"):
+        frames_slabs(1_000_000, 125, 46, 1000, 10**9, pkts_per_frame=pkts_per_frame)
+
+
 def test_bursty_exact_budget_per_window():
     window = 1_000_000
     pkts = bursty_pkts(100, 1500, 0, window, 7, 10_000_000_000, 4 * window)
