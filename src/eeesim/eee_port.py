@@ -23,26 +23,29 @@ Every state except ``LPI`` ends at a time the port already knows,
 ``next_at``; nothing outside the port can change it. The port therefore
 runs lazily: :meth:`EeePort.serve` takes a time-ordered run of arrivals
 and :meth:`EeePort.drain` fires what is due before the end of the run.
-``serve`` takes each run on one of two paths, which leave the port in the
-same state and give the same completions and drops, in another order:
+Each queue keeps its frames as int64 columns plus an object ``flow``
+column (:class:`_Fifo`). ``serve`` takes each run on one of two paths,
+which leave the port in the same state and give the same completions and
+drops, in another order:
 
-* the busy-period kernel, :meth:`EeePort._kernel`, on int64 arrays. With
-  ``c`` the end of the previous frame, a frame arriving at ``a <= c``
-  starts at ``c``, otherwise at ``max(a, c + t_sleep) + t_wake``. With
-  ``P`` the prefix sums of wire times, a busy period can end only where
-  ``a_i - P_{i-1}`` sets a strict running-max record, and one Python step
-  per record finds every period. A period holding both queues is
-  re-ordered by strict priority: one step per high frame, one ``bisect``
-  per run of low frames;
+* the busy-period kernel, :meth:`EeePort._kernel`, on those columns and the
+  run's. With ``c`` the end of the previous frame, a frame arriving at
+  ``a <= c`` starts at ``c``, otherwise at ``max(a, c + t_sleep) +
+  t_wake``. With ``P`` the prefix sums of wire times, a busy period can end
+  only where ``a_i - P_{i-1}`` sets a strict running-max record, and one
+  Python step per record finds every period. A period holding both queues
+  is re-ordered by strict priority with one running max over its high
+  frames. Where the run can fill the buffer, :meth:`EeePort._dropped`
+  first finds the arrivals that meet it full, and the accepted ones are
+  served as above. Low frames queued behind more wire time than the run
+  spans cannot start before it ends: they stay in their queue untouched
+  and count only towards the buffer;
 * the handlers: per arrival, each transition due before it fires with one
   ``on_*`` call, then :meth:`EeePort.enqueue` takes it.
 
-The kernel takes a run only if the frames queued plus the run's arrivals
-fit in ``buffer_limit``, so no arrival can meet a full buffer, and the
-port's backlog does not outnumber the run (turning a long backlog into
-arrays and back costs more than the kernel saves). It declines a run where
-a time could leave the int64 range. The handlers take the rest. ``_PATH``
-can force one path.
+The kernel takes every run, dropping ones included, and declines only a
+run where a time could leave the int64 range. The handlers take that run,
+:meth:`EeePort.drain` and every run when ``_PATH`` is ``"handlers"``.
 
 Residence and the wake and sleep counts are accounted in one place,
 :meth:`EeePort._enter`: a run of states at once for the kernel, one state
@@ -51,16 +54,16 @@ at a time for the handlers (:meth:`EeePort._set_state`).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import compress, count
+from itertools import count
 
 import numpy as np
 
 from .errors import ConfigError, SimulationFault
-from .traffic import _objects
+from .traffic import Packet, _objects
 
 
 class PortState(IntEnum):
@@ -90,9 +93,10 @@ _I64_MAX = 2**63 - 1
 #: the states a busy period passes through, in order, from the sleep after
 #: the previous frame to its first frame's start
 _PERIOD_STATES = np.array([SLEEP_TRANS, LPI, WAKE_TRANS, ACTIVE])
-#: "auto" applies the path rule above; "kernel" and "handlers" force one path
-#: (a run that could drop, or leave int64, still goes to the handlers)
-_PATH = "auto"
+#: "handlers" serves every run on the handlers; a run that could leave
+#: int64 goes to them anyway
+_PATH = "kernel"
+_NO_DROPS = np.empty(0, dtype=np.int64)
 
 
 @dataclass(slots=True)
@@ -141,6 +145,62 @@ class _WireTimes(dict):
         return ns
 
 
+class _Fifo:
+    """One queue: the columns ``t, size, flow, dscp, seq, ci, w`` of its
+    frames (int64 but ``flow``, object; ``w`` is the wire time), of which rows
+    ``head:tail`` wait, in order."""
+
+    __slots__ = ("cols", "head", "tail")
+
+    def __init__(self, cols):
+        self.cols = cols
+        self.head, self.tail = 0, len(cols[0])
+
+    def __len__(self) -> int:
+        return self.tail - self.head
+
+    def waiting(self, k=None) -> list:
+        """The columns of the frames waiting, or of the first ``k``."""
+        end = self.tail if k is None else self.head + k
+        return [col[self.head:end] for col in self.cols]
+
+    def _room(self, k: int) -> None:
+        if self.tail + k > len(self.cols[0]):  # keep the waiting rows, double
+            self.cols = [np.concatenate((col, np.empty(len(self) + k + 8, col.dtype)))
+                         for col in self.waiting()]
+            self.head, self.tail = 0, len(self)
+
+    def append(self, row) -> None:
+        self._room(1)
+        for col, value in zip(self.cols, row):
+            col[self.tail] = value
+        self.tail += 1
+
+    def extend(self, rows) -> None:
+        """Queue the frames of the columns ``rows`` behind the others."""
+        k = len(rows[0])
+        self._room(k)
+        for col, new in zip(self.cols, rows):
+            col[self.tail:self.tail + k] = new
+        self.tail += k
+
+    def popleft(self):
+        """The frame at the head, as ``(Packet, class)``, taken off the queue."""
+        t, size, flow, dscp, seq, ci, _ = (col[self.head] for col in self.cols)
+        self.head += 1
+        return Packet(int(t), int(size), flow, int(dscp), int(seq)), int(ci)
+
+
+def _reach(w, room) -> int:
+    """How many of the frames with wire times ``w``, sent back to back, start
+    within ``room`` ns; at least the first."""
+    return min(len(w), int(np.searchsorted(np.cumsum(w), room)) + 1)
+
+
+_EMPTY = (*(np.empty(0, dtype=np.int64),) * 2, _objects(()),
+          *(np.empty(0, dtype=np.int64),) * 4)
+
+
 class EeePort:
     """State machine, queues and state-residence accounting for one port.
 
@@ -166,8 +226,8 @@ class EeePort:
         self.state = LPI                    # ports start cold, in LPI
         self.state_since = 0
         self.next_at = _INF                 # LPI ends only on an arrival
-        self.high: deque = deque()
-        self.low: deque = deque()
+        self.high = _Fifo(_EMPTY)
+        self.low = _Fifo(_EMPTY)
         self.tx_packet = None
         self.tx_class = None
         self.tx_start = 0
@@ -207,7 +267,7 @@ class EeePort:
         self.clock = now
         if len(self.high) + len(self.low) >= self._limit:
             return False, self.next_at
-        (self.high if queue is HIGH else self.low).append((pkt, cls))
+        (self.high if queue is HIGH else self.low).append((*pkt, cls, self._wire_ns[pkt[1]]))
         if self.state is LPI:
             self._set_state(WAKE_TRANS, now)
             self.next_at = now + self.cfg.t_wake_ns
@@ -284,12 +344,10 @@ class EeePort:
         the frames that completed before ``H`` and ``dropped`` the arrivals
         that were tail-dropped.
         """
-        occupancy, n = self.occupancy, len(t)
-        if occupancy + n <= self._limit and (
-                _PATH == "kernel" or _PATH == "auto" and occupancy <= n):
+        if _PATH == "kernel":
             served = self._kernel(t, size, flow, dscp, seq, ci, high)
             if served is not None:
-                return (*served, np.empty(0, dtype=np.int64))
+                return served
         finished, dropped = [], []
         arrivals = zip(*(col.tolist() for col in (t, size, flow, dscp, seq)))
         queues = map(_QUEUE_OF.__getitem__, high.tolist())
@@ -324,77 +382,59 @@ class EeePort:
                 self.on_wake_complete(now)
 
     def _kernel(self, t, size, flow, dscp, seq, ci, high):
-        """:meth:`serve` on a run that cannot drop, on whole busy periods, without
-        ``dropped``; None, changing nothing, where a time could leave int64.
-        ``frames`` lead with the frames held before."""
+        """:meth:`serve` on whole busy periods; None, changing nothing, where a
+        time could leave int64. ``frames`` lead with the frames held before
+        that could start by ``H``."""
         last = int(t[-1])
         if int(t[0]) < self.clock or (t[1:] < t[:-1]).any():
             raise SimulationFault(f"port {self.index}: arrivals not time-ordered")
+        if int(size.max()) > (_I64_MAX - 2 * self.cfg.capacity_bps) // 16_000_000_000:
+            return None
+        w = self.cfg.tx_time_ns(size)  # exact in int64 below that size
         state = self.state
         idle = state is SLEEP_TRANS or state is LPI
+        in_flight = state is ACTIVE
         t_sleep, t_wake = self.cfg.t_sleep_ns, self.cfg.t_wake_ns
-        carried = [*self.high, *self.low]
-        flags = [True] * len(self.high) + [False] * len(self.low)
-        if state is ACTIVE:  # the frame in flight leads; it is never re-ordered
-            carried.insert(0, (self.tx_packet, self.tx_class))
-            flags.insert(0, False)
-        nc = len(carried)
-        if nc:
-            pkts, classes = zip(*carried)
-            old_t, old_size, old_flow, old_dscp, old_seq = zip(*pkts)
-            t = np.concatenate((np.array(old_t, dtype=np.int64), t))
-            size = np.concatenate((np.array(old_size, dtype=np.int64), size))
-            flow = np.concatenate((_objects(old_flow), flow))
-            dscp = np.concatenate((np.array(old_dscp, dtype=np.int64), dscp))
-            seq = np.concatenate((np.array(old_seq, dtype=np.int64), seq))
-            ci = np.concatenate((np.array(classes, dtype=np.int64), ci))
-            high = np.concatenate((np.array(flags, dtype=bool), high))
-        sizes, of_size = np.unique(size, return_inverse=True)
-        wires = [self._wire_ns[x] for x in sizes.tolist()]
+        highs, lows = self.high.waiting(), self.low.waiting()
+        held = [highs, lows]
+        flags = [np.ones(len(self.high), dtype=bool), np.zeros(len(self.low), dtype=bool)]
+        if in_flight:  # the frame in flight leads; it is never re-ordered
+            pkt = self.tx_packet
+            row = [np.array([x]) for x in (*pkt, self.tx_class, self._wire_ns[pkt[1]])]
+            row[2] = _objects(pkt[2:3])
+            held.insert(0, row)
+            flags.insert(0, np.zeros(1, dtype=bool))
         # every start and end is at most this; intermediates stay below it too
         base = last if self.next_at == _INF else max(last, self.next_at)
-        if base + t_sleep + t_wake + max(wires) * len(size) > _I64_MAX:
+        w_max = max(int(x.max()) for x in (w, *(part[6] for part in held)) if len(x))
+        if base + t_sleep + t_wake + w_max * (sum(map(len, flags)) + len(t)) > _I64_MAX:
             return None
-        w = np.array(wires, dtype=np.int64)[of_size]
-        before = np.cumsum(w) - w  # wire time of the frames ahead, FIFO order
-        slack = t - before
-
-        # A busy period whose first frame j starts at s_j holds frame i > j
-        # while slack_i <= s_j - before_j, so it can end only at a strict
-        # running-max record of slack. Each period opened here is kept as
-        # its first frame and the start of its wake.
-        prior = np.empty_like(slack)
-        np.maximum.accumulate(slack[:-1], out=prior[1:])
-        if idle:  # the first frame opens a busy period
-            ready = self.next_at if state is SLEEP_TRANS else self.state_since
-            wake = int(t[0])
-            if wake < ready:  # it waits for the end of the sleep transition
-                wake = ready
-            heads, wakes = [0], [wake]
-            theta = wake + t_wake
-            prior[0] = slack[0]
-        else:
-            heads, wakes = [0], []
-            theta = self.tx_start if state is ACTIVE else self.next_at
-            prior[0] = theta
-            np.maximum(prior, theta, out=prior)
-        thetas = [theta]
-        records = np.flatnonzero(slack > prior)
-        for k, d, a, p in zip(records.tolist(), slack[records].tolist(),
-                              t[records].tolist(), before[records].tolist()):
-            if d <= theta:  # arrives by the time the wire frees: same period
-                continue
-            ready = theta + p + t_sleep
-            # a frame arriving during the sleep transition waits for its end
-            wake = a if a > ready else ready
-            theta = wake + t_wake - p
-            heads.append(k)
-            wakes.append(wake)
-            thetas.append(theta)
-        start = np.repeat(np.array(thetas, dtype=np.int64),
-                          np.diff(heads + [len(t)])) + before
-        if high.any() and not high.all():
-            self._by_priority(t, w, high, start, heads, state is ACTIVE)
+        if len(self.low):  # frames are queued: the wire frees at ``free``
+            free = self.next_at + (t_wake if state is SLEEP_TRANS else 0)
+            shallow = _reach(lows[6], last - free - int(highs[6].sum()))
+            held[-1] = self.low.waiting(shallow)
+            flags[-1] = flags[-1][:shallow]
+        nc = sum(map(len, flags))
+        cols = [np.concatenate(parts) for parts in zip(*held, (t, size, flow, dscp, seq, ci, w))]
+        w, high = cols[6], np.concatenate((*flags, high))
+        if idle:  # the earliest a wake can start
+            lead = (self.next_at if state is SLEEP_TRANS else self.state_since, True, False)
+        else:  # the time the leading frame starts, or started
+            lead = (self.tx_start if in_flight else self.next_at, False, in_flight)
+        start, periods = self._schedule(cols[0], w, high, *lead)
+        dropped = _NO_DROPS
+        if len(self.high) + len(self.low) + len(t) > self._limit:  # the buffer could fill
+            deep = len(self.high) + len(self.low) + in_flight - nc  # hold their slots
+            dropped = self._dropped(cols[0], w, high, start, lead, nc, self._limit - deep)
+            if len(dropped):
+                keep = np.ones(len(high), dtype=bool)
+                keep[dropped] = False
+                cols = [col[keep] for col in cols]
+                w, high = cols[6], high[keep]
+                start, periods = self._schedule(cols[0], w, high, *lead)
+                dropped = dropped - nc
+        t = cols[0]
+        heads, wakes, thetas, before = periods
         end = start + w
         if (start < t).any():
             raise SimulationFault(f"port {self.index}: a frame starts before it arrives")
@@ -439,9 +479,9 @@ class EeePort:
                 raise SimulationFault(
                     f"port {self.index}: active at {last} with no frame in flight")
             f = int(flying[0])
-            self.tx_packet = carried[f][0] if f < nc else (
-                int(t[f]), int(size[f]), flow[f], int(dscp[f]), int(seq[f]))
-            self.tx_class = int(ci[f])
+            self.tx_packet = (int(t[f]), int(cols[1][f]), cols[2][f], int(cols[3][f]),
+                              int(cols[4][f]))
+            self.tx_class = int(cols[5][f])
             self.tx_start = int(start[f])
             self.next_at = int(end[f])
         else:
@@ -454,15 +494,119 @@ class EeePort:
         done = np.flatnonzero(end < last)
         if len(done) and state is not ACTIVE:  # as on_tx_complete leaves it
             self.tx_start = int(start[done].max())
-        waiting = np.flatnonzero(start >= last)
-        new = waiting[waiting >= nc]
-        items = [carried[i] for i in waiting[waiting < nc].tolist()]
-        items += zip(zip(t[new].tolist(), size[new].tolist(), flow[new].tolist(),
-                         dscp[new].tolist(), seq[new].tolist()), ci[new].tolist())
-        queue = high[waiting]
-        self.high = deque(compress(items, queue))
-        self.low = deque(compress(items, ~queue))
-        return (t, size, flow, dscp, seq, ci), start, end, done
+        # each queue loses the frames it started, a prefix, and gains the
+        # run's arrivals still waiting, a suffix of the run's in that queue
+        waiting = start >= last
+        mixed = high[nc:].any() and not high[nc:].all()
+        for queue, mine in ((self.high, high), (self.low, ~high)):
+            queue.head += int(np.count_nonzero(mine[in_flight:nc] > waiting[in_flight:nc]))
+            new = mine[nc:] & waiting[nc:]
+            k = int(np.count_nonzero(new))
+            if k:
+                queue.extend([col[nc:][new] for col in cols] if mixed
+                             else [col[len(col) - k:] for col in cols])
+        return tuple(cols[:6]), start, end, done, dropped
+
+    def _schedule(self, t, w, high, theta, idle, in_flight):
+        """No-drop starts of the frames ``t`` (wire times ``w``, high queue
+        ``high``), queued in this order, from ``theta``: the time the leading
+        frame starts, or started if it is ``in_flight``, or, ``idle``, the
+        earliest time a wake can start. Returns ``(start, periods)``; the
+        busy periods are ``(heads, wakes, thetas, before)``: their first
+        frames, the starts of their wakes (none for one that is already
+        awake) and of their first frames in FIFO order, and the wire time
+        ahead of each frame."""
+        t_sleep, t_wake = self.cfg.t_sleep_ns, self.cfg.t_wake_ns
+        before = np.cumsum(w) - w  # wire time of the frames ahead, FIFO order
+        slack = t - before
+
+        # A busy period whose first frame j starts at s_j holds frame i > j
+        # while slack_i <= s_j - before_j, so it can end only at a strict
+        # running-max record of slack. Each period opened here is kept as
+        # its first frame and the start of its wake.
+        prior = np.empty_like(slack)
+        np.maximum.accumulate(slack[:-1], out=prior[1:])
+        if idle:  # the first frame opens a busy period
+            wake = int(t[0])
+            if wake < theta:  # it waits for the end of the sleep transition
+                wake = theta
+            heads, wakes = [0], [wake]
+            theta = wake + t_wake
+            prior[0] = slack[0]
+        else:
+            heads, wakes = [0], []
+            prior[0] = theta
+            np.maximum(prior, theta, out=prior)
+        thetas = [theta]
+        records = np.flatnonzero(slack > prior)
+        for k, d, a, p in zip(records.tolist(), slack[records].tolist(),
+                              t[records].tolist(), before[records].tolist()):
+            if d <= theta:  # arrives by the time the wire frees: same period
+                continue
+            ready = theta + p + t_sleep
+            # a frame arriving during the sleep transition waits for its end
+            wake = a if a > ready else ready
+            theta = wake + t_wake - p
+            heads.append(k)
+            wakes.append(wake)
+            thetas.append(theta)
+        start = np.repeat(np.array(thetas, dtype=np.int64),
+                          np.diff(heads + [len(t)])) + before
+        if high.any() and not high.all():
+            self._by_priority(t, w, high, start, heads, in_flight)
+        return start, (heads, wakes, thetas, before)
+
+    def _dropped(self, t, w, high, start, lead, nc, limit):
+        """The arrivals, ``nc`` on, that meet a full buffer of ``limit``
+        frames, given ``start`` of :meth:`_schedule` from ``lead``.
+
+        An arrival meets a full buffer when the frames held before it, less
+        the frames started strictly before it, reach ``limit``. A no-drop
+        schedule is exact up to the first such arrival. From there one step
+        per frame start: the arrivals by the start take the free slots, the
+        rest are dropped, and the start frees one. When the free slots
+        outnumber the arrivals left no more can drop; when the queue empties
+        a no-drop schedule from that instant takes over again.
+        """
+        n = len(t)
+        times, wires, ups = t[nc:].tolist(), w.tolist(), high.tolist()
+        p = k = nc  # the first arrival not decided; ``start`` covers ``p - k:``
+        out = []
+        while True:
+            excess = (np.arange(k + 1 - limit, k + 1 - limit + n - p)
+                      - np.searchsorted(np.sort(start), t[p:]))
+            full = np.flatnonzero(excess > 0)
+            if not len(full):
+                return np.array(out, dtype=np.int64)
+            j = p + int(full[0])
+            waiting = np.arange(p - k, j)[start[:k + j - p] >= t[j]]
+            e = int(start[start >= t[j]].min())  # the next start
+            hq, lq = deque(), deque()
+            for i in waiting.tolist():
+                (hq if ups[i] else lq).append(i)
+            free = limit - len(waiting)
+            p = j
+            while True:
+                q = bisect_right(times, e, p - nc) + nc  # the arrivals by the start
+                if q > p:
+                    take = min(q - p, free)
+                    for i in range(p, p + take):
+                        (hq if ups[i] else lq).append(i)
+                    out += range(p + take, q)
+                    free -= take
+                    p = q
+                if free >= n - p:
+                    return np.array(out, dtype=np.int64)
+                if hq:
+                    e += wires[hq.popleft()]
+                elif lq:
+                    e += wires[lq.popleft()]
+                else:  # the port sleeps from ``e``
+                    break
+                free += 1
+            k = 0
+            lead = (e + self.cfg.t_sleep_ns, True, False)
+            start = self._schedule(t[p:], w[p:], high[p:], *lead)[0]
 
     def _enter(self, times, states) -> None:
         """Enter ``states`` at ``times``, in order: account the residence of
@@ -484,62 +628,38 @@ class EeePort:
         self.state_since = int(times[-1])
 
     def _by_priority(self, t, w, high, start, heads, in_flight):
-        """Re-order ``start`` by strict priority in each busy period with both queues.
+        """Re-order ``start`` by strict priority in each busy period.
 
         ``heads`` are the first frames of the busy periods; a leading frame
-        in flight keeps its place. One pass serves the periods in turn: a
-        high frame that has arrived goes next, else the low frames up to
-        the one that ends at or after the next high arrival, found by one
-        ``bisect`` over the low frames' prefix sums.
+        in flight keeps its place. A period's frames are sent back to back
+        from its first start ``tau``, so a frame starts at ``tau`` plus the
+        wire time of the low frames ``Wl`` and the high frames ``Wh`` sent
+        before it. High frame ``i`` goes at the first such instant at or
+        after its arrival that follows high frame ``i - 1``: after
+        ``m_i = max(m_{i-1}, c_i)`` low frames, ``c_i`` the fewest with
+        ``tau + Wl + Wh >= a_i``. A low frame follows the high frames with
+        ``m_i`` at most its rank.
         """
-        n = len(t)
-        first = np.array(heads)
-        first[0] += in_flight
-        length = np.diff(heads + [n])
-        length[0] -= in_flight
-        n_high = np.bincount(np.repeat(np.arange(len(heads)), length)[high[first[0]:]],
-                             minlength=len(heads))
-        mixed = (n_high > 0) & (n_high < length)
-        frames = np.flatnonzero(np.repeat(mixed, length)) + first[0]
-        h_idx = frames[high[frames]]
-        l_idx = frames[~high[frames]]
-        h_at, h_w = t[h_idx].tolist(), w[h_idx].tolist()
-        l_w = w[l_idx]
-        l_end = np.cumsum(l_w)
-        l_cum = [0] + l_end.tolist()  # wire time of the first m low frames
-        last = first[mixed] + length[mixed] - 1
-        h = l = 0
-        h_start, run_first, run_base = [], [], []
-        for tau, h_stop, l_stop, period_end in zip(
-                start[first[mixed]].tolist(), np.cumsum(n_high[mixed]).tolist(),
-                np.cumsum(length[mixed] - n_high[mixed]).tolist(),
-                (start[last] + w[last]).tolist()):
-            period_start = tau
-            while h < h_stop:
-                if h_at[h] <= tau:
-                    h_start.append(tau)
-                    tau += h_w[h]
-                    h += 1
-                elif l < l_stop:  # low frames until the next high one has arrived
-                    m = bisect_left(l_cum, h_at[h] - tau + l_cum[l], l + 1, l_stop)
-                    run_first.append(l)
-                    run_base.append(tau - l_cum[l])
-                    tau += l_cum[m] - l_cum[l]
-                    l = m
-                else:
-                    break
-            if l < l_stop:
-                run_first.append(l)
-                run_base.append(tau - l_cum[l])
-                tau += l_cum[l_stop] - l_cum[l]
-                l = l_stop
-            if h < h_stop or tau != period_end:
-                raise SimulationFault(
-                    f"port {self.index}: busy period at {period_start} does not "
-                    f"match its wire time")
-        start[h_idx] = h_start
-        start[l_idx] = np.repeat(np.array(run_base, dtype=np.int64),
-                                 np.diff(run_first + [len(l_idx)])) + (l_end - l_w)
+        first = heads[0] + in_flight
+        period = np.repeat(np.arange(len(heads)), np.diff(heads + [len(t)]))[first:]
+        up = high[first:]
+        tau = start[np.array(heads)]
+        tau[0] = start[first]
+        h_idx, l_idx = np.flatnonzero(up) + first, np.flatnonzero(~up) + first
+        wl = np.concatenate(([0], np.cumsum(w[l_idx])))
+        wh = np.concatenate(([0], np.cumsum(w[h_idx])))
+        # the low and high frames sent before each period
+        l_first = np.concatenate(([0], np.cumsum(np.bincount(period[~up], minlength=len(heads)))))
+        h_first = np.concatenate(([0], np.cumsum(np.bincount(period[up], minlength=len(heads)))))
+        p = period[up]
+        lo = l_first[p]
+        ahead = wh[:-1] - wh[h_first[p]]  # high wire time ahead, in the period
+        c = np.searchsorted(wl, t[h_idx] - tau[p] - ahead + wl[lo])
+        m = np.maximum.accumulate(np.maximum(c, lo))
+        start[h_idx] = tau[p] + wl[m] - wl[lo] + ahead
+        p = period[~up]
+        highs = np.searchsorted(m, np.arange(len(l_idx)), "right")
+        start[l_idx] = tau[p] + wl[:-1] - wl[l_first[p]] + wh[highs] - wh[h_first[p]]
 
     def finalize(self, end: int) -> None:
         """Close the accounting at the end of the measured run."""

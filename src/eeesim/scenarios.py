@@ -165,10 +165,16 @@ class Scenario:
             if not isinstance(flow, str):
                 raise ConfigError(f"sim.track_flows entries must be strings, got {flow!r}")
         for key in ("bound_fraction", "p_active", "p_lpi"):
+            value = self.sim_value(key)
             try:
-                float(self.sim_value(key))
+                if isinstance(value, bool):  # float(True) would read as 1.0
+                    raise TypeError
+                float(value)
             except (TypeError, ValueError):
-                raise ConfigError(f"sim.{key} must be a number") from None
+                raise ConfigError(f"sim.{key} must be a number, got {value!r}") from None
+        for key in ("ll_rates_bps", "normal_rates_bps"):
+            for rate in getattr(self, key):
+                _exact_int(key, rate)
 
     def sim_value(self, key):
         return self.sim.get(key, _SIM_DEFAULTS[key])

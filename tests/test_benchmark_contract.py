@@ -13,6 +13,7 @@ from eeesim import (
     BundleConfig,
     EeePortConfig,
     SimConfig,
+    eee_port,
     run,
     scenarios,
     traffic,
@@ -42,13 +43,8 @@ def test_read_trace_yields_one_item_per_data_row(tmp_path):
     assert sum(1 for _ in traffic.read_trace(path)) == data.count(b"\n") - 1
 
 
-def test_tracer_sees_the_handler_path(tmp_path, monkeypatch):
-    # A two-frame buffer keeps the busy-period kernel out (an arrival could
-    # meet a full buffer), so the port's handlers serve the stream, and the
-    # tracer's class-level wrappers must see each enqueue and each drop.
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    tracer = importlib.import_module("tracer").Tracer(tmp_path)
-    originals = (EeePort.enqueue, EeePort.on_tx_complete)
+def _two_frame_buffer():
+    """A one-port config with a two-frame buffer, and a stream that overfills it."""
     config = SimConfig(
         bundle=BundleConfig(n_ports=1, capacity_bps=10**9,
                             algorithm=Algorithm.CONSERVATIVE),
@@ -56,7 +52,17 @@ def test_tracer_sees_the_handler_path(tmp_path, monkeypatch):
         duration_ns=10**7,
         warmup_ns=0,
     )
-    pkts = [(i * 1000, 1500, "f", 0, i) for i in range(100)]
+    return config, [(i * 1000, 1500, "f", 0, i) for i in range(100)]
+
+
+def test_tracer_sees_the_handler_path(tmp_path, monkeypatch):
+    # With the port's handlers forced, the tracer's class-level wrappers
+    # must see each enqueue and each drop.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(eee_port, "_PATH", "handlers")
+    tracer = importlib.import_module("tracer").Tracer(tmp_path)
+    originals = (EeePort.enqueue, EeePort.on_tx_complete)
+    config, pkts = _two_frame_buffer()
     try:
         tracer.install()
         report = run(config, pkts)
@@ -66,3 +72,25 @@ def test_tracer_sees_the_handler_path(tmp_path, monkeypatch):
     assert tracer.cells["drops"][0] == report.totals["dropped"]
     assert tracer.cells["enqueue"][0] > 0
     assert restored and (EeePort.enqueue, EeePort.on_tx_complete) == originals
+
+
+def test_default_path_serves_a_dropping_stream_without_enqueue(monkeypatch):
+    # The busy-period kernel takes the runs that drop too: the two-frame
+    # buffer's stream makes no enqueue call and gives the forced handlers'
+    # report.
+    config, pkts = _two_frame_buffer()
+    enqueued = []
+    enqueue = EeePort.enqueue
+
+    def counting(self, *args):
+        enqueued.append(args[-1])
+        return enqueue(self, *args)
+
+    monkeypatch.setattr(EeePort, "enqueue", counting)
+    by_default = run(config, pkts)
+    assert not enqueued
+    monkeypatch.setattr(eee_port, "_PATH", "handlers")
+    by_handlers = run(config, pkts)
+    assert len(enqueued) == len(pkts)
+    assert by_default.totals["dropped"] > 0
+    assert by_default.to_json() == by_handlers.to_json()

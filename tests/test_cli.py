@@ -505,12 +505,19 @@ _BURSTY = {**_CBR, "kind": "bursty", "size": 1500}
     ({}, ["--set", "sim.warmup_ns=true"], "sim.warmup_ns must be an integer"),
     ({}, ["--set", "sim.ll_dscps=[99]"], "sim.ll_dscps: dscp 99 outside [0, 63]"),
     ({}, ["--set", "sim.track_flows=[[1]]"], "sim.track_flows entries must be strings"),
+    ({}, ["--set", "sim.p_lpi=true"], "sim.p_lpi must be a number"),
+    ({}, ["--set", "sim.p_active=true"], "sim.p_active must be a number"),
+    ({}, ["--set", "sim.bound_fraction=false"], "sim.bound_fraction must be a number"),
+    ({"ll_rates_bps": [], "ll_source": None}, ["--set", 'normal_rates_bps=["x"]'],
+     "normal_rates_bps must be an integer"),
+    ({}, ["--set", 'll_rates_bps=[1000000, 2.5]'], "ll_rates_bps must be an integer"),
 ], ids=["no-size", "size-big", "trace-no-path", "ll-dscps-int", "sources-int",
         "bound-fraction-str", "algorithms-str", "algorithm-unknown", "track-flows-str",
         "trace-path-int", "trace-path-list", "scale-str", "scale-zero-denominator",
         "scale-list", "scale-bool", "pkts-per-frame-0", "pkts-per-frame-negative",
         "burst-pkts-0", "burst-pkts-negative", "dscp-bool", "n-ports-bool",
-        "warmup-bool", "ll-dscp-99", "track-flows-nested"])
+        "warmup-bool", "ll-dscp-99", "track-flows-nested", "p-lpi-bool", "p-active-bool",
+        "bound-fraction-bool", "normal-rates-str", "ll-rates-float"])
 def test_run_bad_scenario_field_exits_2(tmp_path, capsys, doc, argv, message):
     path = _tiny_scenario(tmp_path, **doc)
     out = tmp_path / "out"

@@ -205,7 +205,7 @@ def test_tx_complete_without_transmission_fault():
 def test_wake_complete_with_empty_queues_fault():
     port = EeePort(0, _cfg())
     port.enqueue(Packet(0, 100, "f", 0, 0), Queue.LOW, NORMAL, 0)
-    port.low.clear()  # lose the frame that started the wake
+    port.low.popleft()  # lose the frame that started the wake
     with pytest.raises(SimulationFault):
         port.on_wake_complete(4480)
 

@@ -379,7 +379,7 @@ def _lose_third_frame(monkeypatch):
     def lossy(self, pkt, queue, cls, now):
         result = enqueue(self, pkt, queue, cls, now)
         if pkt[4] == 2:
-            self.low.pop()  # accepted, then silently lost
+            self.low.tail -= 1  # accepted, then silently lost
         return result
 
     monkeypatch.setattr(EeePort, "enqueue", lossy)

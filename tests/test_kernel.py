@@ -1,8 +1,8 @@
 """Busy-period kernel against the handler path and the oracle.
 
 ``eee_port._PATH`` picks how :meth:`EeePort.serve` serves each run of
-arrivals; these tests force the kernel (``"kernel"``; a run that could
-drop, or leave int64, still goes to the handlers) or the handlers
+arrivals; these tests run the kernel (``"kernel"``, the default; a run that
+could leave int64 still goes to the handlers) and the handlers
 (``"handlers"``) and require the same reports, departures, drops and port
 states after every ``serve`` call. Every time is a multiple of ``UNIT``, so
 arrivals often fall exactly on a transmit, sleep or wake completion or on
@@ -41,10 +41,16 @@ _STATE = ("state", "state_since", "next_at", "clock", "tx_packet", "tx_class",
           "tx_start", "residence_ns", "wakes", "sleeps")
 
 
+def _queued(queue):
+    """The frames waiting in one of a port's queues, as ``(pkt, cls)`` pairs."""
+    t, size, flow, dscp, seq, ci, _ = (col.tolist() for col in queue.waiting())
+    return list(zip(zip(t, size, flow, dscp, seq), ci))
+
+
 def _snapshot(port):
     fields = {name: getattr(port, name) for name in _STATE}
     fields["residence_ns"] = list(port.residence_ns)
-    fields["high"], fields["low"] = list(port.high), list(port.low)
+    fields["high"], fields["low"] = _queued(port.high), _queued(port.low)
     return port.index, fields
 
 
@@ -142,7 +148,8 @@ def _check(monkeypatch, params, rows, cuts):
                                        _batches(pkts, cuts))
     _assert_same(by_kernel, by_handlers)
     assert kernel_states == handler_states
-    by_default, _ = _run(monkeypatch, "auto", config, pkts)
+    # the default path again, on the engine's own batches
+    by_default, _ = _run(monkeypatch, "kernel", config, pkts)
     _assert_same(by_default, by_handlers)
     departures, dropped = oracle_simulate(config, pkts)
     assert by_kernel.departures == departures
@@ -176,6 +183,43 @@ _BASE = {"n_ports": 1, "capacity": TEN_G, "algorithm": "conservative",
           [(0, 1500, 0, 0), (0, 1500, 0, 0), (0, 1500, 0, 0), (0, 1500, 0, 0),
            (0, 1500, 0, 0), (20, 125, 0, 0)], [3]))
 def test_kernel_matches_handlers_and_oracle(monkeypatch, case):
+    _check(monkeypatch, *case)
+
+
+@st.composite
+def saturating_cases(draw):
+    """A buffer of 1-5 frames and both classes arriving faster than the
+    wire drains them, in bursts, so most serve calls drop."""
+    params = {
+        "n_ports": draw(st.integers(1, 2)),
+        "capacity": TEN_G,
+        "algorithm": draw(st.sampled_from(["two_queues", "two_queues", "conservative"])),
+        "t_sleep": draw(st.sampled_from([0, UNIT, 23 * UNIT])),
+        "t_wake": draw(st.sampled_from([0, 2 * UNIT, 45 * UNIT])),
+        "buffer_limit": draw(st.integers(1, 5)),
+        "period": draw(st.sampled_from([30 * UNIT, 1000 * UNIT])),
+    }
+    # a gap of 0 or 1 unit is well under the 12 units a 1500 B frame takes
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from([0, 0, 0, 1, 1, 2, 5, 60]),
+                  st.sampled_from(SIZES), st.integers(0, 3), st.sampled_from([0, 0, 46])),
+        min_size=10, max_size=120,
+    ))
+    cuts = draw(st.lists(st.integers(1, 119), max_size=8))
+    return params, rows, cuts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(saturating_cases())
+# one frame of buffer, a low frame queued behind the one on the wire: a
+# high frame arriving exactly when the wire frees (t = 12) finds the buffer
+# full and is dropped; the next (t = 13) takes the slot that start freed
+@example(({**_BASE, "algorithm": "two_queues", "t_wake": 0, "buffer_limit": 1},
+          [(0, 1500, 0, 0), (1, 1500, 0, 0), (11, 125, 1, 46), (1, 125, 1, 46),
+           (0, 1500, 0, 0), (30, 250, 0, 0)], [2]))
+def test_kernel_drops_like_the_handlers_and_oracle(monkeypatch, case):
     _check(monkeypatch, *case)
 
 
@@ -293,7 +337,7 @@ def test_delay_stats_do_not_depend_on_sample_order():
 def test_default_path_serves_the_fixed_stream_like_the_handlers(monkeypatch):
     config = _two_queue_config(buffer_limit=40)
     pkts = list(packets(_mixed_stream()))
-    by_default, states = _run(monkeypatch, "auto", config, iter(pkts))
+    by_default, states = _run(monkeypatch, "kernel", config, iter(pkts))
     by_handlers, handler_states = _run(monkeypatch, "handlers", config, iter(pkts))
     _assert_same(by_default, by_handlers)
     assert states == handler_states
