@@ -2,22 +2,27 @@
 
 All allocators are pure functions from rate estimates to a plan, and all
 are exact, so port-count thresholds and load tie-breaks never depend on
-floating-point rounding. Estimates carry exact ``Fraction`` rates; an
-allocator converts them once to integer units over one common denominator
-(the lcm of the rate denominators), sorts, balances, packs and sizes on
-Python ints, and turns the per-port loads back into ``Fraction`` only when
-it builds the plan.
+floating-point rounding. They share one array core over :class:`Estimates`,
+where flow ``i`` carries ``units[i] * unit`` bits/s: integer units and one
+exact ``Fraction`` unit. Within a control epoch every rate is
+``bytes * 8e9 / period``, so the byte counts are the units; a list of
+:class:`FlowEstimate` is converted over the lcm of its rate denominators.
+The core ranks flows with one ``np.lexsort`` (rate descending, equal rates
+by flow name), balances, packs and sizes on Python ints, and turns the
+per-port loads into ``Fraction`` only when it builds the plan.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapreplace
-from operator import itemgetter
+
+import numpy as np
 
 from .eee_port import Queue
 from .errors import ConfigError
@@ -61,23 +66,81 @@ class FlowEstimate:
     traffic_class: TrafficClass
 
 
+def flow_rank(flows) -> np.ndarray:
+    """Position of each flow key in ``sorted(flows)``."""
+    rank = np.empty(len(flows), dtype=np.int64)
+    rank[sorted(range(len(flows)), key=flows.__getitem__)] = np.arange(len(flows))
+    return rank
+
+
+@dataclass(slots=True)
+class Estimates:
+    """Rates a set of flows is expected to carry in the next interval.
+
+    Flow ``flows[i]`` carries exactly ``units[i] * unit`` bits/s and is
+    low-latency where ``low_latency[i]``; ``rank[i]`` is the position of
+    ``flows[i]`` in ``sorted(flows)``.
+    """
+
+    flows: Sequence
+    units: np.ndarray  # int64, or object where a value leaves int64
+    unit: Fraction
+    low_latency: np.ndarray  # bool
+    rank: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.flows)
+
+    @classmethod
+    def of(cls, estimates) -> Estimates:
+        """The arrays of a list of :class:`FlowEstimate`, with ``unit`` one
+        over the lcm of the rate denominators."""
+        ratios = [e.rate.as_integer_ratio() for e in estimates]
+        den = math.lcm(*{d for _, d in ratios})
+        units = [n * (den // d) for n, d in ratios]
+        try:
+            units = np.array(units, dtype=np.int64)
+        except OverflowError:
+            units = np.array(units, dtype=object)
+        flows = [e.flow for e in estimates]
+        low_latency = np.array(
+            [e.traffic_class is TrafficClass.LOW_LATENCY for e in estimates], dtype=bool)
+        return cls(flows, units, Fraction(1, den), low_latency, flow_rank(flows))
+
+
+def _arrays(estimates) -> Estimates:
+    """``estimates`` as :class:`Estimates`; a list of :class:`FlowEstimate` is converted."""
+    return estimates if isinstance(estimates, Estimates) else Estimates.of(estimates)
+
+
 @dataclass
 class AllocationPlan:
     """Flow -> (port, queue) mapping installed at a control epoch.
 
-    ``port_loads`` are the planned per-port loads (estimate sums) used to
-    place flows that show up before the next epoch; ``active_set`` is where
-    such unplanned normal flows may go, and ``spare_port`` is where the
-    spare-port algorithm concentrates low-latency traffic.
+    ``flows[i]`` goes to port ``ports[i]``, into the high-priority queue
+    where ``high[i]``; ``assignments`` gives the same as a dict. ``port_loads``
+    are the planned per-port loads (estimate sums) used to place flows that
+    show up before the next epoch; ``active_set`` is where such unplanned
+    normal flows may go, and ``spare_port`` is where the spare-port
+    algorithm concentrates low-latency traffic.
     """
 
-    assignments: dict = field(default_factory=dict)  # flow -> (port, Queue)
-    active_ports: int = 1
-    epoch: int = 0
-    algorithm: Algorithm = Algorithm.CONSERVATIVE
-    port_loads: list = field(default_factory=list)   # Fraction per port
-    active_set: tuple = (0,)
+    flows: Sequence
+    ports: np.ndarray  # int64 per flow
+    high: np.ndarray   # bool per flow
+    active_ports: int
+    epoch: int
+    algorithm: Algorithm
+    port_loads: list   # Fraction per port
+    active_set: tuple
     spare_port: int | None = None
+
+    @cached_property
+    def assignments(self) -> dict:
+        """flow -> (port, Queue)."""
+        queue = (Queue.LOW, Queue.HIGH)
+        return {flow: (port, queue[high]) for flow, port, high
+                in zip(self.flows, self.ports.tolist(), self.high.tolist())}
 
     @cached_property
     def least_loaded(self) -> int:
@@ -101,117 +164,114 @@ class AllocationPlan:
 
 def initial_plan(algorithm: Algorithm, n_ports: int) -> AllocationPlan:
     """Plan in force before the first control epoch: port 0 only, no flows."""
-    return AllocationPlan(
-        assignments={},
-        active_ports=1,
-        epoch=0,
-        algorithm=algorithm,
-        port_loads=[Fraction(0)] * n_ports,
-        active_set=(0,),
-        spare_port=None,
-    )
+    plan = conservative_allocate([], 1, n_ports)
+    plan.algorithm = algorithm
+    return plan
 
 
-def estimate_rates(byte_counts, period_ns, classes, retained=()) -> list[FlowEstimate]:
-    """One estimate per flow, rate = bytes*8/period.
+def estimate_rates(nbytes, period_ns, low_latency, flows, rank) -> Estimates:
+    """Estimates from the bytes each flow sent in the closed interval.
 
-    Flows absent from ``byte_counts`` but listed in ``retained`` (the
-    previous plan) are kept with rate 0. Output is sorted by flow id.
+    Flow ``flows[i]`` sent ``nbytes[i]`` bytes, so its rate is
+    ``nbytes[i] * 8 / period`` (0 for a flow that was silent); ``rank`` is
+    :func:`flow_rank` of ``flows``.
     """
     if period_ns <= 0:
         raise ConfigError(f"estimation period must be positive, got {period_ns}")
-    count_of = byte_counts.get
-    class_of = classes.get
-    normal = TrafficClass.NORMAL
-    rates = {}  # byte count -> its rate; flows share few distinct counts
-    out = []
-    for flow in sorted(byte_counts.keys() | retained):
-        nbytes = count_of(flow, 0)
-        rate = rates.get(nbytes)
-        if rate is None:
-            rate = rates[nbytes] = Fraction(nbytes * 8_000_000_000, period_ns)
-        out.append(FlowEstimate(flow, nbytes, rate, class_of(flow, normal)))
-    return out
-
-
-def _ports_for(units, den, capacity_bps, n_ports: int) -> int:
-    """clamp(ceil(units / (den * capacity)), 1, N) in integers."""
-    if capacity_bps <= 0:
-        raise ConfigError(f"capacity must be positive, got {capacity_bps}")
-    return min(n_ports, max(1, -(-units // (den * capacity_bps))))
+    return Estimates(flows, nbytes, Fraction(8_000_000_000, period_ns), low_latency, rank)
 
 
 def required_ports(total_rate, capacity_bps, n_ports: int) -> int:
     """Minimum number of ports for the load: clamp(ceil(total/capacity), 1, N)."""
+    if capacity_bps <= 0:
+        raise ConfigError(f"capacity must be positive, got {capacity_bps}")
     num, den = Fraction(total_rate).as_integer_ratio()
-    return _ports_for(num, den, capacity_bps, n_ports)
+    return min(n_ports, max(1, -(-num // (den * capacity_bps))))
 
 
-def _ranked(estimates):
-    """Exact integer view of the estimates, in allocation order.
-
-    Returns ``(ranked, den)``: ``den`` is the lcm of the rate denominators
-    and ``ranked`` holds ``(-units, flow)`` pairs, ``units = rate * den``,
-    sorted by rate descending with equal rates by flow id so replays are
-    deterministic.
-    """
-    ratios = [e.rate.as_integer_ratio() for e in estimates]
-    den = math.lcm(*{d for _, d in ratios})
-    ranked = [(-n * (den // d), e.flow) for (n, d), e in zip(ratios, estimates)]
-    # Two stable sorts give the (-units, flow) order faster than one tuple
-    # sort: by flow (estimate_rates output already is), then by int alone.
-    ranked.sort(key=itemgetter(1))
-    ranked.sort(key=itemgetter(0))
-    return ranked, den
+def _sized(est, idx, capacity_bps, n_ports) -> int:
+    """:func:`required_ports` for the total rate of the flows at ``idx``."""
+    return required_ports(sum(est.units[idx].tolist()) * est.unit, capacity_bps, n_ports)
 
 
-def _lpt(ranked, k, n_ports):
-    """Longest-processing-time-first balancing over ports 0..k-1.
+def _ranked(est) -> np.ndarray:
+    """Flow indices in allocation order: rate descending, equal rates by flow
+    name, so replays are deterministic."""
+    return np.lexsort((est.rank, -est.units))
 
-    Ties go to the lower port index. Returns (flow -> port, loads[n_ports]).
+
+def _lpt(units, ranked, k, n_ports, port):
+    """Longest-processing-time-first balancing of the flows ``ranked`` over
+    ports 0..k-1, writing each flow's port into ``port``.
+
+    Ties go to the lower port index. Returns the loads[n_ports] in units.
     """
     heap = [(0, i) for i in range(k)]  # (load, port): heap[0] is the choice
-    placement = {}
-    for neg, flow in ranked:
-        load, port = heap[0]
-        placement[flow] = port
-        heapreplace(heap, (load - neg, port))
+    placed = []
+    for size in units[ranked].tolist():
+        load, p = heap[0]
+        placed.append(p)
+        heapreplace(heap, (load + size, p))
+    port[ranked] = placed
     loads = [0] * n_ports
-    for load, port in heap:
-        loads[port] = load
-    return placement, loads
+    for load, p in heap:
+        loads[p] = load
+    return loads
 
 
-def _lpt_plan(ranked, den, k, n_ports, epoch, algorithm, queue_of=None):
-    placement, loads = _lpt(ranked, k, n_ports)
-    if queue_of is None:
-        assignments = {f: (p, Queue.LOW) for f, p in placement.items()}
-    else:
-        assignments = {f: (p, queue_of[f]) for f, p in placement.items()}
+def _first_fit(units, ranked, limit, n_ports, port):
+    """First fit onto the lowest-index port whose load stays <= limit."""
+    loads = [0] * n_ports
+    placed = []
+    for size in units[ranked].tolist():
+        for p, load in enumerate(loads):
+            if load + size <= limit:
+                break
+        else:
+            # Flow does not fit anywhere: fall back to the least-loaded port.
+            p = loads.index(min(loads))
+        placed.append(p)
+        loads[p] += size
+    port[ranked] = placed
+    return loads
+
+
+def _plan(est, algorithm, epoch, port, loads, active_ports, active_set, spare=None):
+    high = (est.low_latency if algorithm is Algorithm.TWO_QUEUES
+            else np.zeros(len(est), dtype=bool))
     return AllocationPlan(
-        assignments=assignments,
-        active_ports=k,
+        flows=est.flows,
+        ports=port,
+        high=high,
+        active_ports=active_ports,
         epoch=epoch,
         algorithm=algorithm,
-        port_loads=[Fraction(x, den) for x in loads],
-        active_set=tuple(range(k)),
+        port_loads=[x * est.unit for x in loads],
+        active_set=tuple(active_set),
+        spare_port=spare,
     )
+
+
+def _lpt_plan(est, ranked, k, n_ports, epoch, algorithm):
+    port = np.zeros(len(est), dtype=np.int64)
+    loads = _lpt(est.units, ranked, k, n_ports, port)
+    return _plan(est, algorithm, epoch, port, loads, k, range(k))
 
 
 def conservative_allocate(estimates, k: int, n_ports: int, epoch: int = 0) -> AllocationPlan:
     """Balance all flows over the first k ports, keep the rest idle."""
     if not 1 <= k <= n_ports:
         raise ConfigError(f"k={k} outside [1, {n_ports}]")
-    ranked, den = _ranked(estimates)
-    return _lpt_plan(ranked, den, k, n_ports, epoch, Algorithm.CONSERVATIVE)
+    est = _arrays(estimates)
+    return _lpt_plan(est, _ranked(est), k, n_ports, epoch, Algorithm.CONSERVATIVE)
 
 
-def _sized_conservative(estimates, capacity_bps, n_ports, epoch, algorithm,
-                        queue_of=None):
+def _sized_conservative(estimates, capacity_bps, n_ports, epoch, algorithm):
     """LPT over just enough ports for the total estimated load."""
-    ranked, den = _ranked(estimates)
-    k = _ports_for(-sum(map(itemgetter(0), ranked)), den, capacity_bps, n_ports)
-    return _lpt_plan(ranked, den, k, n_ports, epoch, algorithm, queue_of)
+    est = _arrays(estimates)
+    ranked = _ranked(est)
+    k = _sized(est, ranked, capacity_bps, n_ports)
+    return _lpt_plan(est, ranked, k, n_ports, epoch, algorithm)
 
 
 def equitable_allocate(estimates, n_ports: int, epoch: int = 0) -> AllocationPlan:
@@ -221,36 +281,14 @@ def equitable_allocate(estimates, n_ports: int, epoch: int = 0) -> AllocationPla
     return plan
 
 
-def _first_fit(ranked, limit, n_ports):
-    """First fit onto the lowest-index port whose load stays <= limit."""
-    loads = [0] * n_ports
-    placement = {}
-    for neg, flow in ranked:
-        for port, load in enumerate(loads):
-            if load - neg <= limit:
-                break
-        else:
-            # Flow does not fit anywhere: fall back to the least-loaded port.
-            port = loads.index(min(loads))
-        placement[flow] = port
-        loads[port] -= neg
-    return placement, loads
-
-
 def _greedy_plan(estimates, threshold, n_ports, epoch, algorithm):
-    ranked, den = _ranked(estimates)
-    # load + rate <= threshold  <=>  load_units + units <= floor(threshold * den)
-    num, tden = Fraction(threshold).as_integer_ratio()
-    placement, loads = _first_fit(ranked, num * den // tden, n_ports)
-    used = sorted(set(placement.values())) or [0]
-    return AllocationPlan(
-        assignments={f: (p, Queue.LOW) for f, p in placement.items()},
-        active_ports=len(used),
-        epoch=epoch,
-        algorithm=algorithm,
-        port_loads=[Fraction(x, den) for x in loads],
-        active_set=tuple(used),
-    )
+    est = _arrays(estimates)
+    # load + rate <= threshold  <=>  load_units + units <= floor(threshold / unit)
+    limit = math.floor(Fraction(threshold) / est.unit)
+    port = np.zeros(len(est), dtype=np.int64)
+    loads = _first_fit(est.units, _ranked(est), limit, n_ports, port)
+    used = np.unique(port).tolist() or [0]
+    return _plan(est, algorithm, epoch, port, loads, len(used), used)
 
 
 def greedy_allocate(estimates, capacity_bps, n_ports: int, epoch: int = 0) -> AllocationPlan:
@@ -277,30 +315,20 @@ def spare_port_allocate(estimates, capacity_bps, n_ports: int, epoch: int = 0) -
     low-latency flow to the port with the smallest pass-1 load, breaking ties
     toward the highest index so an untouched trailing port is preferred.
     """
-    ranked, den = _ranked(estimates)
-    lowlat_flows = {e.flow for e in estimates
-                    if e.traffic_class is TrafficClass.LOW_LATENCY}
-    normal = [r for r in ranked if r[1] not in lowlat_flows]
-    lowlat = [r for r in ranked if r[1] in lowlat_flows]
-    k = _ports_for(-sum(map(itemgetter(0), normal)), den, capacity_bps, n_ports)
-    placement, loads = _lpt(normal, k, n_ports)
-    assignments = {f: (p, Queue.LOW) for f, p in placement.items()}
+    est = _arrays(estimates)
+    ranked = _ranked(est)
+    ll = est.low_latency[ranked]
+    normal, lowlat = ranked[~ll], ranked[ll]
+    k = _sized(est, normal, capacity_bps, n_ports)
+    port = np.zeros(len(est), dtype=np.int64)
+    loads = _lpt(est.units, normal, k, n_ports, port)
     spare = None
-    if lowlat:
+    if len(lowlat):
         spare = n_ports - 1 - loads[::-1].index(min(loads))
-        for neg, flow in lowlat:
-            assignments[flow] = (spare, Queue.LOW)
-            loads[spare] -= neg
+        port[lowlat] = spare
+        loads[spare] += sum(est.units[lowlat].tolist())
     active = k + (1 if spare is not None and spare >= k else 0)
-    return AllocationPlan(
-        assignments=assignments,
-        active_ports=active,
-        epoch=epoch,
-        algorithm=Algorithm.SPARE_PORT,
-        port_loads=[Fraction(x, den) for x in loads],
-        active_set=tuple(range(k)),
-        spare_port=spare,
-    )
+    return _plan(est, Algorithm.SPARE_PORT, epoch, port, loads, active, range(k), spare)
 
 
 def two_queues_allocate(estimates, capacity_bps, n_ports: int, epoch: int = 0) -> AllocationPlan:
@@ -309,12 +337,8 @@ def two_queues_allocate(estimates, capacity_bps, n_ports: int, epoch: int = 0) -
     The flow -> port map is bit-for-bit the conservative one computed over
     all flows; only the queue differs (high for low-latency flows).
     """
-    queue_of = {
-        e.flow: Queue.HIGH if e.traffic_class is TrafficClass.LOW_LATENCY else Queue.LOW
-        for e in estimates
-    }
     return _sized_conservative(estimates, capacity_bps, n_ports, epoch,
-                               Algorithm.TWO_QUEUES, queue_of)
+                               Algorithm.TWO_QUEUES)
 
 
 def allocate(algorithm: Algorithm, estimates, bundle: BundleConfig, epoch: int = 0) -> AllocationPlan:

@@ -8,15 +8,16 @@ loop makes one pass over the arrival stream a batch of int64 columns at a
 time and runs each port lazily.
 
 Each batch is split at control-epoch instants (``searchsorted``, side
-"left") into segments within one control interval. Arrivals get small
-flow codes, numbered afresh each interval, and are routed through a route
-array over them: :meth:`FlowTable.dispatch` is called once per new (flow,
-interval), in first-seen order, and the other arrivals' bytes are added to
-the flow counters with an int64 ``np.add.at``. The segment is then grouped
-by port, stably, and each port takes its share :data:`SLAB_PKTS` arrivals
-at a time through :meth:`EeePort.serve`; :mod:`eeesim.eee_port` says which
-of its two paths serves them. The paths differ only in the order of delay
-samples and ``delay_log`` rows, and no statistic depends on it.
+"left") into segments within one control interval. Each flow has a code,
+numbered once per run at its first packet, and the :class:`FlowTable`
+keeps its byte counter and route in int64 arrays over the codes. A segment
+is routed with one ``take`` of the route array and its bytes are counted
+with an int64 ``np.add.at``; :meth:`FlowTable.dispatch` is called only to
+register a flow, at its first packet, in stream order. The segment is then
+grouped by port, stably, and each port takes its share :data:`SLAB_PKTS`
+arrivals at a time through :meth:`EeePort.serve`; :mod:`eeesim.eee_port`
+says which of its two paths serves them. The paths differ only in the order
+of delay samples and ``delay_log`` rows, and no statistic depends on it.
 
 Events at the same nanosecond keep a fixed order on both paths: control
 epochs first (a plan takes effect at exactly t = nT), then arrivals in
@@ -31,6 +32,7 @@ import json
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -40,11 +42,12 @@ from .allocation import (
     BundleConfig,
     allocate,
     estimate_rates,
+    flow_rank,
     initial_plan,
 )
 from .eee_port import EeePort, EeePortConfig, PortState, Queue
 from .errors import ConfigError, SimulationFault
-from .traffic import DEFAULT_LL_DSCPS, SLAB_PKTS, TrafficClass, batches
+from .traffic import DEFAULT_LL_DSCPS, SLAB_PKTS, batches
 
 _INF = float("inf")
 
@@ -78,73 +81,83 @@ class SimConfig:
 
 
 class FlowTable:
-    """Incumbent allocation plan plus the byte counters feeding the next epoch.
+    """Incumbent allocation plan plus per-flow arrays indexed by flow code.
 
-    Counters advance at dispatch time (the flow-rule view of traffic), so a
-    frame that is later tail-dropped still counts toward its flow's rate.
+    Each flow is numbered once per run, in order of first sighting, when
+    :meth:`dispatch` registers it: ``codes`` maps a flow key to its code and
+    ``flows`` a code back to its key. ``nbytes[code]`` counts the flow's bytes
+    in the current control interval and ``route[code]`` holds its route,
+    ``port << 2 | high queue << 1 | low-latency class``; both arrays may
+    outgrow ``flows``. Every registered flow keeps a plan entry, at rate 0
+    while it is silent. Counters advance at dispatch time (the flow-rule
+    view of traffic), so a frame that is later tail-dropped still counts
+    toward its flow's rate.
     """
 
     def __init__(self, config: SimConfig):
         self.config = config
         self.algorithm = config.bundle.algorithm
         self.plan = initial_plan(self.algorithm, config.bundle.n_ports)
-        self.counters: dict = {}
-        self.classes: dict = {}
+        self.codes: dict = {}
+        self.flows: list = []
+        self.nbytes = np.zeros(64, dtype=np.int64)
+        self.route = np.zeros(64, dtype=np.int64)
+        self._rank = flow_rank(self.flows)
 
     def dispatch(self, pkt):
         """(port, queue) for a packet tuple under the incumbent plan."""
-        flow = pkt[2]
-        counters = self.counters
-        counters[flow] = counters.get(flow, 0) + pkt[1]
-        entry = self.plan.assignments.get(flow)
-        if entry is None:
-            entry = self._register(flow, pkt[3])
-        return entry
+        code = self.codes.get(pkt[2])
+        if code is None:
+            code = self._register(pkt[2], pkt[3])
+        self.nbytes[code] += pkt[1]
+        route = int(self.route[code])
+        return route >> 2, Queue.HIGH if route & 2 else Queue.LOW
 
     def _register(self, flow, dscp):
         # A flow first seen mid-interval goes to the least-loaded currently
         # active port (planned loads); the spare-port algorithm sends unknown
         # low-latency flows straight to its spare port. Re-planned next epoch.
-        cls = (
-            TrafficClass.LOW_LATENCY
-            if dscp in self.config.ll_dscps
-            else TrafficClass.NORMAL
-        )
-        self.classes[flow] = cls
+        code = len(self.flows)
+        if code == len(self.route):
+            self.nbytes = np.concatenate((self.nbytes, np.zeros_like(self.nbytes)))
+            self.route = np.concatenate((self.route, np.zeros_like(self.route)))
+        self.codes[flow] = code
+        self.flows.append(flow)
+        low_latency = dscp in self.config.ll_dscps
         plan = self.plan
         if (
             plan.algorithm is Algorithm.SPARE_PORT
-            and cls is TrafficClass.LOW_LATENCY
+            and low_latency
             and plan.spare_port is not None
         ):
             port = plan.spare_port
         else:
             port = plan.least_loaded
-        queue = (
-            Queue.HIGH
-            if self.algorithm is Algorithm.TWO_QUEUES
-            and cls is TrafficClass.LOW_LATENCY
-            else Queue.LOW
-        )
-        entry = (port, queue)
-        plan.assignments[flow] = entry
-        return entry
+        high = self.algorithm is Algorithm.TWO_QUEUES and low_latency
+        self.route[code] = port << 2 | high << 1 | low_latency
+        return code
 
     def control_epoch(self, now: int) -> AllocationPlan:
         """Estimate rates from the closed interval and install a fresh plan.
 
-        Flows known to the previous plan but silent in the interval are
-        retained at rate 0. Queued packets are not migrated; counters reset.
+        Every registered flow is estimated, a silent one at rate 0. Queued
+        packets are not migrated; counters reset.
         """
+        n = len(self.flows)
+        if len(self._rank) != n:  # flows registered since the last epoch
+            self._rank = flow_rank(self.flows)
+        low_latency = self.route[:n] & 1
         estimates = estimate_rates(
-            self.counters,
+            self.nbytes[:n],
             self.config.sampling_period_ns,
-            self.classes,
-            retained=self.plan.assignments,
+            low_latency.astype(bool),
+            self.flows[:n],  # a copy: the plan keeps it as registrations go on
+            self._rank,
         )
         plan = allocate(self.algorithm, estimates, self.config.bundle, epoch=now)
+        self.route[:n] = plan.ports << 2 | plan.high << 1 | low_latency
+        self.nbytes = np.zeros_like(self.nbytes)
         self.plan = plan
-        self.counters = {}
         return plan
 
 
@@ -277,22 +290,6 @@ def render_report(data: dict) -> str:
     return "\n".join(f"{name:<{width}}  {value}" for name, value in rows) + "\n"
 
 
-class _FlowCodes(dict):
-    """Small int code of each flow key seen in a control interval, in
-    first-seen order."""
-
-    __slots__ = ("names",)
-
-    def __init__(self):
-        super().__init__()
-        self.names: list = []  # code -> flow key
-
-    def __missing__(self, flow) -> int:
-        self[flow] = code = len(self.names)
-        self.names.append(flow)
-        return code
-
-
 class _Tally:
     """Departures and drops of one run, as the ports hand them over."""
 
@@ -370,17 +367,8 @@ def run(config: SimConfig, stream) -> MetricsReport:
     arrived_total = 0
     ports = [EeePort(i, config.port, (warmup, duration)) for i in range(n_ports)]
     table = FlowTable(config)
-    classes = table.classes
     dispatch = table.dispatch
-    low_latency = TrafficClass.LOW_LATENCY
-    codes = _FlowCodes()
-    names = codes.names
-    # Per flow code of the current interval: the route (port << 2 | high
-    # queue << 1 | low-latency class), -1 until the flow's first packet
-    # goes through dispatch, which registers it and counts its bytes; and
-    # the bytes of its other packets. All three start afresh each epoch.
-    route = np.full(64, -1, dtype=np.int64)
-    nbytes = np.zeros(64, dtype=np.int64)
+    code_of = table.codes.get
 
     # Time-weighted incumbent-plan width ("ports the algorithm is using").
     ap_acc = 0
@@ -395,13 +383,6 @@ def run(config: SimConfig, stream) -> MetricsReport:
         if t > lo:
             ap_acc += ap_k * (t - lo)
         ap_last = t
-        counters = table.counters
-        for code in np.flatnonzero(nbytes).tolist():
-            counters[names[code]] += int(nbytes[code])
-        nbytes[:] = 0
-        route[:] = -1
-        codes.clear()  # free them before the allocator builds the new plan
-        names.clear()
         plan = table.control_epoch(t)
         ap_k = plan.active_ports
         epoch_rows.append((t, plan.active_ports, [float(x) for x in plan.port_loads]))
@@ -410,29 +391,24 @@ def run(config: SimConfig, stream) -> MetricsReport:
 
     def segment(batch, lo, hi):
         """Route arrivals ``lo:hi`` of ``batch``, all in one interval, to the ports."""
-        nonlocal route, nbytes
         t, size, flow, dscp, seq = batch
-        c = np.fromiter(map(codes.__getitem__, flow[lo:hi].tolist()),
-                        dtype=np.int64, count=hi - lo)
-        if len(names) > len(route):
-            grow = max(len(names), 2 * len(route)) - len(route)
-            route = np.concatenate((route, np.full(grow, -1, dtype=np.int64)))
-            nbytes = np.concatenate((nbytes, np.zeros(grow, dtype=np.int64)))
-        r = route[c]
-        new = np.flatnonzero(r < 0)
+        names = flow[lo:hi].tolist()
+        c = np.fromiter(map(code_of, names, repeat(-1)), dtype=np.int64, count=hi - lo)
+        new = np.flatnonzero(c < 0)
         if len(new):
-            _, first = np.unique(c[new], return_index=True)
-            idx = np.sort(new[first]) + lo
-            routes = []
-            for pkt in zip(t[idx].tolist(), size[idx].tolist(), flow[idx].tolist(),
+            # Register each new flow at its first packet, in stream order;
+            # dispatch counts that packet's bytes.
+            first: dict = {}
+            for i in new.tolist():
+                first.setdefault(names[i], i)
+            idx = np.fromiter(first.values(), dtype=np.int64, count=len(first)) + lo
+            for pkt in zip(t[idx].tolist(), size[idx].tolist(), first,
                            dscp[idx].tolist(), seq[idx].tolist()):
-                port_idx, queue = dispatch(pkt)
-                routes.append(port_idx << 2 | (queue is Queue.HIGH) << 1
-                              | (classes[pkt[2]] is low_latency))
-            route[c[idx - lo]] = routes
-            nbytes[c[idx - lo]] -= size[idx]  # dispatch counted these
-            r = route[c]
-        np.add.at(nbytes, c, size[lo:hi])
+                dispatch(pkt)
+            c[new] = [code_of(names[i]) for i in new.tolist()]
+            table.nbytes[c[idx - lo]] -= size[idx]  # dispatch counted these
+        np.add.at(table.nbytes, c, size[lo:hi])
+        r = table.route[c]
         seg = (t[lo:hi], size[lo:hi], flow[lo:hi], dscp[lo:hi], seq[lo:hi],
                r & 1, (r & 2) > 0)
         on_port = r >> 2

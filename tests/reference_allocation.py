@@ -10,13 +10,15 @@ catch an allocator regression).
 
 Each allocator returns a dict with the plan fields the engine reads:
 ``assignments`` (flow -> (port, Queue)), ``port_loads`` (Fraction per port),
-``active_ports``, ``active_set`` and ``spare_port``.
+``active_ports``, ``active_set`` and ``spare_port``. ``control_path`` plays
+a whole run's control loop on dicts keyed by flow: its plans and the route
+of every packet.
 """
 
 import math
 from fractions import Fraction
 
-from eeesim import Algorithm, Queue, TrafficClass
+from eeesim import Algorithm, FlowEstimate, Queue, TrafficClass
 
 
 def required_ports(total_rate, capacity_bps, n_ports):
@@ -124,3 +126,59 @@ def allocate(algorithm, estimates, n_ports, capacity_bps, bound_fraction=0.9):
     if algorithm is Algorithm.TWO_QUEUES:
         return two_queues(estimates, capacity_bps, n_ports)
     raise ValueError(algorithm)
+
+
+def control_path(config, packets):
+    """Epoch rows and packet routes of a run, from dict counters and the
+    reference allocators.
+
+    At each control epoch every flow seen so far is estimated, at
+    ``bytes * 8e9 / period`` for the bytes of its packets in the closed
+    interval (0 for a silent flow). A flow's first packet registers it: a
+    low-latency flow under ``spare_port`` goes to the spare port, if the plan
+    in force has one, and any other flow to the least-loaded port of its
+    active set, into the high queue for a low-latency flow under
+    ``two_queues``. Returns ``(rows, routes)``: ``(epoch, active_ports,
+    port_loads)`` per epoch, and seq -> ``(port, Queue)`` per packet.
+    """
+    bundle, period = config.bundle, config.sampling_period_ns
+    algorithm, n_ports = bundle.algorithm, bundle.n_ports
+    classes, counts, registered = {}, {}, {}
+    plan = _plan({}, [Fraction(0)] * n_ports, 1, (0,))
+    rows, routes = [], {}
+    epoch = period
+
+    def fire():
+        estimates = [FlowEstimate(f, counts.get(f, 0),
+                                  Fraction(counts.get(f, 0) * 8_000_000_000, period), c)
+                     for f, c in classes.items()]
+        return allocate(algorithm, estimates, n_ports, bundle.capacity_bps,
+                        bundle.bound_fraction)
+
+    for t, size, flow, dscp, seq in packets:
+        while epoch <= t:
+            plan = fire()
+            rows.append((epoch, plan["active_ports"], plan["port_loads"]))
+            counts, registered = {}, {}
+            epoch += period
+        route = plan["assignments"].get(flow) or registered.get(flow)
+        if route is None:
+            low_latency = dscp in config.ll_dscps
+            classes[flow] = (TrafficClass.LOW_LATENCY if low_latency
+                             else TrafficClass.NORMAL)
+            loads = plan["port_loads"]
+            if (algorithm is Algorithm.SPARE_PORT and low_latency
+                    and plan["spare_port"] is not None):
+                port = plan["spare_port"]
+            else:
+                port = min(plan["active_set"], key=lambda i: (loads[i], i))
+            high = algorithm is Algorithm.TWO_QUEUES and low_latency
+            route = registered[flow] = (port, Queue.HIGH if high else Queue.LOW)
+        routes[seq] = route
+        counts[flow] = counts.get(flow, 0) + size
+    while epoch < config.duration_ns:
+        plan = fire()
+        rows.append((epoch, plan["active_ports"], plan["port_loads"]))
+        counts = {}
+        epoch += period
+    return rows, routes

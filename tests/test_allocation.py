@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eeesim import (
@@ -21,7 +22,7 @@ from eeesim import (
     spare_port_allocate,
     two_queues_allocate,
 )
-from eeesim.allocation import BundleConfig, FlowEstimate
+from eeesim.allocation import BundleConfig, FlowEstimate, flow_rank
 
 RSEED = 1869
 GBPS = 1_000_000_000
@@ -53,24 +54,33 @@ def brute_min_makespan(rates, k):
 
 # -- estimate_rates ----------------------------------------------------------
 
-def test_estimate_rate_arithmetic():
-    out = estimate_rates({"a": 1_000_000}, 500_000_000, {})
-    assert out[0].rate == Fraction(16_000_000)  # 1 MB over 0.5 s
+def _estimate(byte_counts, period_ns):
+    flows = list(byte_counts)
+    return estimate_rates(np.array(list(byte_counts.values()), dtype=np.int64),
+                          period_ns, np.zeros(len(flows), dtype=bool), flows,
+                          flow_rank(flows))
 
-    out = estimate_rates({"a": 625_000_000}, 500_000_000, {})
-    assert out[0].rate == Fraction(10 * GBPS)
+
+def test_estimate_rate_arithmetic():
+    out = _estimate({"a": 1_000_000}, 500_000_000)
+    assert out.units[0] * out.unit == Fraction(16_000_000)  # 1 MB over 0.5 s
+
+    out = _estimate({"a": 625_000_000}, 500_000_000)
+    assert out.units[0] * out.unit == Fraction(10 * GBPS)
 
 
 def test_estimate_retains_silent_flows():
-    out = estimate_rates({"a": 100}, 1_000_000, {}, retained=["b"])
-    by_flow = {e.flow: e for e in out}
-    assert by_flow["b"].rate == 0
-    assert by_flow["b"].bytes_last_period == 0
+    out = _estimate({"a": 100, "b": 0}, 1_000_000)
+    assert len(out) == 2
+    assert out.units[1] * out.unit == 0
+    for algorithm in Algorithm:
+        plan = allocate(algorithm, out, BundleConfig(5, 10 * GBPS, algorithm))
+        assert set(plan.assignments) == {"a", "b"}
 
 
 def test_estimate_rejects_bad_period():
     with pytest.raises(ConfigError):
-        estimate_rates({}, 0, {})
+        _estimate({}, 0)
 
 
 # -- required_ports ----------------------------------------------------------

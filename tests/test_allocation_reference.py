@@ -74,5 +74,8 @@ def _check(n_ports, capacity, bound, flows):
 # first fit exactly on 0.3 * capacity = 3
 @example((4, 10, 0.3, [("a", 2, NORMAL), ("b", 1, NORMAL), ("c", 3, NORMAL),
                        ("d", Fraction(3, 2), NORMAL), ("e", Fraction(3, 2), LL)]))
+# denominators whose lcm puts the integer units past int64
+@example((3, 10, 0.9, [("a", Fraction(2**62, 3), NORMAL), ("b", Fraction(5, 2**61 - 1), LL),
+                       ("c", Fraction(2**62, 3), NORMAL), ("d", Fraction(9, 2**31 - 1), NORMAL)]))
 def test_allocators_match_fraction_reference(case):
     _check(*case)

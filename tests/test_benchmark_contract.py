@@ -14,11 +14,13 @@ from eeesim import (
     EeePortConfig,
     SimConfig,
     eee_port,
+    engine,
     run,
     scenarios,
     traffic,
 )
 from eeesim.eee_port import EeePort
+from eeesim.engine import FlowTable
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -94,3 +96,40 @@ def test_default_path_serves_a_dropping_stream_without_enqueue(monkeypatch):
     assert len(enqueued) == len(pkts)
     assert by_default.totals["dropped"] > 0
     assert by_default.to_json() == by_handlers.to_json()
+
+
+def test_tracer_counts_registrations_and_estimated_flows(tmp_path, monkeypatch):
+    # Dispatch runs once per flow, at its registration, and every epoch
+    # estimates every flow registered before it, silent ones included.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer").Tracer(tmp_path)
+    originals = (FlowTable.dispatch, FlowTable.control_epoch,
+                 engine.estimate_rates, engine.allocate)
+    period = 10_000
+    config = SimConfig(
+        bundle=BundleConfig(n_ports=3, capacity_bps=10**10,
+                            algorithm=Algorithm.TWO_QUEUES),
+        port=EeePortConfig(capacity_bps=10**10),
+        duration_ns=6 * period,
+        sampling_period_ns=period,
+        warmup_ns=0,
+    )
+    # flow f<i> starts in interval i // 2; the even ones send in that one only
+    pkts = []
+    for t in range(0, 5 * period, 500):
+        for i in range(10):
+            if i // 2 * period <= t and (i % 2 or t < (i // 2 + 1) * period):
+                pkts.append((t, 1500, f"f{i}", 46 if i % 3 == 0 else 0, len(pkts)))
+    try:
+        tracer.install()
+        run(config, pkts)
+    finally:
+        restored = tracer.uninstall()
+    assert tracer.cells["dispatch"][0] == len({p[2] for p in pkts}) == 10
+    estimated = [span[5]["flows"] for span in tracer.spans
+                 if span[1] == "allocation.estimate_rates"]
+    assert estimated == [len({p[2] for p in pkts if p[0] < e * period})
+                         for e in range(1, 6)]
+    assert restored
+    assert (FlowTable.dispatch, FlowTable.control_epoch,
+            engine.estimate_rates, engine.allocate) == originals

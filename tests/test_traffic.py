@@ -36,7 +36,8 @@ def classify(packet, ll_dscps=DEFAULT_LL_DSCPS):
     )
     table = FlowTable(config)
     table.dispatch(packet)
-    return table.classes[packet[2]]
+    low_latency = table.route[table.codes[packet[2]]] & 1  # route bit 0: the class
+    return TrafficClass.LOW_LATENCY if low_latency else TrafficClass.NORMAL
 
 
 def _write(tmp_path, text, name="trace.csv"):
