@@ -14,10 +14,12 @@ keeps its byte counter and route in int64 arrays over the codes. A segment
 is routed with one ``take`` of the route array and its bytes are counted
 with an int64 ``np.add.at``; :meth:`FlowTable.dispatch` is called only to
 register a flow, at its first packet, in stream order. The segment is then
-grouped by port, stably, and each port takes its share :data:`SLAB_PKTS`
-arrivals at a time through :meth:`EeePort.serve`; :mod:`eeesim.eee_port`
-says which of its two paths serves them. The paths differ only in the order
-of delay samples and ``delay_log`` rows, and no statistic depends on it.
+grouped by port, stably. A port meets only its own arrivals, so each port
+holds its share across segments and epochs and takes ``SLAB_PKTS // 2`` to
+:data:`SLAB_PKTS` of them per :meth:`EeePort.serve` call, and the rest
+before it drains; :mod:`eeesim.eee_port` says which of its two paths serves
+them. The paths and the runs differ only in the order of delay samples and
+``delay_log`` rows, and no statistic depends on it.
 
 Events at the same nanosecond keep a fixed order on both paths: control
 epochs first (a plan takes effect at exactly t = nT), then arrivals in
@@ -42,7 +44,6 @@ from .allocation import (
     BundleConfig,
     allocate,
     estimate_rates,
-    flow_rank,
     initial_plan,
 )
 from .eee_port import EeePort, EeePortConfig, PortState, Queue
@@ -102,7 +103,7 @@ class FlowTable:
         self.flows: list = []
         self.nbytes = np.zeros(64, dtype=np.int64)
         self.route = np.zeros(64, dtype=np.int64)
-        self._rank = flow_rank(self.flows)
+        self._rank = np.empty(0, dtype=np.int64)  # each code's place in key order
 
     def dispatch(self, pkt):
         """(port, queue) for a packet tuple under the incumbent plan."""
@@ -145,7 +146,10 @@ class FlowTable:
         """
         n = len(self.flows)
         if len(self._rank) != n:  # flows registered since the last epoch
-            self._rank = flow_rank(self.flows)
+            # the old codes in key order, then the new: Timsort merges the runs
+            order = np.argsort(self._rank).tolist() + list(range(len(self._rank), n))
+            order.sort(key=self.flows.__getitem__)
+            self._rank = np.argsort(order)  # rank and order are inverse permutations
         low_latency = self.route[:n] & 1
         estimates = estimate_rates(
             self.nbytes[:n],
@@ -340,6 +344,8 @@ class _Tally:
 
 #: most arrivals routed at once; bounds the per-arrival arrays of a segment
 _SEGMENT_PKTS = 2 * SLAB_PKTS
+#: fewest routed arrivals a port is served at once, but for its last run
+_SERVE_PKTS = SLAB_PKTS // 2
 
 
 def run(config: SimConfig, stream) -> MetricsReport:
@@ -414,15 +420,33 @@ def run(config: SimConfig, stream) -> MetricsReport:
         on_port = r >> 2
         order = np.argsort(on_port, kind="stable")
         b = 0
-        for port, e in zip(ports, np.cumsum(np.bincount(on_port, minlength=n_ports))):
-            # SLAB_PKTS at a time, which bounds the arrays copied
-            for lo in range(b, e, SLAB_PKTS):
-                run = [col[order[lo:min(lo + SLAB_PKTS, e)]] for col in seg]
-                *served, dropped = port.serve(*run)
-                tally.frames(*served)
-                if len(dropped):
-                    tally.drops(run, dropped)
+        for i, e in enumerate(np.cumsum(np.bincount(on_port, minlength=n_ports)).tolist()):
+            if e > b:
+                pending[i].append([col[order[b:e]] for col in seg])
+                if sum(len(part[0]) for part in pending[i]) >= _SERVE_PKTS:
+                    serve(i)
             b = e
+
+    # A port's routed arrivals wait until it holds _SERVE_PKTS of them: only
+    # its own arrivals change a port, and serving a run in parts is exact.
+    pending: list = [[] for _ in ports]
+
+    def serve(i, least=_SERVE_PKTS):
+        """Serve port ``i``'s pending arrivals, at most SLAB_PKTS a call,
+        while at least ``least`` of them remain."""
+        parts = pending[i]
+        cols = parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
+        parts.clear()  # free the parts before the port makes its temporaries
+        n, lo = len(cols[0]), 0
+        while n - lo >= least:
+            run = [col[lo:lo + SLAB_PKTS] for col in cols]
+            *served, dropped = ports[i].serve(*run)
+            tally.frames(*served)
+            if len(dropped):
+                tally.drops(run, dropped)
+            lo += len(run[0])
+        if lo < n:
+            parts.append([col[lo:].copy() for col in cols])
 
     next_epoch = period if period < duration else _INF
     last_arrival = -1
@@ -453,7 +477,9 @@ def run(config: SimConfig, stream) -> MetricsReport:
             break
     while next_epoch < duration:
         next_epoch = fire_epoch(next_epoch)
-    for port in ports:
+    for i, port in enumerate(ports):
+        if pending[i]:
+            serve(i, 1)
         tally.frames(*port.drain(duration))
         port.finalize(duration)
     lo = ap_last if ap_last > warmup else warmup

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,10 +19,11 @@ from eeesim import (
     oracle_simulate,
     run,
 )
-from eeesim import eee_port
+from eeesim import engine, eee_port
+from eeesim.allocation import flow_rank
 from eeesim.eee_port import EeePort, PortState
 from eeesim.engine import FlowTable
-from eeesim.traffic import cbr_slabs, merge_slabs, packets
+from eeesim.traffic import SLAB_PKTS, Batch, cbr_slabs, merge_slabs, packets
 
 RSEED = 77002
 TEN_G = 10_000_000_000
@@ -174,6 +176,80 @@ def test_epoch_resets_counters():
     assert table.flows == ["a"] and table.nbytes[0] == 1500
     table.control_epoch(PERIOD)
     assert table.flows == ["a"] and not table.nbytes.any()
+
+
+def test_epoch_rank_matches_a_fresh_sort_across_registrations(monkeypatch):
+    # control_epoch re-ranks by merging the previous key order with the codes
+    # registered since; the rank it hands the allocator must equal a fresh
+    # sort of every key, whatever order the new keys arrive in and however
+    # they interleave with the old ones.
+    rng = random.Random(RSEED + 3)
+    ranks = []
+    estimate = engine.estimate_rates
+
+    def log_estimate(nbytes, period, low_latency, flows, rank):
+        ranks.append((list(flows), rank.copy()))
+        return estimate(nbytes, period, low_latency, flows, rank)
+
+    monkeypatch.setattr(engine, "estimate_rates", log_estimate)
+    table = FlowTable(make_config(n_ports=5))
+    seq = 0
+    for epoch, new in enumerate([0, 1, 40, 0, 300, 7, 1000], start=1):
+        for _ in range(new):
+            flow = f"f{rng.randrange(10**6)}" if rng.random() < 0.9 else f"{seq}"
+            table.dispatch(Packet(epoch * PERIOD - 1, 100, flow, 0, seq))
+            seq += 1
+        table.control_epoch(epoch * PERIOD)
+    assert [len(flows) for flows, _ in ranks] == [0, 1, 41, 41, 341, 348, 1348]
+    for flows, rank in ranks:
+        assert rank.tolist() == flow_rank(flows).tolist()
+
+
+def test_ports_are_served_in_half_slabs_and_match_the_oracle(monkeypatch):
+    # Each port holds its routed arrivals across segments, batches and
+    # epochs and is served SLAB_PKTS // 2 to SLAB_PKTS of them at a time,
+    # but for its last run. Every flow sits on port 0 until the first epoch,
+    # where a 16-frame buffer drops; the plans that spread the flows, and
+    # the ones that place "late", land while ports hold arrivals. The stream
+    # is one batch, so port 0 takes all ~5,600 arrivals before the first
+    # epoch at once and holds the ones past SLAB_PKTS across it.
+    streams = [cbr_slabs(4 * 10**9, 1500, 0, 12_000_000, flow=f"bulk{i}")
+               for i in range(4)]
+    streams.append(cbr_slabs(400_000_000, 125, 46, 12_000_000, flow="rt"))
+    streams.append(cbr_slabs(4 * 10**9, 1500, 0, 5_000_000, 7_000_000, "late"))
+    streams.append(cbr_slabs(2 * 10**9, 64, 0, 1_000_000, flow="burst"))
+    batch = Batch(*map(np.concatenate, zip(*merge_slabs(streams))))
+    pkts = list(packets([batch]))
+    config = make_config(n_ports=3, algorithm=Algorithm.TWO_QUEUES,
+                         period=1_000_000, duration=pkts[-1][0] + 5_000_000,
+                         buffer_limit=16)
+    runs = {}
+    plans = []
+    serve, control_epoch = EeePort.serve, FlowTable.control_epoch
+
+    def log_serve(self, t, *cols):
+        runs.setdefault(self.index, []).append((len(t), int(t[0]), int(t[-1])))
+        return serve(self, t, *cols)
+
+    def log_epoch(self, now):
+        plans.append((now, control_epoch(self, now).assignments))
+        return self.plan
+
+    monkeypatch.setattr(EeePort, "serve", log_serve)
+    monkeypatch.setattr(FlowTable, "control_epoch", log_epoch)
+    report = run(config, [batch])
+
+    assert sorted(runs) == [0, 1, 2] and max(map(len, runs.values())) >= 3
+    for port_runs in runs.values():
+        assert all(SLAB_PKTS // 2 <= n <= SLAB_PKTS for n, _, _ in port_runs[:-1])
+        assert 0 < port_runs[-1][0] <= SLAB_PKTS
+    changed = [now for (now, plan), (_, before) in zip(plans[1:], plans) if plan != before]
+    spanned = [now for now in [plans[0][0], *changed] for port_runs in runs.values()
+               for _, first, last in port_runs if first < now <= last]
+    assert plans[0][0] in spanned and set(spanned) - {plans[0][0]}
+    departures, dropped = oracle_simulate(config, pkts)
+    assert report.drop_seqs == dropped and len(dropped) > 0
+    assert report.departures == departures
 
 
 @pytest.mark.parametrize("algorithm, ll_port, high", [
