@@ -32,14 +32,18 @@ drops, in another order:
   run's. With ``c`` the end of the previous frame, a frame arriving at
   ``a <= c`` starts at ``c``, otherwise at ``max(a, c + t_sleep) +
   t_wake``. With ``P`` the prefix sums of wire times, a busy period can end
-  only where ``a_i - P_{i-1}`` sets a strict running-max record, and one
-  Python step per record finds every period. A period holding both queues
-  is re-ordered by strict priority with one running max over its high
-  frames. Where the run can fill the buffer, :meth:`EeePort._dropped`
-  first finds the arrivals that meet it full, and the accepted ones are
-  served as above. Low frames queued behind more wire time than the run
-  spans cannot start before it ends: they stay in their queue untouched
-  and count only towards the buffer;
+  only where ``a_i - P_{i-1}`` sets a strict running-max record. A Python
+  loop over the records' values finds the periods' first frames, and one
+  max-plus scan their starts. A period holding both queues is re-ordered by
+  strict priority with one running max over its high frames. Where the run
+  can fill the buffer, :meth:`EeePort._dropped` first finds the arrivals
+  that meet it full, and the accepted ones are served as above: where every
+  frame is in one queue, frames start in FIFO order and one block of array
+  operations decides the arrivals until the frames queued at its first
+  start have started; with both queues, one step per frame start. Low
+  frames queued behind more wire time than the run spans cannot start
+  before it ends: they stay in their queue untouched and count only towards
+  the buffer;
 * the handlers: per arrival, each transition due before it fires with one
   ``on_*`` call, then :meth:`EeePort.enqueue` takes it.
 
@@ -425,7 +429,7 @@ class EeePort:
         dropped = _NO_DROPS
         if len(self.high) + len(self.low) + len(t) > self._limit:  # the buffer could fill
             deep = len(self.high) + len(self.low) + in_flight - nc  # hold their slots
-            dropped = self._dropped(cols[0], w, high, start, lead, nc, self._limit - deep)
+            dropped = self._dropped(cols[0], w, high, start, nc, self._limit - deep)
             if len(dropped):
                 keep = np.ones(len(high), dtype=bool)
                 keep[dropped] = False
@@ -449,24 +453,24 @@ class EeePort:
         if state is WAKE_TRANS and self.next_at < last:
             times.append(np.array([self.next_at]))
             states.append(np.array([ACTIVE]))
-        if wakes:
+        if len(wakes):
             # the frame before each period ends, the port sleeps, then wakes
-            prev_end = (np.array([self.state_since] * idle + thetas[:-1])
-                        + before[heads[-len(wakes):]])
+            prev_end = thetas[:-1] + before[heads[1:]]
+            if idle:
+                prev_end = np.concatenate(([self.state_since], prev_end))
             ready = prev_end + t_sleep
-            wake = np.array(wakes)
             if state is LPI:  # a cold port, in LPI since it started
                 ready[0] = self.state_since
-            at = np.stack((prev_end, ready, wake, wake + t_wake), axis=1)
+            at = np.stack((prev_end, ready, wakes, wakes + t_wake), axis=1)
             fires = np.ones(at.shape, dtype=bool)
-            fires[:, 1] = wake > ready  # idle in LPI until an arrival woke it
+            fires[:, 1] = wakes > ready  # idle in LPI until an arrival woke it
             if idle:  # already asleep or in LPI
                 fires[0, 0] = False
                 fires[0, 1] &= state is SLEEP_TRANS
             woke = (fires[-1, 1] or ready[-1] < last
                     or len(wakes) == 1 and state is LPI)
             fires[-1, 2] = woke
-            fires[-1, 3] = woke and wakes[-1] + t_wake < last
+            fires[-1, 3] = woke and at[-1, 3] < last
             times.append(at[fires])
             states.append(np.broadcast_to(_PERIOD_STATES, at.shape)[fires])
         if times:
@@ -512,64 +516,61 @@ class EeePort:
         ``high``), queued in this order, from ``theta``: the time the leading
         frame starts, or started if it is ``in_flight``, or, ``idle``, the
         earliest time a wake can start. Returns ``(start, periods)``; the
-        busy periods are ``(heads, wakes, thetas, before)``: their first
-        frames, the starts of their wakes (none for one that is already
-        awake) and of their first frames in FIFO order, and the wire time
-        ahead of each frame."""
+        busy periods are the int64 arrays ``(heads, wakes, thetas, before)``:
+        their first frames, the starts of their wakes (none for one that is
+        already awake) and the FIFO starts of their first frames less the
+        wire time ahead of them, and the wire time ahead of each frame."""
         t_sleep, t_wake = self.cfg.t_sleep_ns, self.cfg.t_wake_ns
         before = np.cumsum(w) - w  # wire time of the frames ahead, FIFO order
         slack = t - before
 
         # A busy period whose first frame j starts at s_j holds frame i > j
         # while slack_i <= s_j - before_j, so it can end only at a strict
-        # running-max record of slack. Each period opened here is kept as
-        # its first frame and the start of its wake.
+        # running-max record of slack. The frame at a record opens a period
+        # if it arrives after the wire frees: if its slack exceeds ``theta``,
+        # the open period's first start less the wire time ahead of it.
         prior = np.empty_like(slack)
         np.maximum.accumulate(slack[:-1], out=prior[1:])
         if idle:  # the first frame opens a busy period
-            wake = int(t[0])
-            if wake < theta:  # it waits for the end of the sleep transition
-                wake = theta
-            heads, wakes = [0], [wake]
-            theta = wake + t_wake
+            theta = max(int(t[0]), theta) + t_wake  # no wake before the sleep ends
             prior[0] = slack[0]
         else:
-            heads, wakes = [0], []
             prior[0] = theta
             np.maximum(prior, theta, out=prior)
-        thetas = [theta]
         records = np.flatnonzero(slack > prior)
-        for k, d, a, p in zip(records.tolist(), slack[records].tolist(),
-                              t[records].tolist(), before[records].tolist()):
-            if d <= theta:  # arrives by the time the wire frees: same period
-                continue
-            ready = theta + p + t_sleep
-            # a frame arriving during the sleep transition waits for its end
-            wake = a if a > ready else ready
-            theta = wake + t_wake - p
-            heads.append(k)
-            wakes.append(wake)
-            thetas.append(theta)
-        start = np.repeat(np.array(thetas, dtype=np.int64),
-                          np.diff(heads + [len(t)])) + before
+        opens = [0]
+        first, add = theta, opens.append
+        for k, x in zip(records.tolist(), slack[records].tolist()):
+            if x > theta:  # a wake starts at x or, if later, when the sleep ends
+                ready = theta + t_sleep
+                theta = (x if x > ready else ready) + t_wake
+                add(k)
+        # at the m-th head theta_m = max(x_m + t_wake, theta_{m-1} + c), with
+        # c = t_sleep + t_wake: theta_m - m c is a running max from ``first``
+        heads = np.array(opens)
+        step = np.arange(len(heads)) * (t_sleep + t_wake)
+        thetas = slack[heads] + t_wake
+        thetas[0] = first
+        thetas = np.maximum.accumulate(thetas - step) + step
+        wakes = thetas[1 - idle:] - t_wake + before[heads[1 - idle:]]
+        start = np.repeat(thetas, np.concatenate((heads[1:], [len(t)])) - heads) + before
         if high.any() and not high.all():
             self._by_priority(t, w, high, start, heads, in_flight)
         return start, (heads, wakes, thetas, before)
 
-    def _dropped(self, t, w, high, start, lead, nc, limit):
+    def _dropped(self, t, w, high, start, nc, limit):
         """The arrivals, ``nc`` on, that meet a full buffer of ``limit``
-        frames, given ``start`` of :meth:`_schedule` from ``lead``.
+        frames, given ``start`` of :meth:`_schedule`.
 
         An arrival meets a full buffer when the frames held before it, less
         the frames started strictly before it, reach ``limit``. A no-drop
-        schedule is exact up to the first such arrival. From there one step
-        per frame start: the arrivals by the start take the free slots, the
-        rest are dropped, and the start frees one. When the free slots
-        outnumber the arrivals left no more can drop; when the queue empties
-        a no-drop schedule from that instant takes over again.
+        schedule is exact up to the first such arrival. From there
+        :meth:`_blocks` decides the arrivals if every frame is in one queue,
+        :meth:`_steps` if not, until no more can drop or the queue empties;
+        then a no-drop schedule from that instant takes over again.
         """
         n = len(t)
-        times, wires, ups = t[nc:].tolist(), w.tolist(), high.tolist()
+        stretch = self._steps if high.any() and not high.all() else self._blocks
         p = k = nc  # the first arrival not decided; ``start`` covers ``p - k:``
         out = []
         while True:
@@ -581,32 +582,71 @@ class EeePort:
             j = p + int(full[0])
             waiting = np.arange(p - k, j)[start[:k + j - p] >= t[j]]
             e = int(start[start >= t[j]].min())  # the next start
-            hq, lq = deque(), deque()
-            for i in waiting.tolist():
-                (hq if ups[i] else lq).append(i)
-            free = limit - len(waiting)
-            p = j
-            while True:
-                q = bisect_right(times, e, p - nc) + nc  # the arrivals by the start
-                if q > p:
-                    take = min(q - p, free)
-                    for i in range(p, p + take):
-                        (hq if ups[i] else lq).append(i)
-                    out += range(p + take, q)
-                    free -= take
-                    p = q
-                if free >= n - p:
-                    return np.array(out, dtype=np.int64)
-                if hq:
-                    e += wires[hq.popleft()]
-                elif lq:
-                    e += wires[lq.popleft()]
-                else:  # the port sleeps from ``e``
-                    break
-                free += 1
+            slept = stretch(t, w, high, waiting, e, j, limit, out)
+            if slept is None:
+                return np.array(out, dtype=np.int64)
+            e, p = slept
             k = 0
-            lead = (e + self.cfg.t_sleep_ns, True, False)
-            start = self._schedule(t[p:], w[p:], high[p:], *lead)[0]
+            start = self._schedule(t[p:], w[p:], high[p:], e + self.cfg.t_sleep_ns,
+                                   True, False)[0]
+
+    def _steps(self, t, w, high, queued, e, p, limit, out):
+        """Decide the arrivals from ``p`` on, with the frames ``queued``
+        waiting for the start at ``e``: one step per frame start. The arrivals by the
+        start take the free slots, the rest are dropped, and the start frees
+        one. Extends ``out`` by the arrivals dropped. Returns None once the
+        free slots outnumber the arrivals left, else, when the queue empties,
+        the instant ``e`` it does and the first arrival after it."""
+        n, lo = len(t), p
+        times, wires, ups = t[lo:].tolist(), w.tolist(), high.tolist()
+        hq, lq = deque(), deque()
+        for i in queued.tolist():
+            (hq if ups[i] else lq).append(i)
+        free = limit - len(queued)
+        while True:
+            q = lo + bisect_right(times, e, p - lo)  # the arrivals by the start
+            if q > p:
+                take = min(q - p, free)
+                for i in range(p, p + take):
+                    (hq if ups[i] else lq).append(i)
+                out += range(p + take, q)
+                free -= take
+                p = q
+            if free >= n - p:
+                return None
+            if hq:
+                e += wires[hq.popleft()]
+            elif lq:
+                e += wires[lq.popleft()]
+            else:
+                return e, p
+            free += 1
+
+    def _blocks(self, t, w, high, queued, e, p, limit, out):
+        """:meth:`_steps` for frames of one queue, which start in FIFO order:
+        one block decides every arrival until the frames ``queued`` have all
+        started and the wire frees, and those it accepts are the next block's
+        queue."""
+        n = len(t)
+        while True:
+            free = limit - len(queued)
+            if free >= n - p:
+                return None
+            if not len(queued):
+                return e, p
+            ends = e + np.cumsum(w[queued])  # sent back to back from ``e``
+            starts = np.concatenate(([e], ends[:-1]))
+            e = int(ends[-1])
+            q = int(np.searchsorted(t, e, "right"))  # the arrivals by then
+            # the arrivals accepted through arrival i, A_i = min(A_{i-1} + 1,
+            # free + the starts strictly before it): a running minimum
+            i = np.arange(q - p)
+            took = i + np.minimum(1, np.minimum.accumulate(
+                free + np.searchsorted(starts, t[p:q]) - i))
+            taken = np.diff(took, prepend=0) > 0
+            out += (np.flatnonzero(~taken) + p).tolist()
+            queued = np.flatnonzero(taken) + p
+            p = q
 
     def _enter(self, times, states) -> None:
         """Enter ``states`` at ``times``, in order: account the residence of
@@ -641,9 +681,10 @@ class EeePort:
         ``m_i`` at most its rank.
         """
         first = heads[0] + in_flight
-        period = np.repeat(np.arange(len(heads)), np.diff(heads + [len(t)]))[first:]
+        sizes = np.concatenate((heads[1:], [len(t)])) - heads
+        period = np.repeat(np.arange(len(heads)), sizes)[first:]
         up = high[first:]
-        tau = start[np.array(heads)]
+        tau = start[heads]
         tau[0] = start[first]
         h_idx, l_idx = np.flatnonzero(up) + first, np.flatnonzero(~up) + first
         wl = np.concatenate(([0], np.cumsum(w[l_idx])))

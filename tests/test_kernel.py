@@ -6,7 +6,8 @@ could leave int64 still goes to the handlers) and the handlers
 (``"handlers"``) and require the same reports, departures, drops and port
 states after every ``serve`` call. Every time is a multiple of ``UNIT``, so
 arrivals often fall exactly on a transmit, sleep or wake completion or on
-an epoch.
+an epoch. Where every frame is in one queue, the blocks that decide the
+drops are held to the per-start steps as well.
 """
 
 import random
@@ -24,6 +25,7 @@ from eeesim import (
     SimConfig,
     SimulationFault,
     eee_port,
+    engine,
     oracle_simulate,
     run,
 )
@@ -121,7 +123,8 @@ def cases(draw):
     return params, rows, cuts
 
 
-def _check(monkeypatch, params, rows, cuts):
+def _config(params, rows):
+    """The config of a case and its packets, every time a multiple of ``UNIT``."""
     cap = params["capacity"]
     port = EeePortConfig(capacity_bps=cap, t_sleep_ns=params["t_sleep"],
                          t_wake_ns=params["t_wake"],
@@ -143,6 +146,11 @@ def _check(monkeypatch, params, rows, cuts):
         record_departures=True,
         record_delay_log=True,
     )
+    return config, pkts
+
+
+def _check(monkeypatch, params, rows, cuts):
+    config, pkts = _config(params, rows)
     by_kernel, kernel_states = _run(monkeypatch, "kernel", config, _batches(pkts, cuts))
     by_handlers, handler_states = _run(monkeypatch, "handlers", config,
                                        _batches(pkts, cuts))
@@ -221,6 +229,104 @@ def saturating_cases(draw):
            (0, 1500, 0, 0), (30, 250, 0, 0)], [2]))
 def test_kernel_drops_like_the_handlers_and_oracle(monkeypatch, case):
     _check(monkeypatch, *case)
+
+
+@st.composite
+def one_queue_runs(draw):
+    """Bursts of one queue's frames that fill a buffer of 8-64 frames, and
+    pauses between them that let the queue empty and the port sleep. A port
+    is served every ``k`` arrivals, so frames are held from one ``serve``
+    call to the next."""
+    params = {
+        **_BASE,
+        "capacity": draw(st.sampled_from(CAPACITIES)),
+        "algorithm": draw(st.sampled_from(["conservative", "two_queues"])),
+        "t_sleep": draw(st.sampled_from([0, UNIT, 23 * UNIT])),
+        "t_wake": draw(st.sampled_from([0, 2 * UNIT, 45 * UNIT])),
+        "buffer_limit": draw(st.integers(8, 64)),
+    }
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        pause = draw(st.sampled_from([0, 40, 400, 4000]))
+        # light traffic, whose frames may find the wire just freed or the
+        # port in its sleep transition, then a burst: gaps of at most 2
+        # units against 1, 2 or 12 units of wire time
+        light = draw(st.lists(st.tuples(st.sampled_from([12, 13, 25, 30]),
+                                        st.sampled_from(SIZES), st.integers(0, 3)),
+                              max_size=8))
+        burst = draw(st.lists(
+            st.tuples(st.sampled_from([0, 0, 1, 2]), st.sampled_from(SIZES),
+                      st.integers(0, 3)),
+            min_size=params["buffer_limit"], max_size=3 * params["buffer_limit"],
+        ))
+        rows += [(pause if i == 0 else gap, size, flow, 0)
+                 for i, (gap, size, flow) in enumerate(light + burst)]
+    return params, rows, draw(st.sampled_from([7, 50, 4096]))
+
+
+def _drops_of_each_call(monkeypatch, config, pkts, stretch):
+    """Report of ``run`` with :meth:`EeePort._blocks` replaced by ``stretch``,
+    and what each :meth:`EeePort._dropped` call returned."""
+    calls = []
+    dropped = EeePort._dropped
+
+    def logged(port, *args):
+        calls.append(dropped(port, *args).tolist())
+        return np.array(calls[-1], dtype=np.int64)
+
+    with monkeypatch.context() as m:
+        m.setattr(EeePort, "_blocks", stretch)
+        m.setattr(EeePort, "_dropped", logged)
+        return run(config, pkts), calls
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(one_queue_runs())
+# four high frames held (one on the wire, three queued) when low frames
+# arrive: frames of both queues, so the steps decide the run
+@example(({**_BASE, "algorithm": "two_queues", "t_wake": 0, "buffer_limit": 8},
+          [(0, 1500, 0, 46)] * 4 + [(0, 1500, 1, 0)] * 20 + [(30, 250, 1, 0)], 4))
+def test_blocks_drop_like_the_steps_and_the_oracle(monkeypatch, case):
+    params, rows, k = case
+    # segments and serve calls of k arrivals
+    monkeypatch.setattr(engine, "_SEGMENT_PKTS", k)
+    monkeypatch.setattr(engine, "_SERVE_PKTS", k)
+    config, pkts = _config(params, rows)
+    by_blocks, blocks = _drops_of_each_call(monkeypatch, config, pkts, EeePort._blocks)
+    by_steps, steps = _drops_of_each_call(monkeypatch, config, pkts, EeePort._steps)
+    assert blocks == steps
+    _assert_same(by_blocks, by_steps)
+    departures, dropped = oracle_simulate(config, pkts)
+    assert by_blocks.departures == departures
+    assert by_blocks.drop_seqs == dropped
+
+
+def test_one_queue_runs_drop_in_blocks(monkeypatch):
+    # A 4-frame buffer and 12 Gb/s offered to one 10G port: every run drops.
+    # With one queue the blocks decide it; with a low-latency flow in the
+    # high queue as well, the steps.
+    calls = []
+    steps, blocks = EeePort._steps, EeePort._blocks
+    monkeypatch.setattr(EeePort, "_steps", lambda *a: calls.append("steps") or steps(*a))
+    monkeypatch.setattr(EeePort, "_blocks", lambda *a: calls.append("blocks") or blocks(*a))
+    for algorithm, paths in ((Algorithm.CONSERVATIVE, {"blocks"}),
+                             (Algorithm.TWO_QUEUES, {"steps"})):
+        config = SimConfig(
+            bundle=BundleConfig(n_ports=1, capacity_bps=TEN_G, algorithm=algorithm),
+            port=EeePortConfig(capacity_bps=TEN_G, buffer_limit=4),
+            duration_ns=5_000_000,
+            sampling_period_ns=1_000_000,
+            warmup_ns=0,
+        )
+        stream = merge_slabs([cbr_slabs(6_000_000_000, 1500, 0, 4_000_000, flow=f"bulk{i}")
+                              for i in range(2)]
+                             + [cbr_slabs(100_000_000, 125, 46, 4_000_000, flow="rt")])
+        calls.clear()
+        report = run(config, stream)
+        assert report.totals["dropped"] > 0
+        assert set(calls) == paths
 
 
 def _two_queue_config(**port_kw):
