@@ -42,7 +42,7 @@ from .eee_port import EeePortConfig
 from .engine import MetricsReport, SimConfig, run
 from .errors import ConfigError
 from .traffic import (
-    MAX_DSCP, _round_div, bursty_slabs, cbr_slabs, frames_slabs, trace_slabs,
+    MAX_DSCP, _round_div, bursty_slabs, cbr_slabs, frames_slabs, trace_memo, trace_slabs,
 )
 # build_stream looks ``merge`` up at call time, so a profiler can wrap it.
 from .traffic import merge_slabs as merge
@@ -267,7 +267,9 @@ def _materialize(src: dict, scenario: Scenario, scale_factor=Fraction(1)):
     duration = scenario.sim_int("duration_ns")
     kind = src["kind"]
     if kind == "trace":
-        return trace_slabs(src["path"], Fraction(src.get("scale", 1)) * scale_factor)
+        scale = src.get("scale", 1)  # a float 0.4 means 2/5, not its binary value
+        scale = Fraction(str(scale) if isinstance(scale, float) else scale)
+        return trace_slabs(src["path"], scale * scale_factor)
     size, dscp = _src_int(src, "size"), _src_int(src, "dscp")
     flow = str(src["flow"])
     rate = round(_src_int(src, "rate_bps") * scale_factor)
@@ -360,6 +362,11 @@ def run_sweep(scenario: Scenario, threads: int | None = None):
     result order is fixed by the sweep definition, not completion order.
     Progress (points done out of total, elapsed seconds) goes to stderr as
     each report arrives, in that order.
+
+    The jobs run inside one :func:`~eeesim.traffic.trace_memo`, so a trace
+    is parsed once in-process, or at most once per pool worker, and replayed
+    after that. Only a complete, error-free read of a regular file of at
+    most 256 slabs is kept; any other trace is read afresh by every job.
     """
     scenario.validate()
     points = scenario.sweep_points()
@@ -377,11 +384,12 @@ def run_sweep(scenario: Scenario, threads: int | None = None):
                   f"{time.perf_counter() - start:.1f} s", file=sys.stderr, flush=True)
         return reports
 
-    if n_threads <= 1 or len(jobs) <= 1:
-        reports = collect(map(_worker, args))
-    else:
-        with ProcessPoolExecutor(max_workers=min(n_threads, len(jobs))) as pool:
-            reports = collect(pool.map(_worker, args))
+    with trace_memo():  # forked workers start with it open and empty
+        if n_threads <= 1 or len(jobs) <= 1:
+            reports = collect(map(_worker, args))
+        else:
+            with ProcessPoolExecutor(max_workers=min(n_threads, len(jobs))) as pool:
+                reports = collect(pool.map(_worker, args))
     return jobs, reports
 
 

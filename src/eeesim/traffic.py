@@ -18,7 +18,8 @@ with Python ints otherwise.
 :func:`trace_slabs` parses a chunk of plain ASCII rows with one
 :func:`numpy.loadtxt` call and checks it in bulk; any other chunk (quotes,
 other characters or a fault) is read by the csv reader and goes to the row
-parser, the one judge of errors.
+parser, the one judge of errors. Inside a :func:`trace_memo`, as a sweep
+runs, it replays an earlier complete read of an unchanged regular file.
 
 :func:`merge_slabs` orders the packets of several sources by (time, source
 index, position in source) and yields :class:`Batch` es, one int64 or
@@ -35,12 +36,15 @@ from __future__ import annotations
 
 import csv
 import os
+import stat
 import warnings
 import zlib
 from array import array
+from collections import defaultdict
+from contextlib import contextmanager
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, count, islice
 from operator import length_hint
 from typing import Iterable, Iterator, NamedTuple
 
@@ -425,6 +429,36 @@ def _chunk_rows(lines: list, fh, lineno: int, last_t: int) -> list:
     return rows
 
 
+#: most slabs a trace memo keeps of one trace: 1,048,576 rows at SLAB_PKTS
+_MEMO_SLABS = 256
+
+#: the open trace memo, trace key -> (names, slabs), or None outside one
+_memo: dict | None = None
+
+
+@contextmanager
+def trace_memo():
+    """Keep complete trace reads for replay until the block ends.
+
+    Inside, the first :func:`trace_slabs` read of a regular file that yields
+    every slab without error keeps them compact (int64 ``t``, int16 ``size``,
+    int8 ``dscp``, int32 codes into the distinct flow names) under the
+    file's resolved path, device, inode, size and modification time; a
+    later read of that key replays them without opening the file. A read
+    stopped early or failing, or one over ``_MEMO_SLABS`` slabs, is not kept.
+    """
+    global _memo
+    outer, _memo = _memo, {}
+    try:
+        yield
+    finally:
+        _memo = outer
+
+
+def _trace_key(path, st) -> tuple:
+    return (os.path.realpath(path), st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+
+
 def trace_slabs(path, factor=1) -> Iterator[Slab]:
     """Slabs of a trace-csv file in file order, arrival times divided by ``factor``.
 
@@ -438,16 +472,31 @@ def trace_slabs(path, factor=1) -> Iterator[Slab]:
     errors: a malformed row, an undecodable byte or a timestamp running
     backwards raises :class:`TraceError` naming the line (csv record
     number), an unreadable file one naming the path. The file opens at the
-    first ``next()``.
+    first ``next()``, unless a :func:`trace_memo` holds a complete read of
+    it, which is replayed instead.
     """
     frac = _scale_factor(factor)
 
     def slabs():
+        memo = _memo
+        if memo is not None:
+            try:
+                names, kept = memo[_trace_key(path, os.stat(path))]
+            except (OSError, KeyError):
+                pass
+            else:
+                for t, size, dscp, codes in kept:
+                    yield Slab(_scale_col(t, frac), size.astype(np.int64), names[codes],
+                               dscp.astype(np.int64))
+                return
         try:
             fh = open(path, newline="", errors="surrogateescape")
         except OSError as exc:
             raise TraceError(f"cannot read trace {path}: {exc.strerror}") from None
         with fh:
+            st = os.fstat(fh.fileno())
+            key = memo is not None and stat.S_ISREG(st.st_mode) and _trace_key(path, st)
+            index, names, kept = defaultdict(count().__next__), [], []
             header = next(csv.reader(fh), None)
             if header is None or tuple(h.strip() for h in header) != TRACE_HEADER:
                 raise TraceError(
@@ -466,7 +515,20 @@ def trace_slabs(path, factor=1) -> Iterator[Slab]:
                     lineno += len(rows)
                 if len(slab.t):
                     last_t = int(slab.t[-1])
+                    if key and len(kept) < _MEMO_SLABS:
+                        # a name takes the next code where it first appears
+                        codes = list(map(index.__getitem__, slab.flow.tolist()))
+                        names.extend(islice(index, len(names), None))
+                        slab.t.flags.writeable = False
+                        kept.append((slab.t, slab.size.astype(np.int16),
+                                     slab.dscp.astype(np.int8), np.array(codes, np.int32)))
+                        flow = _objects(list(map(names.__getitem__, codes)))
+                        slab = slab._replace(flow=flow)
+                    else:  # not kept: stream it
+                        key = index = names = kept = None
                     yield slab._replace(t=_scale_col(slab.t, frac))
+            if key and _trace_key(path, os.fstat(fh.fileno())) == key:
+                memo[key] = (_objects(names), kept)
 
     return slabs()
 

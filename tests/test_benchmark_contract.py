@@ -6,6 +6,7 @@ rename fail here too.
 """
 
 import importlib
+from collections import defaultdict
 from pathlib import Path
 
 from eeesim import (
@@ -133,3 +134,36 @@ def test_tracer_counts_registrations_and_estimated_flows(tmp_path, monkeypatch):
     assert restored
     assert (FlowTable.dispatch, FlowTable.control_epoch,
             engine.estimate_rates, engine.allocate) == originals
+
+
+def test_tracer_sees_every_job_of_a_trace_sweep(tmp_path, monkeypatch):
+    # The jobs of a sweep replay one parse of their trace, but each still
+    # builds its own stream (tracer_saw_every_job) and merges the same
+    # batches (traffic.pkts counts them).
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    rows = "".join(f"{i * 700},f{i % 13},{(64, 1500)[i % 2]},{(0, 46)[i % 5 == 0]}\n"
+                   for i in range(10_000))
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t_ns,flow,bytes,dscp\n" + rows)
+    scenario = scenarios.Scenario.from_dict({
+        "name": "traced",
+        "sim": {"sampling_period_ns": 1_000_000, "duration_ns": 10_000_000},
+        "sources": [{"kind": "trace", "path": str(trace)}],
+        "algorithms": ["conservative", "spare_port", "two_queues"],
+    })
+    tracer = importlib.import_module("tracer").Tracer(tmp_path)
+    try:
+        tracer.install()
+        jobs, _ = scenarios.run_sweep(scenario, threads=1)
+    finally:
+        restored = tracer.uninstall()
+    assert restored
+    spans = defaultdict(list)
+    for span in tracer.spans:
+        spans[span[1]].append(span[5])
+    assert len(spans["scenarios.build_stream"]) == len(jobs) == 3
+    # the slabs and batches of one read outside a sweep
+    slabs = list(traffic.trace_slabs(trace))
+    merged = list(traffic.merge_slabs([slabs]))
+    assert [s["pkts"] for s in spans["traffic.synth"]] == [len(slabs)] * 3
+    assert [s["pkts"] for s in spans["traffic.merge"]] == [len(merged)] * 3

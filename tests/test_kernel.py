@@ -6,8 +6,9 @@ could leave int64 still goes to the handlers) and the handlers
 (``"handlers"``) and require the same reports, departures, drops and port
 states after every ``serve`` call. Every time is a multiple of ``UNIT``, so
 arrivals often fall exactly on a transmit, sleep or wake completion or on
-an epoch. Where every frame is in one queue, the blocks that decide the
-drops are held to the per-start steps as well.
+an epoch. Ports are served every ``k`` arrivals, so frames are also held
+from one ``serve`` call to the next. Where every frame is in one queue, the
+blocks that decide the drops are held to the per-start steps as well.
 """
 
 import random
@@ -38,6 +39,8 @@ UNIT = 100  # ns
 SIZES = (125, 250, 1500)
 CAPACITIES = (1_000_000_000, 10_000_000_000)
 TEN_G = 10_000_000_000
+#: arrivals per segment and per serve call; 4096 serves each port once
+SERVE_SIZES = st.sampled_from([1, 2, 3, 7, 4096])
 
 _STATE = ("state", "state_since", "next_at", "clock", "tx_packet", "tx_class",
           "tx_start", "residence_ns", "wakes", "sleeps")
@@ -120,7 +123,7 @@ def cases(draw):
         min_size=1, max_size=40,
     ))
     cuts = draw(st.lists(st.integers(1, 39), max_size=6))
-    return params, rows, cuts
+    return params, rows, cuts, draw(SERVE_SIZES)
 
 
 def _config(params, rows):
@@ -149,7 +152,11 @@ def _config(params, rows):
     return config, pkts
 
 
-def _check(monkeypatch, params, rows, cuts):
+def _check(monkeypatch, params, rows, cuts, k):
+    # segments and serve calls of k arrivals, so a port holds frames from
+    # one serve call to the next
+    monkeypatch.setattr(engine, "_SEGMENT_PKTS", k)
+    monkeypatch.setattr(engine, "_SERVE_PKTS", k)
     config, pkts = _config(params, rows)
     by_kernel, kernel_states = _run(monkeypatch, "kernel", config, _batches(pkts, cuts))
     by_handlers, handler_states = _run(monkeypatch, "handlers", config,
@@ -180,16 +187,16 @@ _BASE = {"n_ports": 1, "capacity": TEN_G, "algorithm": "conservative",
 # inside the busy periods
 @example(({**_BASE, "t_sleep": 3 * UNIT},
           [(0, 1500, 0, 0), (12, 125, 0, 0), (13, 125, 0, 0), (8, 125, 0, 0),
-           (0, 250, 1, 0)], [1, 3]))
+           (0, 250, 1, 0)], [1, 3], 2))
 # two_queues: a low-latency frame arriving exactly when a low frame ends
 # (t = 12) jumps the low frames queued before it
 @example(({**_BASE, "algorithm": "two_queues", "t_wake": 0},
           [(0, 1500, 0, 0), (0, 1500, 0, 0), (0, 1500, 0, 0), (12, 125, 1, 46),
-           (0, 250, 1, 46), (1, 1500, 0, 0)], [2, 5]))
+           (0, 250, 1, 46), (1, 1500, 0, 0)], [2, 5], 1))
 # a three-frame buffer that fills in one nanosecond
 @example(({**_BASE, "buffer_limit": 3},
           [(0, 1500, 0, 0), (0, 1500, 0, 0), (0, 1500, 0, 0), (0, 1500, 0, 0),
-           (0, 1500, 0, 0), (20, 125, 0, 0)], [3]))
+           (0, 1500, 0, 0), (20, 125, 0, 0)], [3], 4096))
 def test_kernel_matches_handlers_and_oracle(monkeypatch, case):
     _check(monkeypatch, *case)
 
@@ -214,7 +221,7 @@ def saturating_cases(draw):
         min_size=10, max_size=120,
     ))
     cuts = draw(st.lists(st.integers(1, 119), max_size=8))
-    return params, rows, cuts
+    return params, rows, cuts, draw(SERVE_SIZES)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
@@ -226,7 +233,7 @@ def saturating_cases(draw):
 # full and is dropped; the next (t = 13) takes the slot that start freed
 @example(({**_BASE, "algorithm": "two_queues", "t_wake": 0, "buffer_limit": 1},
           [(0, 1500, 0, 0), (1, 1500, 0, 0), (11, 125, 1, 46), (1, 125, 1, 46),
-           (0, 1500, 0, 0), (30, 250, 0, 0)], [2]))
+           (0, 1500, 0, 0), (30, 250, 0, 0)], [2], 3))
 def test_kernel_drops_like_the_handlers_and_oracle(monkeypatch, case):
     _check(monkeypatch, *case)
 
