@@ -33,6 +33,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -42,7 +43,8 @@ from .eee_port import EeePortConfig
 from .engine import MetricsReport, SimConfig, run
 from .errors import ConfigError
 from .traffic import (
-    MAX_DSCP, _round_div, bursty_slabs, cbr_slabs, frames_slabs, trace_memo, trace_slabs,
+    MAX_DSCP, _round_div, bursty_slabs, cbr_slabs, frames_slabs, open_trace_memo,
+    trace_memo, trace_slabs,
 )
 # build_stream looks ``merge`` up at call time, so a profiler can wrap it.
 from .traffic import merge_slabs as merge
@@ -363,10 +365,10 @@ def run_sweep(scenario: Scenario, threads: int | None = None):
     Progress (points done out of total, elapsed seconds) goes to stderr as
     each report arrives, in that order.
 
-    The jobs run inside one :func:`~eeesim.traffic.trace_memo`, so a trace
-    is parsed once in-process, or at most once per pool worker, and replayed
-    after that. Only a complete, error-free read of a regular file of at
-    most 256 slabs is kept; any other trace is read afresh by every job.
+    A process that may run more than one job (in-process, or each pool
+    worker where jobs outnumber workers) keeps its trace reads in a
+    :func:`~eeesim.traffic.trace_memo` for the sweep, so it parses a trace
+    once and replays it; see there for what is kept.
     """
     scenario.validate()
     points = scenario.sweep_points()
@@ -384,12 +386,14 @@ def run_sweep(scenario: Scenario, threads: int | None = None):
                   f"{time.perf_counter() - start:.1f} s", file=sys.stderr, flush=True)
         return reports
 
-    with trace_memo():  # forked workers start with it open and empty
-        if n_threads <= 1 or len(jobs) <= 1:
+    if n_threads <= 1 or len(jobs) <= 1:
+        with trace_memo() if len(jobs) > 1 else nullcontext():
             reports = collect(map(_worker, args))
-        else:
-            with ProcessPoolExecutor(max_workers=min(n_threads, len(jobs))) as pool:
-                reports = collect(pool.map(_worker, args))
+    else:
+        workers = min(n_threads, len(jobs))
+        keep = open_trace_memo if len(jobs) > workers else None
+        with ProcessPoolExecutor(max_workers=workers, initializer=keep) as pool:
+            reports = collect(pool.map(_worker, args))
     return jobs, reports
 
 

@@ -18,8 +18,9 @@ with Python ints otherwise.
 :func:`trace_slabs` parses a chunk of plain ASCII rows with one
 :func:`numpy.loadtxt` call and checks it in bulk; any other chunk (quotes,
 other characters or a fault) is read by the csv reader and goes to the row
-parser, the one judge of errors. Inside a :func:`trace_memo`, as a sweep
-runs, it replays an earlier complete read of an unchanged regular file.
+parser, the one judge of errors. Inside a :func:`trace_memo`, which a
+sweep opens in each process that runs more than one of its jobs, it
+replays an earlier complete read of an unchanged regular file.
 
 :func:`merge_slabs` orders the packets of several sources by (time, source
 index, position in source) and yields :class:`Batch` es, one int64 or
@@ -429,8 +430,10 @@ def _chunk_rows(lines: list, fh, lineno: int, last_t: int) -> list:
     return rows
 
 
-#: most slabs a trace memo keeps of one trace: 1,048,576 rows at SLAB_PKTS
-_MEMO_SLABS = 256
+#: a trace memo's budget over all its traces, 2**20 rows: 15 MiB of columns
+#: (8 + 2 + 1 + 4 bytes a row) plus the distinct names is the most a sweep
+#: process holds for replay; a trace past it streams once per job
+_MEMO_ROWS = 1 << 20
 
 #: the open trace memo, trace key -> (names, slabs), or None outside one
 _memo: dict | None = None
@@ -445,7 +448,10 @@ def trace_memo():
     int8 ``dscp``, int32 codes into the distinct flow names) under the
     file's resolved path, device, inode, size and modification time; a
     later read of that key replays them without opening the file. A read
-    stopped early or failing, or one over ``_MEMO_SLABS`` slabs, is not kept.
+    stopped early or failing, or one that would take the memo past
+    ``_MEMO_ROWS`` rows, is not kept. Numbering the names makes the keeping
+    read about half as slow again as a plain one, so open a memo only where
+    a trace may be read again.
     """
     global _memo
     outer, _memo = _memo, {}
@@ -453,6 +459,17 @@ def trace_memo():
         yield
     finally:
         _memo = outer
+
+
+def open_trace_memo() -> None:
+    """Open a trace memo for the rest of the process, as a pool initializer."""
+    global _memo
+    if _memo is None:
+        _memo = {}
+
+
+def _kept_rows(memo: dict) -> int:
+    return sum(len(t) for _, kept in memo.values() for t, *_ in kept)
 
 
 def _trace_key(path, st) -> tuple:
@@ -496,6 +513,7 @@ def trace_slabs(path, factor=1) -> Iterator[Slab]:
         with fh:
             st = os.fstat(fh.fileno())
             key = memo is not None and stat.S_ISREG(st.st_mode) and _trace_key(path, st)
+            room = key and _MEMO_ROWS - _kept_rows(memo)
             index, names, kept = defaultdict(count().__next__), [], []
             header = next(csv.reader(fh), None)
             if header is None or tuple(h.strip() for h in header) != TRACE_HEADER:
@@ -515,10 +533,12 @@ def trace_slabs(path, factor=1) -> Iterator[Slab]:
                     lineno += len(rows)
                 if len(slab.t):
                     last_t = int(slab.t[-1])
-                    if key and len(kept) < _MEMO_SLABS:
+                    room -= len(slab.t)
+                    if key and room >= 0:
                         # a name takes the next code where it first appears
                         codes = list(map(index.__getitem__, slab.flow.tolist()))
-                        names.extend(islice(index, len(names), None))
+                        new = len(index) - len(names)
+                        names.extend(reversed([*islice(reversed(index), new)]))
                         slab.t.flags.writeable = False
                         kept.append((slab.t, slab.size.astype(np.int16),
                                      slab.dscp.astype(np.int8), np.array(codes, np.int32)))
@@ -529,6 +549,8 @@ def trace_slabs(path, factor=1) -> Iterator[Slab]:
                     yield slab._replace(t=_scale_col(slab.t, frac))
             if key and _trace_key(path, os.fstat(fh.fileno())) == key:
                 memo[key] = (_objects(names), kept)
+                if _kept_rows(memo) > _MEMO_ROWS:  # another read was kept meanwhile
+                    del memo[key]
 
     return slabs()
 

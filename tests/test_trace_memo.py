@@ -9,6 +9,7 @@ kept and what is not, and check that a changed file is read afresh.
 import json
 import os
 import threading
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -156,16 +157,59 @@ def test_trace_rewritten_in_one_memo_is_read_afresh(tmp_path, parses):
 
 def test_trace_rewritten_between_sweeps_is_read_afresh(tmp_path):
     path = _write(tmp_path / "t.csv", _rows(300))
-    _, before = run_sweep(_scenario(path, ["two_queues"]), threads=1)
+    _, before = run_sweep(_scenario(path), threads=1)
     stat = os.stat(path)
     # the same inode, size and time, other flows
     _write(path, _rows(300, shift=3))
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
     assert os.stat(path).st_size == stat.st_size
-    _, after = run_sweep(_scenario(path, ["two_queues"]), threads=1)
-    _, fresh = run_sweep(_scenario(path, ["two_queues"]), threads=1)
+    _, after = run_sweep(_scenario(path), threads=1)
+    _, fresh = run_sweep(_scenario(path, ["conservative"]), threads=1)
     assert after[0].to_json() == fresh[0].to_json()
     assert after[0].to_json() != before[0].to_json()
+
+
+@pytest.mark.parametrize("algorithms, memo", [(ALGORITHMS, True), (["two_queues"], False)])
+def test_in_process_sweep_keeps_traces_only_for_more_than_one_job(
+        tmp_path, monkeypatch, algorithms, memo):
+    path = _write(tmp_path / "t.csv", _rows(100))
+    seen = []
+    run_point = scenarios.run_point
+
+    def probe(*args):
+        seen.append(traffic._memo is not None)
+        return run_point(*args)
+
+    monkeypatch.setattr(scenarios, "run_point", probe)
+    run_sweep(_scenario(path, algorithms), threads=1)
+    assert seen == [memo] * len(algorithms)
+    assert traffic._memo is None
+
+
+@pytest.mark.parametrize("algorithms, initializer", [
+    (ALGORITHMS, traffic.open_trace_memo), (ALGORITHMS[:2], None)])
+def test_pool_workers_keep_traces_only_where_jobs_outnumber_them(
+        tmp_path, monkeypatch, algorithms, initializer):
+    path = _write(tmp_path / "t.csv", _rows(100))
+    pools = []
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, **kwargs):
+            pools.append(kwargs)
+            super().__init__(**kwargs)
+
+    monkeypatch.setattr(scenarios, "ProcessPoolExecutor", Pool)
+    run_sweep(_scenario(path, algorithms), threads=2)
+    assert pools == [{"max_workers": 2, "initializer": initializer}]
+
+
+def test_open_trace_memo_keeps_an_open_one(monkeypatch):
+    monkeypatch.setattr(traffic, "_memo", None)
+    traffic.open_trace_memo()
+    memo = traffic._memo
+    assert memo == {}
+    traffic.open_trace_memo()
+    assert traffic._memo is memo
 
 
 def test_partial_read_is_not_kept(tmp_path, parses):
@@ -191,14 +235,60 @@ def test_failed_read_is_not_kept(tmp_path):
         assert traffic._memo == {}
 
 
-@pytest.mark.parametrize("rows, kept", [(4 * 256, 1), (4 * 256 + 1, 0)])
-def test_trace_over_the_cap_is_not_kept(tmp_path, rows, kept):
+@pytest.mark.parametrize("rows, kept", [(64, 1), (65, 0)])
+def test_trace_over_the_cap_is_not_kept(tmp_path, monkeypatch, rows, kept):
+    monkeypatch.setattr(traffic, "_MEMO_ROWS", 64)
     path = _write(tmp_path / "t.csv", _rows(rows))
     with slab_size(4), trace_memo():
         slabs = list(trace_slabs(path))
         assert len(slabs) == -(-rows // 4)
         assert len(traffic._memo) == kept
         _assert_same_slabs(list(trace_slabs(path)), slabs)
+
+
+def test_read_past_the_cap_stops_numbering(tmp_path, monkeypatch):
+    monkeypatch.setattr(traffic, "_MEMO_ROWS", 64)
+    path = _write(tmp_path / "t.csv", _rows(128))
+    with slab_size(4), trace_memo():
+        slabs = list(trace_slabs(path))
+    kept, streamed = (np.concatenate([s.flow for s in part]) for part in (slabs[:16], slabs[16:]))
+    # names share one object each up to the cap, and are parsed per row after it
+    assert len({id(f) for f in kept}) == len(set(kept.tolist())) == 8
+    assert len({id(f) for f in streamed}) == len(streamed) == 64
+
+
+def test_cap_holds_over_all_kept_traces(tmp_path, monkeypatch, parses):
+    monkeypatch.setattr(traffic, "_MEMO_ROWS", 64)
+    a = _write(tmp_path / "a.csv", _rows(40))
+    b = _write(tmp_path / "b.csv", _rows(40, shift=1))
+    with slab_size(4), trace_memo():
+        list(trace_slabs(a))
+        list(trace_slabs(b))  # 80 rows in all: b is not kept
+        assert [k[0] for k in traffic._memo] == [str(a)]
+    with slab_size(4), trace_memo():
+        # read side by side, both fit until one is kept
+        merged = list(traffic.merge_slabs([trace_slabs(a), trace_slabs(b)]))
+        assert len(traffic._memo) == 1
+        again = list(traffic.merge_slabs([trace_slabs(a), trace_slabs(b)]))
+        assert len(traffic._memo) == 1
+    for x, y in zip(again, merged, strict=True):
+        assert all(np.array_equal(c, d) for c, d in zip(x, y))
+    assert len(parses) == 4 * 10 + 10
+
+
+def test_many_names_are_numbered_in_first_appearance_order(tmp_path):
+    rows = [f"{i},n{i // 3 if i % 2 else i},100,0\n" for i in range(3000)]
+    path = _write(tmp_path / "t.csv", rows)
+    with slab_size(SLAB):
+        fresh = list(trace_slabs(path))
+        with trace_memo():
+            first = list(trace_slabs(path))
+            replay = list(trace_slabs(path))
+            (names, _), = traffic._memo.values()
+    _assert_same_slabs(first, fresh)
+    _assert_same_slabs(replay, fresh)
+    flows = np.concatenate([s.flow for s in fresh]).tolist()
+    assert names.tolist() == list(dict.fromkeys(flows))
 
 
 def test_fifo_is_not_kept(tmp_path):
