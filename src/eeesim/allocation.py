@@ -207,12 +207,17 @@ def _lpt(units, ranked, k, n_ports, port):
     Ties go to the lower port index. Returns the loads[n_ports] in units.
     """
     heap = [(0, i) for i in range(k)]  # (load, port): heap[0] is the choice
+    sizes = units[ranked]
+    busy = np.flatnonzero(sizes)
+    m = int(busy[-1]) + 1 if len(busy) else 0  # the silent flows ranked last
     placed = []
-    for size in units[ranked].tolist():
+    for size in sizes[:m].tolist():
         load, p = heap[0]
         placed.append(p)
         heapreplace(heap, (load + size, p))
-    port[ranked] = placed
+    port[ranked[:m]] = placed
+    # a silent flow adds nothing, so heap[0] stays the choice for each of them
+    port[ranked[m:]] = heap[0][1]
     loads = [0] * n_ports
     for load, p in heap:
         loads[p] = load
@@ -287,7 +292,7 @@ def _greedy_plan(estimates, threshold, n_ports, epoch, algorithm):
     limit = math.floor(Fraction(threshold) / est.unit)
     port = np.zeros(len(est), dtype=np.int64)
     loads = _first_fit(est.units, _ranked(est), limit, n_ports, port)
-    used = np.unique(port).tolist() or [0]
+    used = np.flatnonzero(np.bincount(port, minlength=n_ports)).tolist() or [0]
     return _plan(est, algorithm, epoch, port, loads, len(used), used)
 
 

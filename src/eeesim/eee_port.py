@@ -23,10 +23,10 @@ Every state except ``LPI`` ends at a time the port already knows,
 ``next_at``; nothing outside the port can change it. The port therefore
 runs lazily: :meth:`EeePort.serve` takes a time-ordered run of arrivals
 and :meth:`EeePort.drain` fires what is due before the end of the run.
-Each queue keeps its frames as int64 columns plus an object ``flow``
-column (:class:`_Fifo`). ``serve`` takes each run on one of two paths,
-which leave the port in the same state and give the same completions and
-drops, in another order:
+Each queue keeps its frames as int64 columns (:class:`_Fifo`); flows
+travel as the int codes the engine gave them, which the port never reads.
+``serve`` takes each run on one of two paths, which leave the port in the
+same state and give the same completions and drops, in another order:
 
 * the busy-period kernel, :meth:`EeePort._kernel`, on those columns and the
   run's. With ``c`` the end of the previous frame, a frame arriving at
@@ -67,7 +67,7 @@ from itertools import count
 import numpy as np
 
 from .errors import ConfigError, SimulationFault
-from .traffic import Packet, _objects
+from .traffic import Packet
 
 
 class PortState(IntEnum):
@@ -150,9 +150,9 @@ class _WireTimes(dict):
 
 
 class _Fifo:
-    """One queue: the columns ``t, size, flow, dscp, seq, ci, w`` of its
-    frames (int64 but ``flow``, object; ``w`` is the wire time), of which rows
-    ``head:tail`` wait, in order."""
+    """One queue: the int64 columns ``t, size, flow, dscp, seq, ci, w`` of
+    its frames (``w`` is the wire time), of which rows ``head:tail`` wait, in
+    order."""
 
     __slots__ = ("cols", "head", "tail")
 
@@ -190,9 +190,9 @@ class _Fifo:
 
     def popleft(self):
         """The frame at the head, as ``(Packet, class)``, taken off the queue."""
-        t, size, flow, dscp, seq, ci, _ = (col[self.head] for col in self.cols)
+        *pkt, ci, _ = (int(col[self.head]) for col in self.cols)
         self.head += 1
-        return Packet(int(t), int(size), flow, int(dscp), int(seq)), int(ci)
+        return Packet(*pkt), ci
 
 
 def _reach(w, room) -> int:
@@ -201,8 +201,7 @@ def _reach(w, room) -> int:
     return min(len(w), int(np.searchsorted(np.cumsum(w), room)) + 1)
 
 
-_EMPTY = (*(np.empty(0, dtype=np.int64),) * 2, _objects(()),
-          *(np.empty(0, dtype=np.int64),) * 4)
+_EMPTY = (np.empty(0, dtype=np.int64),) * 7
 
 
 class EeePort:
@@ -336,7 +335,7 @@ class EeePort:
         """Take a time-ordered run of arrivals: the port's one entry point.
 
         The arguments are the arrivals' columns: int64 ``t``, ``size``,
-        ``dscp``, ``seq`` and class index ``ci``, object ``flow``, and bool
+        ``flow`` (codes), ``dscp``, ``seq`` and class index ``ci``, and bool
         ``high`` for the high queue. With ``H = t[-1]``, the port ends as
         if each arrival had been handed to :meth:`enqueue` after the
         transitions due before it: every timed transition before ``H`` and
@@ -404,9 +403,8 @@ class EeePort:
         flags = [np.ones(len(self.high), dtype=bool), np.zeros(len(self.low), dtype=bool)]
         if in_flight:  # the frame in flight leads; it is never re-ordered
             pkt = self.tx_packet
-            row = [np.array([x]) for x in (*pkt, self.tx_class, self._wire_ns[pkt[1]])]
-            row[2] = _objects(pkt[2:3])
-            held.insert(0, row)
+            held.insert(0, [np.array([x]) for x in
+                            (*pkt, self.tx_class, self._wire_ns[pkt[1]])])
             flags.insert(0, np.zeros(1, dtype=bool))
         # every start and end is at most this; intermediates stay below it too
         base = last if self.next_at == _INF else max(last, self.next_at)
@@ -483,8 +481,7 @@ class EeePort:
                 raise SimulationFault(
                     f"port {self.index}: active at {last} with no frame in flight")
             f = int(flying[0])
-            self.tx_packet = (int(t[f]), int(cols[1][f]), cols[2][f], int(cols[3][f]),
-                              int(cols[4][f]))
+            self.tx_packet = tuple(int(col[f]) for col in cols[:5])
             self.tx_class = int(cols[5][f])
             self.tx_start = int(start[f])
             self.next_at = int(end[f])
@@ -712,7 +709,6 @@ def _completions(finished):
     ``(frames, start, end, done)`` of the kernel."""
     # flat, with no object per frame: records kept alive kept the GC busy
     n = len(finished) // 8
-    t, size, dscp, seq, ci, delay, start = (np.fromiter(finished[k::8], np.int64, n)
-                                            for k in (0, 1, 3, 4, 5, 6, 7))
-    flow = _objects(finished[2::8])
+    t, size, flow, dscp, seq, ci, delay, start = (np.fromiter(finished[k::8], np.int64, n)
+                                                  for k in range(8))
     return (t, size, flow, dscp, seq, ci), start, t + delay, np.arange(len(t))

@@ -8,18 +8,19 @@ loop makes one pass over the arrival stream a batch of int64 columns at a
 time and runs each port lazily.
 
 Each batch is split at control-epoch instants (``searchsorted``, side
-"left") into segments within one control interval. Each flow has a code,
-numbered once per run at its first packet, and the :class:`FlowTable`
-keeps its byte counter and route in int64 arrays over the codes. A segment
-is routed with one ``take`` of the route array and its bytes are counted
-with an int64 ``np.add.at``; :meth:`FlowTable.dispatch` is called only to
-register a flow, at its first packet, in stream order. The segment is then
-grouped by port, stably. A port meets only its own arrivals, so each port
-holds its share across segments and epochs and takes ``SLAB_PKTS // 2`` to
-:data:`SLAB_PKTS` of them per :meth:`EeePort.serve` call, and the rest
-before it drains; :mod:`eeesim.eee_port` says which of its two paths serves
-them. The paths and the runs differ only in the order of delay samples and
-``delay_log`` rows, and no statistic depends on it.
+"left") into segments within one control interval. Flows travel as codes:
+one ``take`` of an int array maps a batch's stream codes to run codes,
+numbered once per run in order of first sighting, over which the
+:class:`FlowTable` keeps byte counters and routes in int64 arrays. One
+:meth:`FlowTable.dispatch` call registers the flows new in a segment. A
+segment is routed with one ``take`` of the route array, its bytes counted
+with an int64 ``np.add.at``, and grouped by port, stably; names come back
+only in ``delay_log`` and tracked flows. A port meets only its own
+arrivals, so each port holds its share across segments and epochs and takes
+``SLAB_PKTS // 2`` to :data:`SLAB_PKTS` of them per :meth:`EeePort.serve`
+call, and the rest before it drains; :mod:`eeesim.eee_port` says which of
+its two paths serves them. The paths and the runs differ only in the order
+of delay samples and ``delay_log`` rows, and no statistic depends on it.
 
 Events at the same nanosecond keep a fixed order on both paths: control
 epochs first (a plan takes effect at exactly t = nT), then arrivals in
@@ -84,9 +85,10 @@ class SimConfig:
 class FlowTable:
     """Incumbent allocation plan plus per-flow arrays indexed by flow code.
 
-    Each flow is numbered once per run, in order of first sighting, when
-    :meth:`dispatch` registers it: ``codes`` maps a flow key to its code and
-    ``flows`` a code back to its key. ``nbytes[code]`` counts the flow's bytes
+    Flows travel through a run as codes. Each is numbered once per run, in
+    order of first sighting, when :meth:`dispatch` registers it with the
+    other flows new in its segment: ``codes`` maps a flow key to its code
+    and ``flows`` a code back to its key. ``nbytes[code]`` counts the flow's bytes
     in the current control interval and ``route[code]`` holds its route,
     ``port << 2 | high queue << 1 | low-latency class``; both arrays may
     outgrow ``flows``. Every registered flow keeps a plan entry, at rate 0
@@ -105,38 +107,37 @@ class FlowTable:
         self.route = np.zeros(64, dtype=np.int64)
         self._rank = np.empty(0, dtype=np.int64)  # each code's place in key order
 
-    def dispatch(self, pkt):
-        """(port, queue) for a packet tuple under the incumbent plan."""
+    def dispatch(self, flows, dscp) -> np.ndarray:
+        """Register the list ``flows``, distinct and new, whose first packets
+        carry ``dscp`` (int64); returns their codes, the next ones in order.
+
+        A flow first seen mid-interval goes to the least-loaded active port
+        of the plan; the spare-port algorithm sends low-latency ones straight
+        to its spare port. Re-planned next epoch.
+        """
+        lo, hi = len(self.flows), len(self.flows) + len(flows)
+        codes = np.arange(lo, hi)
+        self.nbytes, self.route = _grown(self.nbytes, hi), _grown(self.route, hi)
+        self.codes.update(zip(flows, range(lo, hi)))
+        self.flows += flows
+        low_latency = np.isin(dscp, tuple(self.config.ll_dscps)).astype(np.int64)
+        plan = self.plan
+        port = plan.least_loaded
+        if plan.algorithm is Algorithm.SPARE_PORT and plan.spare_port is not None:
+            port = np.where(low_latency, plan.spare_port, port)
+        high = low_latency if self.algorithm is Algorithm.TWO_QUEUES else 0
+        self.route[lo:hi] = port << 2 | high << 1 | low_latency
+        return codes
+
+    def route_packet(self, pkt):
+        """(port, queue) for a packet tuple under the incumbent plan; counts
+        its bytes, registering its flow first if it is new."""
         code = self.codes.get(pkt[2])
         if code is None:
-            code = self._register(pkt[2], pkt[3])
+            code = int(self.dispatch([pkt[2]], np.array([pkt[3]]))[0])
         self.nbytes[code] += pkt[1]
         route = int(self.route[code])
         return route >> 2, Queue.HIGH if route & 2 else Queue.LOW
-
-    def _register(self, flow, dscp):
-        # A flow first seen mid-interval goes to the least-loaded currently
-        # active port (planned loads); the spare-port algorithm sends unknown
-        # low-latency flows straight to its spare port. Re-planned next epoch.
-        code = len(self.flows)
-        if code == len(self.route):
-            self.nbytes = np.concatenate((self.nbytes, np.zeros_like(self.nbytes)))
-            self.route = np.concatenate((self.route, np.zeros_like(self.route)))
-        self.codes[flow] = code
-        self.flows.append(flow)
-        low_latency = dscp in self.config.ll_dscps
-        plan = self.plan
-        if (
-            plan.algorithm is Algorithm.SPARE_PORT
-            and low_latency
-            and plan.spare_port is not None
-        ):
-            port = plan.spare_port
-        else:
-            port = plan.least_loaded
-        high = self.algorithm is Algorithm.TWO_QUEUES and low_latency
-        self.route[code] = port << 2 | high << 1 | low_latency
-        return code
 
     def control_epoch(self, now: int) -> AllocationPlan:
         """Estimate rates from the closed interval and install a fresh plan.
@@ -165,6 +166,15 @@ class FlowTable:
         return plan
 
 
+def _grown(arr: np.ndarray, n: int) -> np.ndarray:
+    """``arr`` if it holds ``n``, else a zero-padded copy at least twice as long."""
+    if len(arr) >= n:
+        return arr
+    out = np.zeros(max(n, 2 * len(arr)), dtype=arr.dtype)
+    out[:len(arr)] = arr
+    return out
+
+
 def _delay_stats(delays_ns) -> dict | None:
     """Summary of int64 delay samples; it may reorder an int64 buffer in place.
 
@@ -175,13 +185,19 @@ def _delay_stats(delays_ns) -> dict | None:
         return None
     arr = np.asarray(delays_ns, dtype=np.int64)
     n = int(arr.size)
+    # np.median and np.percentile(99)'s "linear" rule from one partition in
+    # place: a run's samples are its largest arrays (and np.percentile would
+    # import numpy.ma)
+    at = (n - 1) * 0.99
+    i, j, g = int(at), min(int(at) + 1, n - 1), at - int(at)
+    mid = (n - 1) // 2, n // 2
+    arr.partition(sorted({*mid, i, j}))
+    a, b = int(arr[i]), int(arr[j])
     return {
         "count": n,
         "mean_us": int(arr.sum()) / n / 1000,
-        # partitioned in place rather than copied: a run's samples are its
-        # largest arrays
-        "median_us": float(np.median(arr, overwrite_input=True)) / 1000.0,
-        "p99_us": float(np.percentile(arr, 99, overwrite_input=True)) / 1000.0,
+        "median_us": (float(arr[mid[0]]) + float(arr[mid[1]])) / 2 / 1000.0,
+        "p99_us": (a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)) / 1000.0,
         "min_us": int(arr.min()) / 1000.0,
         "max_us": int(arr.max()) / 1000.0,
     }
@@ -297,8 +313,9 @@ def render_report(data: dict) -> str:
 class _Tally:
     """Departures and drops of one run, as the ports hand them over."""
 
-    def __init__(self, config: SimConfig, warmup: int):
+    def __init__(self, config: SimConfig, warmup: int, table: FlowTable):
         self.warmup = warmup
+        self.table = table  # names the flows of the frames' run codes
         # Per-class samples are indexed by class: 0 normal, 1 low latency.
         # Delay samples are int64 arrays: 8 bytes each, not a Python int apiece.
         self.delays = (array("q"), array("q"))
@@ -325,11 +342,13 @@ class _Tally:
         if self.tracked:
             flows = flow[done]
             for name, samples in self.tracked.items():
-                samples.frombytes(delay[flows == name].tobytes())
+                code = self.table.codes.get(name)
+                if code is not None:
+                    samples.frombytes(delay[flows == code].tobytes())
         if self.delay_log is not None:
-            self.delay_log.extend(zip(flow[done].tolist(), t[done].tolist(),
-                                      delay.tolist(), start[done].tolist(),
-                                      size[done].tolist()))
+            names = map(self.table.flows.__getitem__, flow[done].tolist())
+            self.delay_log.extend(zip(names, t[done].tolist(), delay.tolist(),
+                                      start[done].tolist(), size[done].tolist()))
 
     def drops(self, run, dropped) -> None:
         """The arrivals ``dropped`` of the ``run`` handed to :meth:`EeePort.serve`."""
@@ -369,12 +388,13 @@ def run(config: SimConfig, stream) -> MetricsReport:
     warmup = config.resolved_warmup()
     period = config.sampling_period_ns
 
-    tally = _Tally(config, warmup)
+    table = FlowTable(config)
+    tally = _Tally(config, warmup, table)
     arrived_total = 0
     ports = [EeePort(i, config.port, (warmup, duration)) for i in range(n_ports)]
-    table = FlowTable(config)
-    dispatch = table.dispatch
-    code_of = table.codes.get
+    # the stream's codes -> run codes, -1 for a flow not yet registered, for
+    # the first ``mapped`` of its ``names``
+    names, run_code, mapped = None, np.empty(0, dtype=np.int64), 0
 
     # Time-weighted incumbent-plan width ("ports the algorithm is using").
     ap_acc = 0
@@ -397,26 +417,22 @@ def run(config: SimConfig, stream) -> MetricsReport:
 
     def segment(batch, lo, hi):
         """Route arrivals ``lo:hi`` of ``batch``, all in one interval, to the ports."""
-        t, size, flow, dscp, seq = batch
-        names = flow[lo:hi].tolist()
-        c = np.fromiter(map(code_of, names, repeat(-1)), dtype=np.int64, count=hi - lo)
+        t, size, flow, dscp, seq, _ = batch
+        c = run_code[flow[lo:hi]]
         new = np.flatnonzero(c < 0)
         if len(new):
-            # Register each new flow at its first packet, in stream order;
-            # dispatch counts that packet's bytes.
-            first: dict = {}
-            for i in new.tolist():
-                first.setdefault(names[i], i)
-            idx = np.fromiter(first.values(), dtype=np.int64, count=len(first)) + lo
-            for pkt in zip(t[idx].tolist(), size[idx].tolist(), first,
-                           dscp[idx].tolist(), seq[idx].tolist()):
-                dispatch(pkt)
-            c[new] = [code_of(names[i]) for i in new.tolist()]
-            table.nbytes[c[idx - lo]] -= size[idx]  # dispatch counted these
+            # register the new flows together, in order of first sighting,
+            # each with its first packet's dscp
+            s = flow[lo:hi][new]
+            order = np.argsort(s, kind="stable")
+            at = np.sort(order[np.diff(s[order], prepend=-1) != 0])  # first sightings
+            fresh = s[at]
+            run_code[fresh] = table.dispatch(list(map(names.__getitem__, fresh.tolist())),
+                                             dscp[lo:hi][new[at]])
+            c[new] = run_code[s]
         np.add.at(table.nbytes, c, size[lo:hi])
         r = table.route[c]
-        seg = (t[lo:hi], size[lo:hi], flow[lo:hi], dscp[lo:hi], seq[lo:hi],
-               r & 1, (r & 2) > 0)
+        seg = (t[lo:hi], size[lo:hi], c, dscp[lo:hi], seq[lo:hi], r & 1, (r & 2) > 0)
         on_port = r >> 2
         order = np.argsort(on_port, kind="stable")
         b = 0
@@ -451,6 +467,13 @@ def run(config: SimConfig, stream) -> MetricsReport:
     next_epoch = period if period < duration else _INF
     last_arrival = -1
     for batch in batches(stream):
+        if batch.names is not names:  # another table: map its names afresh
+            names, mapped = batch.names, 0
+        if len(names) > mapped:
+            run_code = _grown(run_code, len(names))
+            run_code[mapped:len(names)] = list(map(table.codes.get, names[mapped:],
+                                                   repeat(-1)))
+            mapped = len(names)
         t = batch.t
         n = len(t)
         late = np.flatnonzero(t >= duration) if n and t.max() >= duration else ()
@@ -631,7 +654,7 @@ def oracle_simulate(config: SimConfig, packets):
             next_epoch += period
         for p in ports:
             advance(p, t)
-        idx, queue = table.dispatch(pkt)
+        idx, queue = table.route_packet(pkt)
         p = ports[idx]
         if len(p["high"]) + len(p["low"]) >= limit:
             dropped.add(pkt[4])

@@ -7,10 +7,11 @@ is sufficient and avoids floating-point drift in the event loop.
 Traffic is built in columns. A *source* (:func:`cbr_slabs`,
 :func:`frames_slabs`, :func:`bursty_slabs`, :func:`trace_slabs`) is a lazy
 iterable of :class:`Slab` s: int64 numpy columns ``t``, ``size`` and
-``dscp`` plus an object column ``flow``, time-ordered, at most
-:data:`SLAB_PKTS` packets each (a frames slab holds whole frames). CBR is a
-frames train of one packet per frame. Sources validate their arguments when
-called but synthesize nothing before the first ``next()``. Every arrival
+``dscp`` plus ``flow``, time-ordered, at most :data:`SLAB_PKTS` packets
+each (a frames slab holds whole frames). Flows travel as int codes into
+the source's table of names. CBR is a frames train of one packet per
+frame. Sources validate their arguments when called but synthesize
+nothing before the first ``next()``. Every arrival
 time comes from an exact integer formula; a column is computed in int64
 only where a bound shows that no intermediate exceeds ``2**63 - 1``, and
 with Python ints otherwise.
@@ -23,14 +24,15 @@ sweep opens in each process that runs more than one of its jobs, it
 replays an earlier complete read of an unchanged regular file.
 
 :func:`merge_slabs` orders the packets of several sources by (time, source
-index, position in source) and yields :class:`Batch` es, one int64 or
-object column per field of the packet tuple ``(arrival_time, size, flow,
-dscp, seq)``; the engine reads them column by column. That tuple is the
-packet contract: the ports and the oracle read a packet by position only,
-so a :class:`Packet` and a plain tuple are the same thing to them.
-:func:`packets` is the one place that turns batches into tuples and
-:func:`batches` the one place that turns tuples into batches.
-:func:`write_trace` writes packet tuples to a trace-csv file.
+index, position in source) and yields :class:`Batch` es, one column per
+field of the packet tuple ``(arrival_time, size, flow, dscp, seq)``,
+``flow`` renumbered with one ``take`` per slab into the stream's table of
+names (a lone source's table is the stream's). Names come back only at the
+edges: :func:`packets` is the one place that turns batches into tuples and
+:func:`batches` the one place that turns tuples into batches. A packet
+tuple is read by position only, so a :class:`Packet` and a plain tuple are
+the same thing. :func:`write_trace` writes packet tuples to a trace-csv
+file.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain, count, islice
 from operator import length_hint
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,8 +94,9 @@ class Slab(NamedTuple):
 
     t: np.ndarray      # int64 arrival times
     size: np.ndarray   # int64
-    flow: np.ndarray   # object (str)
+    flow: np.ndarray   # int codes into ``names``
     dscp: np.ndarray   # int64
+    names: Sequence    # distinct flow names by code; later slabs may only extend it
 
 
 class Batch(NamedTuple):
@@ -101,9 +104,23 @@ class Batch(NamedTuple):
 
     t: np.ndarray      # int64 arrival times
     size: np.ndarray   # int64
-    flow: np.ndarray   # object (str)
+    flow: np.ndarray   # int codes into ``names``
     dscp: np.ndarray   # int64
     seq: np.ndarray    # int64
+    names: Sequence    # distinct flow names by code; later batches may only extend it
+
+
+def _numbering() -> tuple:
+    """``(codes, names)``: ``codes(keys)`` numbers each new key with the next
+    code and appends it to the list ``names``."""
+    index, names = defaultdict(count().__next__), []
+
+    def codes(keys) -> list:
+        out = list(map(index.__getitem__, keys))
+        names.extend(reversed([*islice(reversed(index), len(index) - len(names))]))
+        return out
+
+    return codes, names
 
 
 def _round_div(num: int, den: int) -> int:
@@ -136,13 +153,6 @@ def _int64(values) -> np.ndarray:
         raise ConfigError("packet field exceeds the int64 range") from None
 
 
-def _objects(values) -> np.ndarray:
-    """Object array holding ``values``, one element each."""
-    out = np.empty(len(values), dtype=object)
-    out[:] = values
-    return out
-
-
 def _round_div_col(x: np.ndarray, num: int, den: int, offset: int = 0) -> np.ndarray:
     """``offset + _round_div(x * num, den)`` for each element of ``x``.
 
@@ -166,24 +176,27 @@ def _count_below(num: int, den: int, limit: int) -> int:
 
 
 def _const_columns(n: int, size: int, flow: str, dscp: int) -> tuple:
-    """Size, flow and dscp columns for up to ``n`` packets of one source."""
-    flows = np.empty(n, dtype=object)
-    flows.fill(flow)  # one shared str; np.full would make n copies of it
-    return np.full(n, size, dtype=np.int64), flows, np.full(n, dscp, dtype=np.int64)
+    """Size, flow (code 0) and dscp columns for up to ``n`` packets of one
+    source, and its table of names."""
+    return (np.full(n, size, dtype=np.int64), np.zeros(n, dtype=np.int64),
+            np.full(n, dscp, dtype=np.int64), (flow,))
 
 
 def _const_slab(t: np.ndarray, columns: tuple) -> Slab:
     """Slab of times ``t`` whose other columns are views of ``columns``."""
     n = len(t)
-    return Slab(t, *(col[:n] for col in columns))
+    *cols, names = columns
+    return Slab(t, *(col[:n] for col in cols), names)
 
 
 def _take(slab: Slab, index) -> Slab:
-    return Slab(*(col[index] for col in slab))
+    return Slab(*(col[index] for col in slab[:4]), slab.names)
 
 
 def _concat(slabs) -> Slab:
-    return Slab(*(np.concatenate(cols) for cols in zip(*slabs)))
+    """One slab of ``slabs``, which share a table of names or extend it."""
+    cols = zip(*(slab[:4] for slab in slabs))
+    return Slab(*(np.concatenate(c) for c in cols), slabs[-1].names)
 
 
 # -- sources ------------------------------------------------------------------
@@ -336,8 +349,9 @@ _TRACE_DTYPE = np.dtype([("t", "i8"), ("flow", "O"), ("size", "i8"), ("dscp", "i
 _BULK_BYTES = bytes(range(0x09, 0x0E)) + b" !" + bytes(range(0x23, 0x7F))
 
 
-def _parse_rows(rows, lineno: int, last_t: int) -> Slab:
-    """Columns of csv ``rows``, parsed and checked one row at a time.
+def _parse_rows(rows, lineno: int, last_t: int) -> tuple:
+    """Columns ``(t, size, flows, dscp)`` of csv ``rows``, parsed and checked
+    one row at a time; ``flows`` is a list of names.
 
     This is the exact decider of what a trace may hold. ``lineno`` is the
     record number before the first row and ``last_t`` the time of the row
@@ -379,14 +393,14 @@ def _parse_rows(rows, lineno: int, last_t: int) -> Slab:
         sizes.append(size)
         dscps.append(dscp)
         flows.append(flow)
-    return Slab(np.array(ts, dtype=np.int64), np.array(sizes, dtype=np.int64),
-                np.array(flows, dtype=object), np.array(dscps, dtype=np.int64))
+    return (np.array(ts, dtype=np.int64), np.array(sizes, dtype=np.int64), flows,
+            np.array(dscps, dtype=np.int64))
 
 
-def _parse_lines(lines: list, last_t: int) -> Slab | None:
-    """Columns of ``lines``, one csv record each, read by one ``loadtxt`` call
-    and checked in bulk as :func:`_parse_rows` checks each row; None leaves
-    the chunk to the csv reader and the row parser."""
+def _parse_lines(lines: list, last_t: int) -> tuple | None:
+    """:func:`_parse_rows` of ``lines``, one csv record each, read by one
+    ``loadtxt`` call and checked in bulk; None leaves the chunk to the csv
+    reader and the row parser."""
     text = "".join(lines)
     limit = csv.field_size_limit()  # the csv reader refuses longer fields
     if (not text.isascii() or text.encode().translate(None, _BULK_BYTES)
@@ -408,7 +422,7 @@ def _parse_lines(lines: list, last_t: int) -> Slab | None:
             or size.min() < MIN_FRAME_BYTES or size.max() > MAX_FRAME_BYTES
             or dscp.min() < 0 or dscp.max() > MAX_DSCP):
         return None
-    return Slab(t, size, np.array(flows, dtype=object), dscp)
+    return t, size, flows, dscp
 
 
 def _chunk_rows(lines: list, fh, lineno: int, last_t: int) -> list:
@@ -445,13 +459,11 @@ def trace_memo():
 
     Inside, the first :func:`trace_slabs` read of a regular file that yields
     every slab without error keeps them compact (int64 ``t``, int16 ``size``,
-    int8 ``dscp``, int32 codes into the distinct flow names) under the
-    file's resolved path, device, inode, size and modification time; a
-    later read of that key replays them without opening the file. A read
-    stopped early or failing, or one that would take the memo past
-    ``_MEMO_ROWS`` rows, is not kept. Numbering the names makes the keeping
-    read about half as slow again as a plain one, so open a memo only where
-    a trace may be read again.
+    int8 ``dscp``, the int32 flow codes and the names) under the file's
+    resolved path, device, inode, size and modification time; a later read
+    of that key replays them without opening the file. A read stopped early
+    or failing, or one that would take the memo past ``_MEMO_ROWS`` rows, is
+    not kept.
     """
     global _memo
     outer, _memo = _memo, {}
@@ -488,9 +500,10 @@ def trace_slabs(path, factor=1) -> Iterator[Slab]:
     the chunk cuts, and parsed by the row parser, which alone decides
     errors: a malformed row, an undecodable byte or a timestamp running
     backwards raises :class:`TraceError` naming the line (csv record
-    number), an unreadable file one naming the path. The file opens at the
-    first ``next()``, unless a :func:`trace_memo` holds a complete read of
-    it, which is replayed instead.
+    number), an unreadable file one naming the path. Each flow name takes
+    the next code where it first appears. The file opens at the first
+    ``next()``, unless a :func:`trace_memo` holds a complete read of it,
+    which is replayed instead.
     """
     frac = _scale_factor(factor)
 
@@ -503,8 +516,8 @@ def trace_slabs(path, factor=1) -> Iterator[Slab]:
                 pass
             else:
                 for t, size, dscp, codes in kept:
-                    yield Slab(_scale_col(t, frac), size.astype(np.int64), names[codes],
-                               dscp.astype(np.int64))
+                    yield Slab(_scale_col(t, frac), size.astype(np.int64), codes,
+                               dscp.astype(np.int64), names)
                 return
         try:
             fh = open(path, newline="", errors="surrogateescape")
@@ -514,7 +527,7 @@ def trace_slabs(path, factor=1) -> Iterator[Slab]:
             st = os.fstat(fh.fileno())
             key = memo is not None and stat.S_ISREG(st.st_mode) and _trace_key(path, st)
             room = key and _MEMO_ROWS - _kept_rows(memo)
-            index, names, kept = defaultdict(count().__next__), [], []
+            (codes_of, names), kept = _numbering(), []
             header = next(csv.reader(fh), None)
             if header is None or tuple(h.strip() for h in header) != TRACE_HEADER:
                 raise TraceError(
@@ -524,31 +537,26 @@ def trace_slabs(path, factor=1) -> Iterator[Slab]:
             last_t = -1
             lineno = 1
             while lines := list(islice(fh, SLAB_PKTS)):
-                slab = _parse_lines(lines, last_t)
-                if slab is not None:
+                cols = _parse_lines(lines, last_t)
+                if cols is not None:
                     lineno += len(lines)
                 else:
                     rows = _chunk_rows(lines, fh, lineno, last_t)
-                    slab = _parse_rows(rows, lineno, last_t)
+                    cols = _parse_rows(rows, lineno, last_t)
                     lineno += len(rows)
-                if len(slab.t):
-                    last_t = int(slab.t[-1])
-                    room -= len(slab.t)
+                t, size, flows, dscp = cols
+                if len(t):
+                    last_t = int(t[-1])
+                    codes = np.array(codes_of(flows), dtype=np.int32)
+                    room -= len(t)
                     if key and room >= 0:
-                        # a name takes the next code where it first appears
-                        codes = list(map(index.__getitem__, slab.flow.tolist()))
-                        new = len(index) - len(names)
-                        names.extend(reversed([*islice(reversed(index), new)]))
-                        slab.t.flags.writeable = False
-                        kept.append((slab.t, slab.size.astype(np.int16),
-                                     slab.dscp.astype(np.int8), np.array(codes, np.int32)))
-                        flow = _objects(list(map(names.__getitem__, codes)))
-                        slab = slab._replace(flow=flow)
+                        t.flags.writeable = codes.flags.writeable = False
+                        kept.append((t, size.astype(np.int16), dscp.astype(np.int8), codes))
                     else:  # not kept: stream it
-                        key = index = names = kept = None
-                    yield slab._replace(t=_scale_col(slab.t, frac))
+                        key = kept = None
+                    yield Slab(_scale_col(t, frac), size, codes, dscp, names)
             if key and _trace_key(path, os.fstat(fh.fileno())) == key:
-                memo[key] = (_objects(names), kept)
+                memo[key] = (names, kept)
                 if _kept_rows(memo) > _MEMO_ROWS:  # another read was kept meanwhile
                     del memo[key]
 
@@ -564,12 +572,18 @@ def merge_slabs(sources: Iterable[Iterable[Slab]]) -> Iterator[Batch]:
     ``seq`` numbering the output. Each round emits, as one batch, every
     buffered packet earlier than the smallest last buffered time of the
     sources not yet exhausted, then refills the sources that set it, so the
-    order does not depend on where slabs end. Nothing is read from the
-    sources before the first ``next()``.
+    order does not depend on where slabs end. With several sources, each
+    one's flow codes are renumbered into the stream's table of names as its
+    slabs arrive, a new name taking the next code; a lone source's codes and
+    table are the stream's. Nothing is read from the sources before the
+    first ``next()``.
     """
     feeds = [iter(s) for s in sources]
     buf = [None] * len(feeds)   # not yet emitted packets of each source
     last = [-1] * len(feeds)    # time of each source's last buffered packet
+    codes_of, names = _numbering()  # the stream's codes
+    # each source's codes -> the stream's, for the names it has shown so far
+    recode = [np.empty(0, dtype=np.int64) for _ in feeds]
 
     def pull(i):
         for slab in feeds[i]:
@@ -583,6 +597,11 @@ def merge_slabs(sources: Iterable[Iterable[Slab]]) -> Iterator[Batch]:
                 raise TraceError(
                     f"stream {i} not time-ordered: {t[j]} after {prev[j]}"
                 )
+            if len(feeds) > 1:  # renumber into the stream's table
+                known = len(recode[i])
+                if len(slab.names) > known:
+                    recode[i] = np.concatenate((recode[i], codes_of(slab.names[known:])))
+                slab = slab._replace(flow=recode[i][slab.flow], names=names)
             buf[i] = slab if buf[i] is None else _concat((buf[i], slab))
             last[i] = int(t[-1])
             return True
@@ -606,7 +625,7 @@ def merge_slabs(sources: Iterable[Iterable[Slab]]) -> Iterator[Batch]:
                 out = _concat(parts)
                 out = _take(out, np.argsort(out.t, kind="stable"))
             n = len(out.t)
-            yield Batch(*out, np.arange(seq, seq + n, dtype=np.int64))
+            yield Batch(*out[:4], np.arange(seq, seq + n, dtype=np.int64), out.names)
             seq += n
         if not live:
             return
@@ -614,19 +633,24 @@ def merge_slabs(sources: Iterable[Iterable[Slab]]) -> Iterator[Batch]:
 
 
 def packets(stream: Iterable[Batch]) -> Iterator[tuple]:
-    """Packet tuples ``(arrival_time, size, flow, dscp, seq)`` of ``stream``'s batches."""
+    """Packet tuples ``(arrival_time, size, flow, dscp, seq)`` of ``stream``'s
+    batches, each flow by its name."""
     for batch in stream:
+        name = batch.names.__getitem__
         for lo in range(0, len(batch.t), SLAB_PKTS):
-            yield from zip(*(col[lo:lo + SLAB_PKTS].tolist() for col in batch))
+            t, size, flow, dscp, seq = (col[lo:lo + SLAB_PKTS].tolist() for col in batch[:5])
+            yield from zip(t, size, map(name, flow), dscp, seq)
 
 
 def batches(stream: Iterable) -> Iterator[Batch]:
     """Batches of a stream of packet tuples, or of batches, which pass through.
 
-    Tuples are read by position, :data:`SLAB_PKTS` at a time; a field
-    outside the int64 range raises :class:`ConfigError`.
+    Tuples are read by position, :data:`SLAB_PKTS` at a time, and their
+    flows numbered into one table of names; a field outside the int64
+    range raises :class:`ConfigError`.
     """
     it = iter(stream)
+    codes_of, names = _numbering()
     for first in it:
         if isinstance(first, Batch):
             yield first
@@ -634,7 +658,8 @@ def batches(stream: Iterable) -> Iterator[Batch]:
             return
         rows = [first, *islice(it, SLAB_PKTS - 1)]
         t, size, flow, dscp, seq = zip(*rows)
-        yield Batch(_int64(t), _int64(size), _objects(flow), _int64(dscp), _int64(seq))
+        yield Batch(_int64(t), _int64(size), _int64(codes_of(flow)), _int64(dscp),
+                    _int64(seq), names)
 
 
 # -- trace files --------------------------------------------------------------

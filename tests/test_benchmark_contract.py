@@ -5,15 +5,20 @@ names; renaming one would break only a benchmark run. These tests make such a
 rename fail here too.
 """
 
+import hashlib
 import importlib
+import json
 from collections import defaultdict
 from pathlib import Path
+
+import pytest
 
 from eeesim import (
     Algorithm,
     BundleConfig,
     EeePortConfig,
     SimConfig,
+    cli,
     eee_port,
     engine,
     run,
@@ -100,8 +105,9 @@ def test_default_path_serves_a_dropping_stream_without_enqueue(monkeypatch):
 
 
 def test_tracer_counts_registrations_and_estimated_flows(tmp_path, monkeypatch):
-    # Dispatch runs once per flow, at its registration, and every epoch
-    # estimates every flow registered before it, silent ones included.
+    # Dispatch runs once per segment that holds new flows and registers them
+    # together, and every epoch estimates every flow registered before it,
+    # silent ones included.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracer = importlib.import_module("tracer").Tracer(tmp_path)
     originals = (FlowTable.dispatch, FlowTable.control_epoch,
@@ -126,7 +132,9 @@ def test_tracer_counts_registrations_and_estimated_flows(tmp_path, monkeypatch):
         run(config, pkts)
     finally:
         restored = tracer.uninstall()
-    assert tracer.cells["dispatch"][0] == len({p[2] for p in pkts}) == 10
+    # the flows start in intervals 0-4, two in each: one segment apiece
+    assert len({p[2] for p in pkts}) == 10
+    assert tracer.cells["dispatch"][0] == 5
     estimated = [span[5]["flows"] for span in tracer.spans
                  if span[1] == "allocation.estimate_rates"]
     assert estimated == [len({p[2] for p in pkts if p[0] < e * period})
@@ -167,3 +175,23 @@ def test_tracer_sees_every_job_of_a_trace_sweep(tmp_path, monkeypatch):
     merged = list(traffic.merge_slabs([slabs]))
     assert [s["pkts"] for s in spans["traffic.synth"]] == [len(slabs)] * 3
     assert [s["pkts"] for s in spans["traffic.merge"]] == [len(merged)] * 3
+
+
+@pytest.mark.parametrize("name", ["qos-point", "testbed-sweep", "trace-replay"])
+def test_workload_outputs_match_the_recorded_digests(tmp_path, monkeypatch, name):
+    # Each workload's own command, run in this process, writes the bytes
+    # whose digests the benchmark checks.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workload = importlib.import_module("run").WORKLOADS[name]
+    recorded = json.loads((PERFBENCH / "digests.json").read_text())[name]
+    if workload.seeded:  # the trace and the scenario, where its command finds them
+        trace = tmp_path / ".perfbench-work" / "trace-replay" / "trace.csv"
+        trace.parent.mkdir(parents=True)
+        trace.write_bytes(importlib.import_module("tracegen").generate(recorded["seed"]))
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == recorded["trace_csv"]
+        (tmp_path / "perfbench").symlink_to(PERFBENCH)
+        monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main([*workload.argv, "--output-dir", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == recorded["files"]

@@ -16,8 +16,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_traffic as ref
-from eeesim import Algorithm, run
-from eeesim import scenarios, traffic
+from eeesim import (
+    Algorithm, BundleConfig, EeePortConfig, SimConfig, oracle_simulate, read_trace, run,
+    write_trace,
+)
+from eeesim import engine, scenarios, traffic
 from eeesim.errors import ConfigError
 from eeesim.scenarios import Scenario, build_sim_config, build_stream
 from eeesim.traffic import (
@@ -114,17 +117,27 @@ def split_streams(draw):
         # cut points anywhere, so slab ends often share the next slab's time
         cuts = sorted(draw(st.sets(st.integers(0, len(pkts)), max_size=6)))
         bounds = [0] + cuts + [len(pkts)]
-        slabs = [traffic._take(_slab_of(pkts), slice(a, b))
+        slabs = [traffic._take(slab_of(pkts), slice(a, b))
                  for a, b in zip(bounds, bounds[1:])] if pkts else []
         streams.append(pkts)
         slabbed.append(slabs)
     return streams, slabbed
 
 
-def _slab_of(pkts):
-    t, size, flow, dscp, _ = zip(*pkts)
+def coded(t, size, flows, dscp):
+    """A slab of the columns ``t``, ``size``, ``dscp`` and the flow names
+    ``flows``, numbered in order of first appearance."""
+    names = list(dict.fromkeys(flows))
+    code = {name: i for i, name in enumerate(names)}
     return Slab(np.array(t, dtype=np.int64), np.array(size, dtype=np.int64),
-                np.array(flow, dtype=object), np.array(dscp, dtype=np.int64))
+                np.array([code[f] for f in flows], dtype=np.int64),
+                np.array(dscp, dtype=np.int64), names)
+
+
+def slab_of(pkts):
+    """One slab of the packet tuples ``pkts``."""
+    t, size, flow, dscp, _ = zip(*pkts)
+    return coded(t, size, flow, dscp)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -136,6 +149,90 @@ def test_merge_matches_heap_merge(case, slab):
         assert list(packets(merge_slabs(slabbed))) == expected
 
 
+#: flow names a csv writer, a trace parser or a numbering could get wrong
+NAMES = ["a", "b", "42", "007", "7", "\u00fc", "line\nbreak", "x,y"]
+
+
+def _source(pkts, cuts):
+    """One source's slabs of ``pkts``, cut before each of ``cuts``: the names
+    are numbered across the source, and each slab's table holds the names
+    seen up to its end."""
+    code = {}
+    flows = [code.setdefault(p[2], len(code)) for p in pkts]
+    names = list(code)
+    bounds = [0, *sorted({c for c in cuts if 0 < c < len(pkts)}), len(pkts)]
+    slabs = []
+    for a, b in zip(bounds, bounds[1:]):
+        t, size, _, dscp, _ = zip(*pkts[a:b])
+        slabs.append(Slab(np.array(t, dtype=np.int64), np.array(size, dtype=np.int64),
+                          np.array(flows[a:b], dtype=np.int64),
+                          np.array(dscp, dtype=np.int64), names[:max(flows[:b]) + 1]))
+    return slabs
+
+
+@st.composite
+def named_streams(draw):
+    """Up to four sources drawing their flows from NAMES, so sources share
+    names and names first appear mid-slab; the packet lists and the slabs."""
+    streams, sources = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = draw(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(NAMES),
+                                       st.sampled_from([64, 1500]),
+                                       st.sampled_from([0, 46])), max_size=40))
+        t, pkts = 0, []
+        for seq, (gap, name, size, dscp) in enumerate(rows):
+            t += gap * 1000
+            pkts.append((t, size, name, dscp, seq))
+        cuts = draw(st.sets(st.integers(1, 40), max_size=5))
+        streams.append(pkts)
+        sources.append(_source(pkts, cuts) if pkts else [])
+    return streams, sources
+
+
+@contextmanager
+def segment_size(k):
+    old = engine._SEGMENT_PKTS, engine._SERVE_PKTS
+    engine._SEGMENT_PKTS = engine._SERVE_PKTS = k
+    try:
+        yield
+    finally:
+        engine._SEGMENT_PKTS, engine._SERVE_PKTS = old
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(case=named_streams(), algorithm=st.sampled_from(list(Algorithm)),
+       k=st.sampled_from([1, 3, 4096]), buffer=st.integers(2, 30))
+def test_flow_names_survive_the_codes(tmp_path, case, algorithm, k, buffer):
+    # Sources number their own names and the merge renumbers them into one
+    # table: the stream, its report, its departures and its trace file are
+    # those of the same packets handed over as tuples.
+    streams, sources = case
+    pkts = list(ref.merge(streams))
+    assert list(packets(merge_slabs(sources))) == pkts
+    if not pkts:
+        return
+    path = tmp_path / "t.csv"
+    write_trace(path, packets(merge_slabs(sources)))
+    assert list(read_trace(path)) == pkts
+    config = SimConfig(
+        BundleConfig(n_ports=3, capacity_bps=10**10, algorithm=algorithm),
+        EeePortConfig(capacity_bps=10**10, buffer_limit=buffer),
+        duration_ns=pkts[-1][0] + 100_000, sampling_period_ns=20_000, warmup_ns=0,
+        record_departures=True, record_delay_log=True,
+        track_flows=frozenset({"\u00fc", "line\nbreak", "42", "never"}))
+    with segment_size(k):
+        by_codes = run(config, merge_slabs(sources))
+        by_tuples = run(config, iter(pkts))
+    assert by_codes.to_json() == by_tuples.to_json()
+    assert sorted(by_codes.delay_log) == sorted(by_tuples.delay_log)
+    assert {row[0] for row in by_codes.delay_log} <= set(NAMES)
+    assert by_codes.totals["queued_end"] == 0
+    departures, dropped = oracle_simulate(config, pkts)
+    assert by_codes.departures == by_tuples.departures == departures
+    assert by_codes.drop_seqs == by_tuples.drop_seqs == dropped
+
+
 def test_merge_tie_at_slab_boundary():
     # stream 0 has three packets at t=10 split over two slabs; stream 1's
     # packet at t=10 must come after all of them, stream 2's t=5 first.
@@ -143,20 +240,23 @@ def test_merge_tie_at_slab_boundary():
          (10, 100, "a", 0, 3)]
     b = [(10, 100, "b", 0, 0)]
     c = [(5, 100, "c", 0, 0), (10, 100, "c", 0, 1)]
-    slabs = [[_slab_of(a[:2]), _slab_of(a[2:])], [_slab_of(b)], [_slab_of(c)]]
+    slabs = [[slab_of(a[:2]), slab_of(a[2:])], [slab_of(b)], [slab_of(c)]]
     got = [(t, f) for t, _, f, _, _ in packets(merge_slabs(slabs))]
     assert got == [(0, "a"), (5, "c"), (10, "a"), (10, "a"), (10, "a"),
                    (10, "b"), (10, "c")]
 
 
 def test_synthetic_flow_column_shares_one_str():
-    # 8 bytes a packet for the flow, not a str object each
-    sources = [cbr_slabs(10**9, 100, 0, 10**6, flow="cbr-flow"),
-               frames_slabs(10**9, 100, 0, 10**6, 10**10, flow="frames-flow"),
-               bursty_slabs(400, 100, 0, 10**6, 2, 10**10, 10**6, flow="bursty-flow")]
-    for source in sources:
-        flows = np.concatenate([slab.flow for slab in source])
-        assert len(flows) > 1 and len({id(f) for f in flows}) == 1
+    # 8 bytes a packet for the flow, code 0 into one table of one name
+    sources = {"cbr-flow": cbr_slabs(10**9, 100, 0, 10**6, flow="cbr-flow"),
+               "frames-flow": frames_slabs(10**9, 100, 0, 10**6, 10**10, flow="frames-flow"),
+               "bursty-flow": bursty_slabs(400, 100, 0, 10**6, 2, 10**10, 10**6,
+                                           flow="bursty-flow")}
+    for name, source in sources.items():
+        slabs = list(source)
+        flows = np.concatenate([slab.flow for slab in slabs])
+        assert len(flows) > 1 and flows.dtype == np.int64 and not flows.any()
+        assert all(slab.names is slabs[0].names == (name,) for slab in slabs)
 
 
 # -- exact int64 arithmetic ----------------------------------------------------
@@ -383,16 +483,18 @@ def _outcome(parse, path):
     except traffic.TraceError as exc:
         return str(exc)
     assert all(0 < len(s.t) <= traffic.SLAB_PKTS for s in slabs)
-    assert all(col.dtype == dtype for s in slabs
-               for col, dtype in zip(s, (np.int64, np.int64, object, np.int64)))
-    return [np.concatenate(cols).tolist() for cols in zip(*slabs)]
+    assert all(col.dtype == np.int64 for s in slabs for col in (s.t, s.size, s.dscp))
+    cols = [np.concatenate(c).tolist() for c in zip(*(s[:4] for s in slabs))]
+    if cols:  # flows by name: the slabs of one read share its table
+        cols[2] = [slabs[-1].names[code] for code in cols[2]]
+    return cols
 
 
 def _row_parse(path):
     """The row parser over the whole file: at most one slab."""
     with open(path, newline="", errors="surrogateescape") as fh:
         lines = fh.readlines()[1:]
-        slab = traffic._parse_rows(traffic._chunk_rows(lines, fh, 1, -1), 1, -1)
+        slab = coded(*traffic._parse_rows(traffic._chunk_rows(lines, fh, 1, -1), 1, -1))
     return [slab] if len(slab.t) else []
 
 

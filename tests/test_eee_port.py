@@ -57,7 +57,7 @@ def drive_port(port, arrivals, transitions=None):
 
     for i, (t, size, queue) in enumerate(arrivals):
         fire_before(t)
-        if not step(port.enqueue, t, Packet(t, size, f"f{i}", 0, i), queue, NORMAL)[0]:
+        if not step(port.enqueue, t, Packet(t, size, i, 0, i), queue, NORMAL)[0]:
             dropped.append(i)
     fire_before(float("inf"))
     return departures, dropped
@@ -99,7 +99,7 @@ def test_tx_time_rounds_to_nearest_ns():
 
 def test_wake_from_lpi_single_packet():
     port = EeePort(0, _cfg())
-    assert port.enqueue(Packet(0, 1500, "f", 0, 0), Queue.LOW, NORMAL, 0) == (True, 4480)
+    assert port.enqueue(Packet(0, 1500, 0, 0, 0), Queue.LOW, NORMAL, 0) == (True, 4480)
     assert port.state is PortState.WAKE_TRANS
     port.on_wake_complete(4480)
     assert (port.state, port.next_at) == (PortState.ACTIVE, 5680)
@@ -170,7 +170,7 @@ def test_fifo_within_queue():
 def test_tail_drop_when_buffer_full():
     port = EeePort(0, _cfg(buffer_limit=2))
     accepted = [
-        port.enqueue(Packet(t, 100, "f", 0, i), Queue.LOW, NORMAL, t)[0]
+        port.enqueue(Packet(t, 100, 0, 0, i), Queue.LOW, NORMAL, t)[0]
         for i, t in enumerate((0, 10, 20))
     ]
     assert accepted == [True, True, False]
@@ -191,9 +191,9 @@ def test_drop_does_not_count_delivered():
 
 def test_time_regression_fault():
     port = EeePort(0, _cfg())
-    port.enqueue(Packet(100, 100, "f", 0, 0), Queue.LOW, NORMAL, 100)
+    port.enqueue(Packet(100, 100, 0, 0, 0), Queue.LOW, NORMAL, 100)
     with pytest.raises(SimulationFault):
-        port.enqueue(Packet(50, 100, "f", 0, 1), Queue.LOW, NORMAL, 50)
+        port.enqueue(Packet(50, 100, 0, 0, 1), Queue.LOW, NORMAL, 50)
 
 
 def test_tx_complete_without_transmission_fault():
@@ -204,7 +204,7 @@ def test_tx_complete_without_transmission_fault():
 
 def test_wake_complete_with_empty_queues_fault():
     port = EeePort(0, _cfg())
-    port.enqueue(Packet(0, 100, "f", 0, 0), Queue.LOW, NORMAL, 0)
+    port.enqueue(Packet(0, 100, 0, 0, 0), Queue.LOW, NORMAL, 0)
     port.low.popleft()  # lose the frame that started the wake
     with pytest.raises(SimulationFault):
         port.on_wake_complete(4480)

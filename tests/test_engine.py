@@ -1,6 +1,10 @@
 """Event loop: exact timings, dispatch, epochs, metrics, oracle agreement."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,11 +23,12 @@ from eeesim import (
     oracle_simulate,
     run,
 )
+import eeesim
 from eeesim import engine, eee_port
 from eeesim.allocation import flow_rank
 from eeesim.eee_port import EeePort, PortState
 from eeesim.engine import FlowTable
-from eeesim.traffic import SLAB_PKTS, Batch, cbr_slabs, merge_slabs, packets
+from eeesim.traffic import SLAB_PKTS, Batch, batches, cbr_slabs, merge_slabs, packets
 
 RSEED = 77002
 TEN_G = 10_000_000_000
@@ -110,7 +115,7 @@ def _table_with_plan(config, rates_gbps):
     """A table whose first epoch planned one normal flow per ``rates_gbps`` item."""
     table = FlowTable(config)
     for seq, (flow, gbps) in enumerate(rates_gbps.items()):
-        table.dispatch(Packet(0, _bytes_at(gbps), flow, 0, seq))
+        table.route_packet(Packet(0, _bytes_at(gbps), flow, 0, seq))
     table.control_epoch(PERIOD)
     return table
 
@@ -119,23 +124,23 @@ def test_dispatch_known_flow_follows_plan():
     config = make_config(n_ports=5)
     table = _table_with_plan(config, {"a": 9, "b": 8})  # 17 Gb/s: two ports
     assert table.plan.assignments == {"a": (0, Queue.LOW), "b": (1, Queue.LOW)}
-    assert table.dispatch(Packet(PERIOD, 100, "a", 0, 2)) == (0, Queue.LOW)
-    assert table.dispatch(Packet(PERIOD, 100, "b", 0, 3)) == (1, Queue.LOW)
+    assert table.route_packet(Packet(PERIOD, 100, "a", 0, 2)) == (0, Queue.LOW)
+    assert table.route_packet(Packet(PERIOD, 100, "b", 0, 3)) == (1, Queue.LOW)
 
 
 def test_dispatch_unknown_flow_to_least_loaded_active_port():
     config = make_config(n_ports=5)
     table = _table_with_plan(config, {"a": 9, "b": 8})
-    assert table.dispatch(Packet(PERIOD, 100, "new", 0, 2)) == (1, Queue.LOW)
+    assert table.route_packet(Packet(PERIOD, 100, "new", 0, 2)) == (1, Queue.LOW)
     # registered: later packets take the same path
-    assert table.dispatch(Packet(PERIOD + 5, 100, "new", 0, 3)) == (1, Queue.LOW)
+    assert table.route_packet(Packet(PERIOD + 5, 100, "new", 0, 3)) == (1, Queue.LOW)
 
 
 def test_dispatch_unknown_ll_flow_under_two_queues_gets_high_queue():
     config = make_config(n_ports=5, algorithm=Algorithm.TWO_QUEUES)
     table = FlowTable(config)
-    assert table.dispatch(Packet(0, 100, "ll", 46, 0)) == (0, Queue.HIGH)
-    assert table.dispatch(Packet(0, 100, "bulk", 0, 1)) == (0, Queue.LOW)
+    assert table.route_packet(Packet(0, 100, "ll", 46, 0)) == (0, Queue.HIGH)
+    assert table.route_packet(Packet(0, 100, "bulk", 0, 1)) == (0, Queue.LOW)
 
 
 # -- control epochs --------------------------------------------------------------
@@ -147,14 +152,14 @@ def test_epoch_with_zero_counters_keeps_flows_on_port_zero():
     plan = table.control_epoch(2 * PERIOD)  # silent interval
     assert plan.active_ports == 1
     assert plan.assignments == {"a": (0, Queue.LOW), "b": (0, Queue.LOW)}
-    assert table.dispatch(Packet(2 * PERIOD, 100, "b", 0, 2)) == (0, Queue.LOW)
+    assert table.route_packet(Packet(2 * PERIOD, 100, "b", 0, 2)) == (0, Queue.LOW)
 
 
 def test_epoch_sizing_at_32_5_gbps_uses_four_ports():
     config = make_config(n_ports=5)
     table = FlowTable(config)
     for i in range(8):
-        table.dispatch(Packet(0, 2_031_250_000 // 8, f"f{i}", 0, i))  # 32.5 Gb/s aggregate
+        table.route_packet(Packet(0, 2_031_250_000 // 8, f"f{i}", 0, i))  # 32.5 Gb/s aggregate
     plan = table.control_epoch(PERIOD)
     assert plan.active_ports == 4
 
@@ -162,8 +167,8 @@ def test_epoch_sizing_at_32_5_gbps_uses_four_ports():
 def test_epoch_spare_port_places_ll_on_last_port():
     config = make_config(n_ports=5, algorithm=Algorithm.SPARE_PORT)
     table = FlowTable(config)
-    table.dispatch(Packet(0, 406_250_000, "bulk", 0, 0))  # 6.5 Gb/s
-    table.dispatch(Packet(0, 625_000, "ll", 46, 1))  # 10 Mb/s
+    table.route_packet(Packet(0, 406_250_000, "bulk", 0, 0))  # 6.5 Gb/s
+    table.route_packet(Packet(0, 625_000, "ll", 46, 1))  # 10 Mb/s
     plan = table.control_epoch(PERIOD)
     assert plan.assignments["bulk"] == (0, Queue.LOW)
     assert plan.assignments["ll"] == (4, Queue.LOW)
@@ -172,7 +177,7 @@ def test_epoch_spare_port_places_ll_on_last_port():
 def test_epoch_resets_counters():
     config = make_config()
     table = FlowTable(config)
-    table.dispatch(Packet(0, 1500, "a", 0, 0))
+    table.route_packet(Packet(0, 1500, "a", 0, 0))
     assert table.flows == ["a"] and table.nbytes[0] == 1500
     table.control_epoch(PERIOD)
     assert table.flows == ["a"] and not table.nbytes.any()
@@ -197,7 +202,7 @@ def test_epoch_rank_matches_a_fresh_sort_across_registrations(monkeypatch):
     for epoch, new in enumerate([0, 1, 40, 0, 300, 7, 1000], start=1):
         for _ in range(new):
             flow = f"f{rng.randrange(10**6)}" if rng.random() < 0.9 else f"{seq}"
-            table.dispatch(Packet(epoch * PERIOD - 1, 100, flow, 0, seq))
+            table.route_packet(Packet(epoch * PERIOD - 1, 100, flow, 0, seq))
             seq += 1
         table.control_epoch(epoch * PERIOD)
     assert [len(flows) for flows, _ in ranks] == [0, 1, 41, 41, 341, 348, 1348]
@@ -218,7 +223,8 @@ def test_ports_are_served_in_half_slabs_and_match_the_oracle(monkeypatch):
     streams.append(cbr_slabs(400_000_000, 125, 46, 12_000_000, flow="rt"))
     streams.append(cbr_slabs(4 * 10**9, 1500, 0, 5_000_000, 7_000_000, "late"))
     streams.append(cbr_slabs(2 * 10**9, 64, 0, 1_000_000, flow="burst"))
-    batch = Batch(*map(np.concatenate, zip(*merge_slabs(streams))))
+    merged = list(merge_slabs(streams))
+    batch = Batch(*map(np.concatenate, zip(*(b[:5] for b in merged))), merged[-1].names)
     pkts = list(packets([batch]))
     config = make_config(n_ports=3, algorithm=Algorithm.TWO_QUEUES,
                          period=1_000_000, duration=pkts[-1][0] + 5_000_000,
@@ -262,7 +268,8 @@ def test_flows_register_once_and_keep_planned_routes(monkeypatch, algorithm,
     # low-latency "voice". "b" is silent in interval 1 and comes back in
     # interval 2 on the port the second plan gave it. "rt", a low-latency
     # flow first seen mid-interval 1, goes at once to the spare port or the
-    # high queue. Each flow is dispatched once, at its first packet.
+    # high queue. The flows new in a segment are dispatched together, in
+    # order of first sighting.
     config = make_config(n_ports=5, algorithm=algorithm, period=10_000,
                          duration=40_000)
     pkts = [Packet(0, 7500, "a", 0, 0), Packet(0, 7500, "b", 0, 1),
@@ -273,9 +280,9 @@ def test_flows_register_once_and_keep_planned_routes(monkeypatch, algorithm,
     dispatch, serve, control_epoch = (FlowTable.dispatch, EeePort.serve,
                                       FlowTable.control_epoch)
 
-    def log_dispatch(self, pkt):
-        dispatched.append(pkt[4])
-        return dispatch(self, pkt)
+    def log_dispatch(self, flows, dscp):
+        dispatched.append((list(flows), dscp.tolist()))
+        return dispatch(self, flows, dscp)
 
     def log_serve(self, t, size, flow, dscp, seq, ci, in_high):
         served.extend((s, self.index, h) for s, h in zip(seq.tolist(), in_high.tolist()))
@@ -289,7 +296,7 @@ def test_flows_register_once_and_keep_planned_routes(monkeypatch, algorithm,
     monkeypatch.setattr(EeePort, "serve", log_serve)
     monkeypatch.setattr(FlowTable, "control_epoch", log_epoch)
     run(config, pkts)
-    assert dispatched == [0, 1, 2, 4]
+    assert dispatched == [(["a", "b", "voice"], [0, 0, 46]), (["rt"], [46])]
     first, second, _ = plans
     assert first.assignments["b"] == (1, Queue.LOW)
     assert second.assignments["b"] == (0, Queue.LOW)  # silent, planned at rate 0
@@ -487,9 +494,9 @@ def test_class_level_handler_wrappers_see_every_call(monkeypatch, algorithm):
             entered[new] += 1
         set_state(self, new, now)
 
-    def log_dispatch(self, pkt):
-        dispatched.append(pkt[4])
-        return dispatch(self, pkt)
+    def log_dispatch(self, flows, dscp):
+        dispatched.append(list(flows))
+        return dispatch(self, flows, dscp)
 
     monkeypatch.setattr(EeePort, "_set_state", tally_state)
     monkeypatch.setattr(FlowTable, "dispatch", log_dispatch)
@@ -504,11 +511,22 @@ def test_class_level_handler_wrappers_see_every_call(monkeypatch, algorithm):
     assert calls["on_tx_complete"] == totals["delivered"]
     assert calls["on_wake_complete"] == entered[PortState.WAKE_TRANS] > 0
     assert calls["on_sleep_complete"] == entered[PortState.SLEEP_TRANS] > 0
-    # one dispatch per flow, at its first packet
-    first = {}
-    for p in pkts:
-        first.setdefault(p[2], p[4])
-    assert dispatched == list(first.values())
+    # every flow starts in the first segment: one dispatch registers them all,
+    # in order of first sighting
+    assert dispatched == [list(dict.fromkeys(p[2] for p in pkts))]
+
+
+def test_batches_with_tables_of_their_own_map_their_names_afresh():
+    # each half numbers its flows in another order; the run follows the names
+    config = make_config(n_ports=3, algorithm=Algorithm.TWO_QUEUES, period=20_000,
+                         duration=300_000)
+    config.track_flows = frozenset({"a", "c"})
+    flows = ["a", "b", "c"] * 40 + ["c", "b", "a"] * 40
+    pkts = [Packet(i * 1000, 1500 if f == "a" else 64, f, 46 * (f == "c"), i)
+            for i, f in enumerate(flows)]
+    halves = [*batches(pkts[:120]), *batches(pkts[120:])]
+    assert halves[0].names == ["a", "b", "c"] and halves[1].names == ["c", "b", "a"]
+    assert run(config, halves).to_json() == run(config, pkts).to_json()
 
 
 # -- oracle agreement ------------------------------------------------------------
@@ -601,3 +619,36 @@ def test_report_renders_text_and_csv():
     csv_text = report.epoch_loads_csv()
     assert csv_text.splitlines()[0].startswith("epoch_ns,active_ports")
     assert len(csv_text.splitlines()) == len(report.epoch_loads) + 1
+
+
+# -- delay statistics ---------------------------------------------------------
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(samples=st.lists(st.one_of(st.integers(0, 10**9), st.integers(0, 2**63 - 1)),
+                        min_size=1, max_size=300))
+def test_delay_stats_equal_numpy_median_and_percentile(samples):
+    # one partition gives np.median and np.percentile(99) bit for bit
+    stats = engine._delay_stats(list(samples))
+    arr = np.array(samples, dtype=np.int64)
+    assert stats["median_us"] == float(np.median(arr)) / 1000.0
+    assert stats["p99_us"] == float(np.percentile(arr, 99)) / 1000.0
+    assert stats["count"] == len(samples)
+
+
+def test_a_run_leaves_numpy_ma_unimported():
+    # np.percentile and np.unique import numpy.ma, 7-10 ms of a cold process
+    code = """
+import sys
+from eeesim import Algorithm, BundleConfig, EeePortConfig, SimConfig, run
+from eeesim.traffic import cbr_slabs, merge_slabs
+for algorithm in Algorithm:
+    config = SimConfig(BundleConfig(3, 10**9, algorithm), EeePortConfig(10**9, buffer_limit=4),
+                       duration_ns=10**7, sampling_period_ns=10**6, warmup_ns=0,
+                       track_flows=frozenset({"b"}))
+    streams = [cbr_slabs(9 * 10**8, 1500, 46 * (i == 1), 10**7, flow=f) for i, f in enumerate("abc")]
+    assert run(config, merge_slabs(streams)).delay["overall"]["count"]
+assert "numpy.ma" not in sys.modules
+"""
+    src = Path(eeesim.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})

@@ -60,14 +60,17 @@ def _snapshot(port):
 
 
 def _batches(pkts, cuts):
-    """``pkts`` as batches cut before each position in ``cuts``."""
+    """``pkts`` as batches cut before each position in ``cuts``; their flows
+    are codes into one table of names, which grows as new names appear."""
     bounds = sorted({c for c in cuts if 0 < c < len(pkts)}) + [len(pkts)]
+    code, names = {}, []
     lo = 0
     for hi in bounds:
         t, size, flow, dscp, seq = zip(*pkts[lo:hi])
-        flows = np.empty(hi - lo, dtype=object)
-        flows[:] = flow
-        yield Batch(np.array(t), np.array(size), flows, np.array(dscp), np.array(seq))
+        codes = [code.setdefault(f, len(code)) for f in flow]
+        names += list(code)[len(names):]
+        yield Batch(np.array(t), np.array(size), np.array(codes), np.array(dscp),
+                    np.array(seq), names)
         lo = hi
 
 
@@ -431,7 +434,7 @@ def test_one_bit_per_second_matches_the_handlers(monkeypatch):
 def test_kernel_rejects_arrivals_out_of_order():
     port = EeePort(0, EeePortConfig(capacity_bps=TEN_G))
     cols = [np.array(x, dtype=np.int64) for x in ([5, 3], [100, 100])]
-    flows = np.array(["a", "a"], dtype=object)
+    flows = np.zeros(2, dtype=np.int64)
     other = [np.zeros(2, dtype=np.int64)] * 3
     with pytest.raises(SimulationFault, match="not time-ordered"):
         port.serve(*cols, flows, *other, np.zeros(2, dtype=bool))

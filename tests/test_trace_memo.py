@@ -70,10 +70,16 @@ def parses(monkeypatch):
 def _assert_same_slabs(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        for x, y in zip(a, b):
+        for x, y in zip(a[:4], b[:4]):
             assert x.dtype == y.dtype
             assert x.tolist() == y.tolist()
-        assert a.t.dtype == np.int64 and a.flow.dtype == object
+        assert a.t.dtype == np.int64 and a.flow.dtype == np.int32
+        assert list(a.names) == list(b.names)
+
+
+def _names(slabs) -> list:
+    """The flow name of each row of one read's ``slabs``."""
+    return [s.names[code] for s in slabs for code in s.flow.tolist()]
 
 
 def _files(out):
@@ -123,10 +129,11 @@ def test_replay_equals_the_parse(tmp_path, factor):
         _assert_same_slabs(first, list(trace_slabs(path)))
     _assert_same_slabs(replay, fresh)
     _assert_same_slabs(again, fresh)
-    # one name object per flow, in both passes
+    # both passes number the 8 names into one table, in order of first sighting
     for slabs in (first, replay):
-        flows = np.concatenate([s.flow for s in slabs])
-        assert len({id(f) for f in flows}) == len(set(flows.tolist())) == 8
+        assert all(s.names is slabs[0].names for s in slabs)
+        assert list(slabs[0].names) == list(dict.fromkeys(_names(slabs)))
+        assert len(slabs[0].names) == 8
 
 
 def test_memo_closes_with_its_block(tmp_path, parses):
@@ -151,7 +158,7 @@ def test_trace_rewritten_in_one_memo_is_read_afresh(tmp_path, parses):
         # the same size, another time
         _write(path, _rows(101, shift=1))
         os.utime(path, ns=(0, 10**9))
-        assert list(trace_slabs(path))[0].flow[0] == "f1"
+        assert _names(trace_slabs(path))[0] == "f1"
     assert len(parses) == 3
 
 
@@ -246,15 +253,17 @@ def test_trace_over_the_cap_is_not_kept(tmp_path, monkeypatch, rows, kept):
         _assert_same_slabs(list(trace_slabs(path)), slabs)
 
 
-def test_read_past_the_cap_stops_numbering(tmp_path, monkeypatch):
+def test_read_past_the_cap_numbers_every_name_once(tmp_path, monkeypatch):
     monkeypatch.setattr(traffic, "_MEMO_ROWS", 64)
     path = _write(tmp_path / "t.csv", _rows(128))
     with slab_size(4), trace_memo():
         slabs = list(trace_slabs(path))
-    kept, streamed = (np.concatenate([s.flow for s in part]) for part in (slabs[:16], slabs[16:]))
-    # names share one object each up to the cap, and are parsed per row after it
-    assert len({id(f) for f in kept}) == len(set(kept.tolist())) == 8
-    assert len({id(f) for f in streamed}) == len(streamed) == 64
+        assert traffic._memo == {}
+    # the slabs past the cap are not kept, but still numbered into one table
+    assert all(s.names is slabs[0].names for s in slabs)
+    assert len(slabs[0].names) == 8
+    assert _names(slabs) == [row.split(",")[1] if '"' not in row else "q,7"
+                             for row in _rows(128)]
 
 
 def test_cap_holds_over_all_kept_traces(tmp_path, monkeypatch, parses):
@@ -271,8 +280,9 @@ def test_cap_holds_over_all_kept_traces(tmp_path, monkeypatch, parses):
         assert len(traffic._memo) == 1
         again = list(traffic.merge_slabs([trace_slabs(a), trace_slabs(b)]))
         assert len(traffic._memo) == 1
-    for x, y in zip(again, merged, strict=True):
-        assert all(np.array_equal(c, d) for c, d in zip(x, y))
+    # the same batches, though the replay may number the names in another order
+    assert [len(x.t) for x in again] == [len(y.t) for y in merged]
+    assert list(traffic.packets(again)) == list(traffic.packets(merged))
     assert len(parses) == 4 * 10 + 10
 
 
@@ -287,8 +297,7 @@ def test_many_names_are_numbered_in_first_appearance_order(tmp_path):
             (names, _), = traffic._memo.values()
     _assert_same_slabs(first, fresh)
     _assert_same_slabs(replay, fresh)
-    flows = np.concatenate([s.flow for s in fresh]).tolist()
-    assert names.tolist() == list(dict.fromkeys(flows))
+    assert list(names) == list(dict.fromkeys(_names(fresh)))
 
 
 def test_fifo_is_not_kept(tmp_path):

@@ -20,8 +20,9 @@ from eeesim import (
     write_trace,
 )
 from eeesim.traffic import (
-    Slab, _scale_col, _scale_factor, cbr_slabs, merge_slabs, packets, trace_slabs,
+    _scale_col, _scale_factor, cbr_slabs, merge_slabs, packets, trace_slabs,
 )
+from test_columnar import slab_of
 
 RSEED = 1869
 
@@ -35,7 +36,7 @@ def classify(packet, ll_dscps=DEFAULT_LL_DSCPS):
         ll_dscps=frozenset(ll_dscps),
     )
     table = FlowTable(config)
-    table.dispatch(packet)
+    table.route_packet(packet)
     low_latency = table.route[table.codes[packet[2]]] & 1  # route bit 0: the class
     return TrafficClass.LOW_LATENCY if low_latency else TrafficClass.NORMAL
 
@@ -64,14 +65,7 @@ def _scale_times(times, factor):
 
 def _merge(streams):
     """Packet tuples of time-ordered packet lists, merged as slabs."""
-    def slabs(pkts):
-        if not pkts:
-            return []
-        t, size, flow, dscp, _ = zip(*pkts)
-        return [Slab(np.array(t, dtype=np.int64), np.array(size, dtype=np.int64),
-                     np.array(flow, dtype=object), np.array(dscp, dtype=np.int64))]
-
-    return list(packets(merge_slabs([slabs(s) for s in streams])))
+    return list(packets(merge_slabs([[slab_of(s)] if s else [] for s in streams])))
 
 
 # -- read_trace --------------------------------------------------------------
