@@ -25,35 +25,35 @@ runs lazily: :meth:`EeePort.serve` takes a time-ordered run of arrivals
 and :meth:`EeePort.drain` fires what is due before the end of the run.
 Each queue keeps its frames as int64 columns (:class:`_Fifo`); flows
 travel as the int codes the engine gave them, which the port never reads.
-``serve`` takes each run on one of two paths, which leave the port in the
-same state and give the same completions and drops, in another order:
 
-* the busy-period kernel, :meth:`EeePort._kernel`, on those columns and the
-  run's. With ``c`` the end of the previous frame, a frame arriving at
-  ``a <= c`` starts at ``c``, otherwise at ``max(a, c + t_sleep) +
-  t_wake``. With ``P`` the prefix sums of wire times, a busy period can end
-  only where ``a_i - P_{i-1}`` sets a strict running-max record. A Python
-  loop over the records' values finds the periods' first frames, and one
-  max-plus scan their starts. A period holding both queues is re-ordered by
-  strict priority with one running max over its high frames. Where the run
-  can fill the buffer, :meth:`EeePort._dropped` first finds the arrivals
-  that meet it full, and the accepted ones are served as above: where every
-  frame is in one queue, frames start in FIFO order and one block of array
-  operations decides the arrivals until the frames queued at its first
-  start have started; with both queues, one step per frame start. Low
-  frames queued behind more wire time than the run spans cannot start
-  before it ends: they stay in their queue untouched and count only towards
-  the buffer;
-* the handlers: per arrival, each transition due before it fires with one
-  ``on_*`` call, then :meth:`EeePort.enqueue` takes it.
+``serve`` is a busy-period kernel on those columns and the run's. With
+``c`` the end of the previous frame, a frame arriving at ``a <= c`` starts
+at ``c``, otherwise at ``max(a, c + t_sleep) + t_wake``. With ``P`` the
+prefix sums of wire times, a busy period can end only where ``a_i -
+P_{i-1}`` sets a strict running-max record. A Python loop over the records'
+values finds the periods' first frames, and one max-plus scan their starts.
+A period holding both queues is re-ordered by strict priority with one
+running max over its high frames. Where the run can fill the buffer,
+:meth:`EeePort._dropped` first finds the arrivals that meet it full, and
+the accepted ones are served as above: where every frame is in one queue,
+frames start in FIFO order and one block of array operations decides the
+arrivals until the frames queued at its first start have started; with
+both queues, one step per frame start. Low frames queued behind more wire
+time than the run spans cannot start before it ends: they stay in their
+queue untouched and count only towards the buffer.
 
-The kernel takes every run, dropping ones included, and declines only a
-run where a time could leave the int64 range. The handlers take that run,
-:meth:`EeePort.drain` and every run when ``_PATH`` is ``"handlers"``.
+``drain`` has a closed form: no arrival is left to come, so the frames
+held go back to back in priority order, then the port sleeps and enters
+LPI. Both gather the frames held with :meth:`EeePort._held`, leave the
+port as at their horizon with :meth:`EeePort._settle`, and account
+residence, wakes and sleeps in one place, :meth:`EeePort._enter`. Port
+times are int64: ``SimConfig.validate`` refuses a run whose times could
+leave that range, and ``serve`` checks it again.
 
-Residence and the wake and sleep counts are accounted in one place,
-:meth:`EeePort._enter`: a run of states at once for the kernel, one state
-at a time for the handlers (:meth:`EeePort._set_state`).
+The handlers :meth:`EeePort.enqueue` and ``on_*`` take one arrival or
+transition at a time. Nothing in the package calls them: they are the
+reference the tests hold ``serve`` and ``drain`` to, and the names
+perfbench's tracer wraps.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import count
 
 import numpy as np
 
@@ -91,16 +90,13 @@ class Queue(IntEnum):
 
 ACTIVE, LPI, SLEEP_TRANS, WAKE_TRANS = PortState
 HIGH = Queue.HIGH
-_QUEUE_OF = (Queue.LOW, HIGH)  # by the high-queue flag
 _INF = float("inf")
 _I64_MAX = 2**63 - 1
 #: the states a busy period passes through, in order, from the sleep after
 #: the previous frame to its first frame's start
 _PERIOD_STATES = np.array([SLEEP_TRANS, LPI, WAKE_TRANS, ACTIVE])
-#: "handlers" serves every run on the handlers; a run that could leave
-#: int64 goes to them anyway
-_PATH = "kernel"
 _NO_DROPS = np.empty(0, dtype=np.int64)
+_NO_UP = np.empty(0, dtype=bool)
 
 
 @dataclass(slots=True)
@@ -120,8 +116,8 @@ class EeePortConfig:
     p_lpi: float = 0.1
 
     def validate(self) -> None:
-        if self.capacity_bps <= 0:
-            raise ConfigError(f"capacity must be positive, got {self.capacity_bps}")
+        if not 0 < self.capacity_bps <= 10**18:  # keeps wire times exact in int64
+            raise ConfigError(f"capacity must be in (0, 10**18] b/s, got {self.capacity_bps}")
         if self.t_sleep_ns < 0 or self.t_wake_ns < 0:
             raise ConfigError("transition times must be non-negative")
         if self.buffer_limit < 1:
@@ -133,20 +129,6 @@ class EeePortConfig:
         """Wire time of a frame, rounded to the nearest nanosecond."""
         num = size_bytes * 8 * 10**9
         return (2 * num + self.capacity_bps) // (2 * self.capacity_bps)
-
-
-class _WireTimes(dict):
-    """Memo of wire time by frame size for one port configuration."""
-
-    __slots__ = ("cfg",)
-
-    def __init__(self, cfg: EeePortConfig):
-        super().__init__()
-        self.cfg = cfg
-
-    def __missing__(self, size: int) -> int:
-        self[size] = ns = self.cfg.tx_time_ns(size)
-        return ns
 
 
 class _Fifo:
@@ -207,10 +189,9 @@ _EMPTY = (np.empty(0, dtype=np.int64),) * 7
 class EeePort:
     """State machine, queues and state-residence accounting for one port.
 
-    The transition due at ``next_at`` is fired by the handler for the
-    current state: :meth:`on_tx_complete` (``ACTIVE``),
-    :meth:`on_sleep_complete` (``SLEEP_TRANS``) or :meth:`on_wake_complete`
-    (``WAKE_TRANS``). ``window`` is the ``(start, end)`` interval over which
+    The current state ends at ``next_at``; :meth:`serve` and :meth:`drain`
+    fire the transitions, and each ``on_*`` handler fires one, the one due
+    in its state. ``window`` is the ``(start, end)`` interval over which
     residence times are accounted; ``wakes`` and ``sleeps`` count the wake
     and sleep transitions entered over the whole run.
     """
@@ -219,7 +200,6 @@ class EeePort:
         "index", "cfg", "state", "state_since", "next_at",
         "high", "low", "tx_packet", "tx_class", "tx_start",
         "clock", "residence_ns", "win_start", "win_end", "wakes", "sleeps",
-        "_limit", "_wire_ns",
     )
 
     def __init__(self, index: int, cfg: EeePortConfig, window=(0, None)):
@@ -239,8 +219,6 @@ class EeePort:
         self.win_start, end = window
         self.win_end = _I64_MAX if end is None else end
         self.wakes = self.sleeps = 0
-        self._limit = cfg.buffer_limit
-        self._wire_ns = _WireTimes(cfg)
 
     @property
     def occupancy(self) -> int:
@@ -268,9 +246,9 @@ class EeePort:
                 f"port {self.index}: time went backwards ({now} < {self.clock})"
             )
         self.clock = now
-        if len(self.high) + len(self.low) >= self._limit:
+        if self.occupancy >= self.cfg.buffer_limit:
             return False, self.next_at
-        (self.high if queue is HIGH else self.low).append((*pkt, cls, self._wire_ns[pkt[1]]))
+        (self.high if queue is HIGH else self.low).append((*pkt, cls, self.cfg.tx_time_ns(pkt[1])))
         if self.state is LPI:
             self._set_state(WAKE_TRANS, now)
             self.next_at = now + self.cfg.t_wake_ns
@@ -288,12 +266,8 @@ class EeePort:
             )
         record = (pkt, self.tx_class, now - pkt[0], self.tx_start)
         self.clock = now
-        queue = self.high or self.low
-        if queue:
-            pkt, self.tx_class = queue.popleft()
-            self.tx_packet = pkt
-            self.tx_start = now
-            self.next_at = now + self._wire_ns[pkt[1]]
+        if self.occupancy:
+            self._send_next(now)
         else:
             self.tx_packet = self.tx_class = None
             self._set_state(SLEEP_TRANS, now)
@@ -320,16 +294,18 @@ class EeePort:
                 f"port {self.index}: wake completion at {now} in state {self.state.key}"
             )
         self.clock = now
-        queue = self.high or self.low
-        if not queue:
+        if not self.occupancy:
             raise SimulationFault(
                 f"port {self.index}: woke at {now} with both queues empty"
             )
         self._set_state(ACTIVE, now)
-        pkt, self.tx_class = queue.popleft()
-        self.tx_packet = pkt
-        self.tx_start = now
-        self.next_at = now + self._wire_ns[pkt[1]]
+        self._send_next(now)
+
+    def _send_next(self, now: int) -> None:
+        """Put the first frame of the high queue, else of the low, on the wire."""
+        pkt, self.tx_class = (self.high or self.low).popleft()
+        self.tx_packet, self.tx_start = pkt, now
+        self.next_at = now + self.cfg.tx_time_ns(pkt[1])
 
     def serve(self, t, size, flow, dscp, seq, ci, high):
         """Take a time-ordered run of arrivals: the port's one entry point.
@@ -343,91 +319,45 @@ class EeePort:
 
         Returns ``(frames, start, end, done, dropped)``: ``frames`` holds
         the columns ``(t, size, flow, dscp, seq, ci)`` of frames the run
-        touched, ``start`` and ``end`` their wire times, ``done`` indexes
-        the frames that completed before ``H`` and ``dropped`` the arrivals
-        that were tail-dropped.
+        touched, the frames held before that could start by ``H`` first,
+        ``start`` and ``end`` their wire times, ``done`` indexes the frames
+        that completed before ``H`` and ``dropped`` the arrivals that were
+        tail-dropped. A time that could leave int64 raises
+        :class:`SimulationFault`.
         """
-        if _PATH == "kernel":
-            served = self._kernel(t, size, flow, dscp, seq, ci, high)
-            if served is not None:
-                return served
-        finished, dropped = [], []
-        arrivals = zip(*(col.tolist() for col in (t, size, flow, dscp, seq)))
-        queues = map(_QUEUE_OF.__getitem__, high.tolist())
-        for i, pkt, queue, c in zip(count(), arrivals, queues, ci.tolist()):
-            now = pkt[0]
-            if self.next_at < now:  # same-instant arrivals precede completions
-                self._fire(now, finished)
-            if not self.enqueue(pkt, queue, c, now)[0]:
-                dropped.append(i)
-        return (*_completions(finished), np.array(dropped, dtype=np.int64))
-
-    def drain(self, horizon):
-        """Fire the transitions due before ``horizon``; returns the frames
-        finished as :meth:`serve` does, without ``dropped``."""
-        finished = []
-        self._fire(horizon, finished)
-        return _completions(finished)
-
-    def _fire(self, horizon, finished: list) -> None:
-        """:meth:`drain` that extends ``finished`` by the fields of each frame
-        finished: ``t, size, flow, dscp, seq, class, delay, tx_start``."""
-        while self.next_at < horizon:
-            now = self.next_at
-            state = self.state
-            if state is ACTIVE:
-                pkt, cls, delay, started = self.on_tx_complete(now)
-                finished += pkt
-                finished += cls, delay, started
-            elif state is SLEEP_TRANS:
-                self.on_sleep_complete(now)
-            else:
-                self.on_wake_complete(now)
-
-    def _kernel(self, t, size, flow, dscp, seq, ci, high):
-        """:meth:`serve` on whole busy periods; None, changing nothing, where a
-        time could leave int64. ``frames`` lead with the frames held before
-        that could start by ``H``."""
         last = int(t[-1])
         if int(t[0]) < self.clock or (t[1:] < t[:-1]).any():
             raise SimulationFault(f"port {self.index}: arrivals not time-ordered")
-        if int(size.max()) > (_I64_MAX - 2 * self.cfg.capacity_bps) // 16_000_000_000:
-            return None
-        w = self.cfg.tx_time_ns(size)  # exact in int64 below that size
+        w = self.cfg.tx_time_ns(size)  # exact in int64 if the size passes the check below
         state = self.state
         idle = state is SLEEP_TRANS or state is LPI
         in_flight = state is ACTIVE
         t_sleep, t_wake = self.cfg.t_sleep_ns, self.cfg.t_wake_ns
-        highs, lows = self.high.waiting(), self.low.waiting()
-        held = [highs, lows]
-        flags = [np.ones(len(self.high), dtype=bool), np.zeros(len(self.low), dtype=bool)]
-        if in_flight:  # the frame in flight leads; it is never re-ordered
-            pkt = self.tx_packet
-            held.insert(0, [np.array([x]) for x in
-                            (*pkt, self.tx_class, self._wire_ns[pkt[1]])])
-            flags.insert(0, np.zeros(1, dtype=bool))
+        held = self._held()
         # every start and end is at most this; intermediates stay below it too
         base = last if self.next_at == _INF else max(last, self.next_at)
         w_max = max(int(x.max()) for x in (w, *(part[6] for part in held)) if len(x))
-        if base + t_sleep + t_wake + w_max * (sum(map(len, flags)) + len(t)) > _I64_MAX:
-            return None
-        if len(self.low):  # frames are queued: the wire frees at ``free``
-            free = self.next_at + (t_wake if state is SLEEP_TRANS else 0)
-            shallow = _reach(lows[6], last - free - int(highs[6].sum()))
-            held[-1] = self.low.waiting(shallow)
-            flags[-1] = flags[-1][:shallow]
-        nc = sum(map(len, flags))
+        if (int(size.max()) > (_I64_MAX - 2 * self.cfg.capacity_bps) // 16_000_000_000
+                or base + t_sleep + t_wake + w_max * (self.held + len(t)) > _I64_MAX):
+            raise SimulationFault(f"port {self.index}: a time could leave int64")
+        if len(self.low):  # only the low frames that can start by ``last`` take part
+            ahead = sum(int(part[6].sum()) for part in held[:-1])
+            k = _reach(held[-1][6], last - self._resume() - ahead)
+            held[-1] = [col[:k] for col in held[-1]]
+        nc = sum(len(part[0]) for part in held)
         cols = [np.concatenate(parts) for parts in zip(*held, (t, size, flow, dscp, seq, ci, w))]
-        w, high = cols[6], np.concatenate((*flags, high))
+        up = np.zeros(nc, dtype=bool)
+        up[in_flight:in_flight + len(self.high)] = True
+        w, high = cols[6], np.concatenate((up, high))
         if idle:  # the earliest a wake can start
             lead = (self.next_at if state is SLEEP_TRANS else self.state_since, True, False)
         else:  # the time the leading frame starts, or started
-            lead = (self.tx_start if in_flight else self.next_at, False, in_flight)
+            lead = (self._resume(), False, in_flight)
         start, periods = self._schedule(cols[0], w, high, *lead)
         dropped = _NO_DROPS
-        if len(self.high) + len(self.low) + len(t) > self._limit:  # the buffer could fill
-            deep = len(self.high) + len(self.low) + in_flight - nc  # hold their slots
-            dropped = self._dropped(cols[0], w, high, start, nc, self._limit - deep)
+        if self.occupancy + len(t) > self.cfg.buffer_limit:  # the buffer could fill
+            deep = self.held - nc  # hold their slots
+            dropped = self._dropped(cols[0], w, high, start, nc, self.cfg.buffer_limit - deep)
             if len(dropped):
                 keep = np.ones(len(high), dtype=bool)
                 keep[dropped] = False
@@ -440,10 +370,6 @@ class EeePort:
         end = start + w
         if (start < t).any():
             raise SimulationFault(f"port {self.index}: a frame starts before it arrives")
-        flying = np.flatnonzero((start < last) & (end >= last))
-        if len(flying) > 1:
-            raise SimulationFault(
-                f"port {self.index}: {len(flying)} frames in flight at {last}")
 
         # Every period but the last ends before ``last``, so all its
         # transitions fire; the last one may still be asleep or waking.
@@ -473,40 +399,100 @@ class EeePort:
             states.append(np.broadcast_to(_PERIOD_STATES, at.shape)[fires])
         if times:
             self._enter(np.concatenate(times), np.concatenate(states))
-
         self.clock = last
+        done = self._settle(cols, high[nc:], start, end, last, in_flight)
+        return tuple(cols[:6]), start, end, done, dropped
+
+    def drain(self, horizon):
+        """Fire the transitions due before ``horizon``, no arrival left to
+        come; returns the frames finished as :meth:`serve` does, without
+        ``dropped``. The frames held go back to back from :meth:`_resume`,
+        in the order :meth:`_held` gives; then the port sleeps and enters LPI.
+        """
+        if self.next_at >= horizon:  # nothing is due; in LPI nothing ever is
+            return _EMPTY[:6], _NO_DROPS, _NO_DROPS, _NO_DROPS
+        in_flight = self.tx_packet is not None
+        cols = [np.concatenate(parts) for parts in zip(*self._held())]
+        w = cols[6]
+        start = self._resume() + np.cumsum(w) - w
+        end = start + w
+        if len(w):
+            e = int(end[-1])
+            times = [self.next_at, int(start[0]), e, e + self.cfg.t_sleep_ns]
+            states = [WAKE_TRANS, ACTIVE, SLEEP_TRANS, LPI]
+            k = (SLEEP_TRANS, WAKE_TRANS, ACTIVE).index(self.state)
+        else:  # asleep, or waking with nothing to send, which _settle refuses
+            times, k = [self.next_at], 0
+            states = [LPI if self.state is SLEEP_TRANS else ACTIVE]
+        times, states = np.array(times[k:]), np.array(states[k:])
+        fire = times < horizon
+        self._enter(times[fire], states[fire])
+        self.clock = int(np.concatenate((times[fire], end[end < horizon])).max())
+        return tuple(cols[:6]), start, end, self._settle(cols, _NO_UP, start, end,
+                                                         horizon, in_flight)
+
+    def _held(self):
+        """The frames held, in the order they go if no frame arrives: the
+        columns ``t, size, flow, dscp, seq, ci, w`` of the frame in flight,
+        if any, of the high queue and of the low queue."""
+        held = [self.high.waiting(), self.low.waiting()]
+        if self.tx_packet is not None:
+            pkt = self.tx_packet
+            held.insert(0, [np.array([x]) for x in
+                            (*pkt, self.tx_class, self.cfg.tx_time_ns(pkt[1]))])
+        return held
+
+    def _resume(self):
+        """When the frames held start going back to back if no frame
+        arrives: the start of the frame in flight, the end of the wake, or
+        the end of the sleep plus a wake."""
+        if self.state is ACTIVE:
+            return self.tx_start
+        return self.next_at + (self.cfg.t_wake_ns if self.state is SLEEP_TRANS else 0)
+
+    def _settle(self, cols, up, start, end, horizon, in_flight):
+        """Leave the port, its states entered, as at ``horizon``: set the
+        frame on the wire and ``next_at``, take the frames started off their
+        queues and queue the new ones waiting. ``cols`` go out at ``start``
+        to ``end``: the frames held before, led by the one ``in_flight``,
+        then new arrivals flagged ``up`` for the high queue. Returns the
+        frames done."""
         state = self.state
+        flying = np.flatnonzero((start < horizon) & (end >= horizon))
+        waiting = start >= horizon
         if state is ACTIVE:
             if len(flying) != 1:
                 raise SimulationFault(
-                    f"port {self.index}: active at {last} with no frame in flight")
+                    f"port {self.index}: active at {horizon} with {len(flying)} frames in flight")
             f = int(flying[0])
             self.tx_packet = tuple(int(col[f]) for col in cols[:5])
             self.tx_class = int(cols[5][f])
             self.tx_start = int(start[f])
             self.next_at = int(end[f])
         else:
-            if len(flying) or state is LPI:
-                raise SimulationFault(
-                    f"port {self.index}: {state.key} at {last} with frames to serve")
             self.tx_packet = self.tx_class = None
-            self.next_at = self.state_since + (
-                t_sleep if state is SLEEP_TRANS else t_wake)
-        done = np.flatnonzero(end < last)
+            self.next_at = _INF if state is LPI else self.state_since + (
+                self.cfg.t_sleep_ns if state is SLEEP_TRANS else self.cfg.t_wake_ns)
+            if len(flying) or self.next_at < horizon or state is LPI and waiting.any():
+                raise SimulationFault(
+                    f"port {self.index}: {state.key} at {horizon} with frames to serve")
+        done = np.flatnonzero(end < horizon)
         if len(done) and state is not ACTIVE:  # as on_tx_complete leaves it
             self.tx_start = int(start[done].max())
         # each queue loses the frames it started, a prefix, and gains the
-        # run's arrivals still waiting, a suffix of the run's in that queue
-        waiting = start >= last
-        mixed = high[nc:].any() and not high[nc:].all()
-        for queue, mine in ((self.high, high), (self.low, ~high)):
-            queue.head += int(np.count_nonzero(mine[in_flight:nc] > waiting[in_flight:nc]))
-            new = mine[nc:] & waiting[nc:]
-            k = int(np.count_nonzero(new))
-            if k:
+        # new arrivals still waiting, a suffix of those in that queue
+        nc = len(start) - len(up)
+        k = in_flight + len(self.high)
+        self.high.head += int(np.count_nonzero(~waiting[in_flight:k]))
+        self.low.head += int(np.count_nonzero(~waiting[k:nc]))
+        mixed = up.any() and not up.all()
+        for queue, mine in ((self.high, up), (self.low, ~up)):
+            new = mine & waiting[nc:]
+            n = int(np.count_nonzero(new))
+            if n:
                 queue.extend([col[nc:][new] for col in cols] if mixed
-                             else [col[len(col) - k:] for col in cols])
-        return tuple(cols[:6]), start, end, done, dropped
+                             else [col[len(col) - n:] for col in cols])
+        return done
 
     def _schedule(self, t, w, high, theta, idle, in_flight):
         """No-drop starts of the frames ``t`` (wire times ``w``, high queue
@@ -703,12 +689,3 @@ class EeePort:
         """Close the accounting at the end of the measured run."""
         self._enter(np.array([end]), np.array([self.state]))
 
-
-def _completions(finished):
-    """The fields of finished frames, as :meth:`EeePort._fire` lists them, as
-    ``(frames, start, end, done)`` of the kernel."""
-    # flat, with no object per frame: records kept alive kept the GC busy
-    n = len(finished) // 8
-    t, size, flow, dscp, seq, ci, delay, start = (np.fromiter(finished[k::8], np.int64, n)
-                                                  for k in range(8))
-    return (t, size, flow, dscp, seq, ci), start, t + delay, np.arange(len(t))

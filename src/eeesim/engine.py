@@ -18,15 +18,15 @@ with an int64 ``np.add.at``, and grouped by port, stably; names come back
 only in ``delay_log`` and tracked flows. A port meets only its own
 arrivals, so each port holds its share across segments and epochs and takes
 ``SLAB_PKTS // 2`` to :data:`SLAB_PKTS` of them per :meth:`EeePort.serve`
-call, and the rest before it drains; :mod:`eeesim.eee_port` says which of
-its two paths serves them. The paths and the runs differ only in the order
-of delay samples and ``delay_log`` rows, and no statistic depends on it.
+call, and the rest before it drains. How a port's arrivals are cut into
+runs changes only the order of delay samples and ``delay_log`` rows, and
+no statistic depends on it.
 
-Events at the same nanosecond keep a fixed order on both paths: control
-epochs first (a plan takes effect at exactly t = nT), then arrivals in
-stream order, then transmit/sleep/wake completions. An arrival that lands
-exactly when the wire goes idle is therefore served back to back instead of
-paying a gratuitous sleep/wake cycle.
+Events at the same nanosecond keep a fixed order: control epochs first (a
+plan takes effect at exactly t = nT), then arrivals in stream order, then
+transmit/sleep/wake completions. An arrival that lands exactly when the
+wire goes idle is therefore served back to back instead of paying a
+gratuitous sleep/wake cycle.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .allocation import (
 )
 from .eee_port import EeePort, EeePortConfig, PortState, Queue
 from .errors import ConfigError, SimulationFault
-from .traffic import DEFAULT_LL_DSCPS, SLAB_PKTS, batches
+from .traffic import DEFAULT_LL_DSCPS, MAX_FRAME_BYTES, SLAB_PKTS, batches
 
 _INF = float("inf")
 
@@ -76,8 +76,19 @@ class SimConfig:
         self.port.validate()
         if self.sampling_period_ns <= 0:
             raise ConfigError("sampling period must be positive")
-        if not 0 < self.duration_ns < 2**63:  # port times are int64
-            raise ConfigError("duration must be positive and below 2**63 ns")
+        if self.duration_ns <= 0:
+            raise ConfigError("duration must be positive")
+        # Port times are int64, and none exceeds D + 2 (t_sleep + t_wake) +
+        # (B + SLAB_PKTS + 2) W, with D the duration, B the buffer limit and W
+        # the wire time of a MAX_FRAME_BYTES frame: arrivals come before D, so
+        # a port's next transition is due before D plus one of W, t_sleep and
+        # t_wake, and from there one serve call sends at most B queued frames,
+        # the one in flight and SLAB_PKTS arrivals, after a sleep and a wake.
+        port = self.port
+        top = (port.buffer_limit + SLAB_PKTS + 2) * port.tx_time_ns(MAX_FRAME_BYTES)
+        if self.duration_ns + 2 * (port.t_sleep_ns + port.t_wake_ns) + top >= 2**63:
+            raise ConfigError("duration_ns, port.t_sleep_ns, port.t_wake_ns, port.buffer_limit "
+                              "and port.capacity_bps must keep port times below 2**63 ns")
         if not 0 <= self.resolved_warmup() < self.duration_ns:
             raise ConfigError("warmup must satisfy 0 <= warmup < duration")
 

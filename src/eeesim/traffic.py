@@ -141,6 +141,16 @@ def _check_dscp(dscp: int, line: int | None = None) -> None:
         raise TraceError(f"dscp {dscp} outside [0, {MAX_DSCP}]", line=line)
 
 
+def _outside(size: np.ndarray, dscp: np.ndarray) -> str | None:
+    """The first field of the int64 columns ``size`` and ``dscp`` with a value
+    out of its range, and that range; None if both are in range."""
+    for name, col, lo, hi in (("size", size, MIN_FRAME_BYTES, MAX_FRAME_BYTES),
+                              ("dscp", dscp, 0, MAX_DSCP)):
+        if col.min() < lo or col.max() > hi:
+            return f"{name} outside [{lo}, {hi}]"
+    return None
+
+
 def _check_end(end: int) -> None:
     if end > _I64_MAX:
         raise ConfigError(f"stream end {end} ns exceeds the int64 time range")
@@ -418,9 +428,7 @@ def _parse_lines(lines: list, last_t: int) -> tuple | None:
     t, size, dscp = rec["t"].copy(), rec["size"].copy(), rec["dscp"].copy()
     flows = list(map(str.strip, rec["flow"].tolist()))
     if (not all(flows) or t[0] < max(last_t, 0)
-            or (t[1:] < t[:-1]).any()
-            or size.min() < MIN_FRAME_BYTES or size.max() > MAX_FRAME_BYTES
-            or dscp.min() < 0 or dscp.max() > MAX_DSCP):
+            or (t[1:] < t[:-1]).any() or _outside(size, dscp)):
         return None
     return t, size, flows, dscp
 
@@ -647,7 +655,8 @@ def batches(stream: Iterable) -> Iterator[Batch]:
 
     Tuples are read by position, :data:`SLAB_PKTS` at a time, and their
     flows numbered into one table of names; a field outside the int64
-    range raises :class:`ConfigError`.
+    range, or a size or dscp outside the range a trace row may hold, raises
+    :class:`ConfigError`.
     """
     it = iter(stream)
     codes_of, names = _numbering()
@@ -658,8 +667,10 @@ def batches(stream: Iterable) -> Iterator[Batch]:
             return
         rows = [first, *islice(it, SLAB_PKTS - 1)]
         t, size, flow, dscp, seq = zip(*rows)
-        yield Batch(_int64(t), _int64(size), _int64(codes_of(flow)), _int64(dscp),
-                    _int64(seq), names)
+        size, dscp = _int64(size), _int64(dscp)
+        if bad := _outside(size, dscp):
+            raise ConfigError(f"packet {bad}")
+        yield Batch(_int64(t), size, _int64(codes_of(flow)), dscp, _int64(seq), names)
 
 
 # -- trace files --------------------------------------------------------------

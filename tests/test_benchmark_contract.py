@@ -13,13 +13,13 @@ from pathlib import Path
 
 import pytest
 
+import reference_port
 from eeesim import (
     Algorithm,
     BundleConfig,
     EeePortConfig,
     SimConfig,
     cli,
-    eee_port,
     engine,
     run,
     scenarios,
@@ -64,10 +64,11 @@ def _two_frame_buffer():
 
 
 def test_tracer_sees_the_handler_path(tmp_path, monkeypatch):
-    # With the port's handlers forced, the tracer's class-level wrappers
-    # must see each enqueue and each drop.
+    # The tracer's class-level wrappers see each enqueue and each drop of
+    # the reference driver, which serves the ports through the handlers.
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    monkeypatch.setattr(eee_port, "_PATH", "handlers")
+    monkeypatch.setattr(EeePort, "serve", reference_port.serve)
+    monkeypatch.setattr(EeePort, "drain", reference_port.drain)
     tracer = importlib.import_module("tracer").Tracer(tmp_path)
     originals = (EeePort.enqueue, EeePort.on_tx_complete)
     config, pkts = _two_frame_buffer()
@@ -78,14 +79,14 @@ def test_tracer_sees_the_handler_path(tmp_path, monkeypatch):
         restored = tracer.uninstall()
     assert report.totals["dropped"] > 0
     assert tracer.cells["drops"][0] == report.totals["dropped"]
-    assert tracer.cells["enqueue"][0] > 0
+    assert tracer.cells["enqueue"][0] == len(pkts)
     assert restored and (EeePort.enqueue, EeePort.on_tx_complete) == originals
 
 
-def test_default_path_serves_a_dropping_stream_without_enqueue(monkeypatch):
-    # The busy-period kernel takes the runs that drop too: the two-frame
-    # buffer's stream makes no enqueue call and gives the forced handlers'
-    # report.
+def test_a_run_serves_a_dropping_stream_without_the_handlers(monkeypatch):
+    # The port's own serve and drain take the runs that drop too: the
+    # two-frame buffer's stream makes no enqueue call and gives the
+    # reference driver's report.
     config, pkts = _two_frame_buffer()
     enqueued = []
     enqueue = EeePort.enqueue
@@ -95,13 +96,14 @@ def test_default_path_serves_a_dropping_stream_without_enqueue(monkeypatch):
         return enqueue(self, *args)
 
     monkeypatch.setattr(EeePort, "enqueue", counting)
-    by_default = run(config, pkts)
+    by_port = run(config, pkts)
     assert not enqueued
-    monkeypatch.setattr(eee_port, "_PATH", "handlers")
+    monkeypatch.setattr(EeePort, "serve", reference_port.serve)
+    monkeypatch.setattr(EeePort, "drain", reference_port.drain)
     by_handlers = run(config, pkts)
     assert len(enqueued) == len(pkts)
-    assert by_default.totals["dropped"] > 0
-    assert by_default.to_json() == by_handlers.to_json()
+    assert by_port.totals["dropped"] > 0
+    assert by_port.to_json() == by_handlers.to_json()
 
 
 def test_tracer_counts_registrations_and_estimated_flows(tmp_path, monkeypatch):

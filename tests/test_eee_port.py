@@ -14,53 +14,14 @@ from eeesim import (
     run,
 )
 from eeesim.eee_port import EeePort, EeePortConfig, PortState, Queue
+from reference_port import NORMAL, drive
 
 RSEED = 424242
 TEN_G = 10_000_000_000
-NORMAL = 0  # class index of normal traffic
 
 
 def _cfg(**kw):
     return EeePortConfig(capacity_bps=TEN_G, **kw)
-
-
-def drive_port(port, arrivals, transitions=None):
-    """Feed (t, size, queue) arrivals to one port the way the engine does.
-
-    Before each arrival the port's handlers fire its transitions due
-    strictly before that instant, so arrivals precede completions at the
-    same nanosecond; afterwards it runs until idle. Returns
-    ``(departures, dropped)``: ``[(seq, departure, tx_start)]`` in service
-    order and the seqs of tail-dropped frames. A ``transitions`` list gets
-    ``(now, old_state, new_state)`` for each state change.
-    """
-    departures = []
-    dropped = []
-
-    def step(call, now, *args):
-        old = port.state
-        result = call(*args, now)
-        if transitions is not None and port.state is not old:
-            transitions.append((now, old, port.state))
-        return result
-
-    def fire_before(horizon):
-        while port.next_at < horizon:
-            now = port.next_at
-            if port.state is PortState.ACTIVE:
-                pkt, _, delay, started = step(port.on_tx_complete, now)
-                departures.append((pkt.seq, pkt.arrival_time + delay, started))
-            elif port.state is PortState.SLEEP_TRANS:
-                step(port.on_sleep_complete, now)
-            else:
-                step(port.on_wake_complete, now)
-
-    for i, (t, size, queue) in enumerate(arrivals):
-        fire_before(t)
-        if not step(port.enqueue, t, Packet(t, size, i, 0, i), queue, NORMAL)[0]:
-            dropped.append(i)
-    fire_before(float("inf"))
-    return departures, dropped
 
 
 def _run_one_port(cfg, packets, duration):
@@ -115,7 +76,7 @@ def test_arrival_during_sleep_waits_full_sleep_then_wake():
     # Sleep cannot be aborted: wake starts only when the sleep transition
     # completes, so the frame pays the remaining sleep plus the full wake.
     port = EeePort(0, _cfg())
-    deps, _ = drive_port(port, [(0, 64, Queue.LOW), (4531 + 1000, 1500, Queue.LOW)])
+    deps, _ = drive(port, [(0, 64, Queue.LOW), (4531 + 1000, 1500, Queue.LOW)])
     # first frame: wake 4480 + tx 51 -> sleep transition starts at t0 = 4531
     t0 = 4531
     assert deps[0] == (0, t0, 4480)
@@ -126,19 +87,19 @@ def test_arrival_during_sleep_waits_full_sleep_then_wake():
 
 def test_arrival_during_wake_just_queues():
     port = EeePort(0, _cfg())
-    deps, _ = drive_port(port, [(0, 1500, Queue.LOW), (1000, 1500, Queue.LOW)])
+    deps, _ = drive(port, [(0, 1500, Queue.LOW), (1000, 1500, Queue.LOW)])
     assert [d[1] for d in deps] == [5680, 6880]
 
 
 def test_burst_departures_back_to_back():
     port = EeePort(0, _cfg())
-    deps, _ = drive_port(port, [(0, 1500, Queue.LOW)] * 3)
+    deps, _ = drive(port, [(0, 1500, Queue.LOW)] * 3)
     assert [d[1] for d in deps] == [5680, 6880, 8080]
 
 
 def test_two_arrivals_during_sleep_share_one_wake():
     port = EeePort(0, _cfg())
-    deps, _ = drive_port(
+    deps, _ = drive(
         port,
         [(0, 64, Queue.LOW), (4600, 1500, Queue.LOW), (4700, 1500, Queue.LOW)],
     )
@@ -154,7 +115,7 @@ def test_high_queue_served_before_low():
     # Both queues fill while frame 0 is on the wire; at its completion the
     # high-priority frame goes next even though it arrived last.
     port = EeePort(0, _cfg())
-    deps, _ = drive_port(
+    deps, _ = drive(
         port,
         [(0, 1500, Queue.LOW), (4500, 1500, Queue.LOW), (4600, 1500, Queue.HIGH)],
     )
@@ -163,7 +124,7 @@ def test_high_queue_served_before_low():
 
 def test_fifo_within_queue():
     port = EeePort(0, _cfg())
-    deps, _ = drive_port(port, [(0, 1500, Queue.HIGH), (10, 1500, Queue.HIGH)])
+    deps, _ = drive(port, [(0, 1500, Queue.HIGH), (10, 1500, Queue.HIGH)])
     assert [seq for seq, _, _ in deps] == [0, 1]
 
 
@@ -179,7 +140,7 @@ def test_tail_drop_when_buffer_full():
 
 def test_drop_does_not_count_delivered():
     port = EeePort(0, _cfg(buffer_limit=1))
-    deps, dropped = drive_port(port, [(0, 1500, Queue.LOW), (10, 1500, Queue.LOW),
+    deps, dropped = drive(port, [(0, 1500, Queue.LOW), (10, 1500, Queue.LOW),
                                       (20, 1500, Queue.LOW)])
     # frame 0 occupies the single buffer slot until the wake finishes, so the
     # other two arrivals tail-drop
@@ -229,7 +190,7 @@ def test_energy_full_second_active():
     # 1500 B at 12 kb/s occupies the wire for exactly one second.
     cfg = EeePortConfig(capacity_bps=12_000, t_sleep_ns=0, t_wake_ns=0)
     port = EeePort(0, cfg)
-    drive_port(port, [(0, 1500, Queue.LOW)])
+    drive(port, [(0, 1500, Queue.LOW)])
     port.finalize(1_000_000_000)
     assert port.residence_ns[PortState.ACTIVE] == 1_000_000_000
     report = _run_one_port(cfg, [Packet(0, 1500, "f", 0, 0)], 1_000_000_000)
@@ -240,7 +201,7 @@ def test_energy_full_second_active():
 def test_energy_half_active_half_lpi():
     cfg = EeePortConfig(capacity_bps=24_000, t_sleep_ns=0, t_wake_ns=0)
     port = EeePort(0, cfg, window=(0, 1_000_000_000))
-    drive_port(port, [(500_000_000, 1500, Queue.LOW)])
+    drive(port, [(500_000_000, 1500, Queue.LOW)])
     port.finalize(1_000_000_000)
     assert port.residence_ns[PortState.LPI] == 500_000_000
     assert port.residence_ns[PortState.ACTIVE] == 500_000_000
@@ -257,7 +218,7 @@ def test_residence_covers_window():
     for i in range(60):
         t += rng.randrange(0, 60_000)
         arrivals.append((t, rng.randrange(64, 1518), Queue.LOW))
-    drive_port(port, arrivals)
+    drive(port, arrivals)
     port.finalize(2_000_000)
     assert sum(port.residence_ns) == 2_000_000
 
@@ -271,7 +232,7 @@ def test_delay_decomposition_and_non_preemption():
     for i in range(200):
         t += rng.randrange(0, 4_000)
         arrivals.append((t, rng.randrange(64, 1518), Queue.LOW))
-    deps, _ = drive_port(port, arrivals)
+    deps, _ = drive(port, arrivals)
     sizes = {i: size for i, (_, size, _) in enumerate(arrivals)}
     times = {i: at for i, (at, _, _) in enumerate(arrivals)}
     for seq, departed, started in deps:
@@ -299,7 +260,7 @@ def test_busy_periods_invariant_under_queue_choice():
         ]
         port = EeePort(0, _cfg())
         transitions = []
-        deps, _ = drive_port(port, arrivals, transitions)
+        deps, _ = drive(port, arrivals, transitions)
         port.finalize(t + 10_000_000)
         runs.append((transitions, list(port.residence_ns), len(deps),
                      max(d[1] for d in deps)))

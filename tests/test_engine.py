@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reference_port
 from eeesim import (
     Algorithm,
     BundleConfig,
@@ -24,11 +25,21 @@ from eeesim import (
     run,
 )
 import eeesim
-from eeesim import engine, eee_port
+from eeesim import engine
 from eeesim.allocation import flow_rank
 from eeesim.eee_port import EeePort, PortState
 from eeesim.engine import FlowTable
-from eeesim.traffic import SLAB_PKTS, Batch, batches, cbr_slabs, merge_slabs, packets
+from eeesim.traffic import (
+    MAX_DSCP,
+    MAX_FRAME_BYTES,
+    MIN_FRAME_BYTES,
+    SLAB_PKTS,
+    Batch,
+    batches,
+    cbr_slabs,
+    merge_slabs,
+    packets,
+)
 
 RSEED = 77002
 TEN_G = 10_000_000_000
@@ -461,10 +472,10 @@ def test_small_scale_port_count():
 
 @pytest.mark.parametrize("algorithm", [Algorithm.SPARE_PORT, Algorithm.TWO_QUEUES])
 def test_class_level_handler_wrappers_see_every_call(monkeypatch, algorithm):
-    # A profiler or tracer wraps the port handlers and dispatch on the class;
-    # on the handler path the run must go through them for every arrival and
-    # transition. The busy-period kernel skips the handlers (see
-    # test_kernel_counts_transitions_like_the_handlers).
+    # A profiler or tracer wraps the port handlers and dispatch on the class.
+    # A run serves and drains its ports without a handler call; the
+    # reference driver, which serves them through the handlers, goes
+    # through the wrappers for every arrival and transition.
     config, _ = _mixed_scenario(algorithm)
     streams = [cbr_slabs(200_000_000, 1500, 0, 40_000_000, flow=f"bulk{i}")
                for i in range(3)]
@@ -472,7 +483,8 @@ def test_class_level_handler_wrappers_see_every_call(monkeypatch, algorithm):
     pkts = list(packets(merge_slabs(streams)))  # the ports drain before the 50 ms end
     plain = run(config, iter(pkts))
 
-    calls = {}
+    calls = dict.fromkeys(("enqueue", "on_tx_complete", "on_sleep_complete",
+                           "on_wake_complete"), 0)
     entered = {PortState.SLEEP_TRANS: 0, PortState.WAKE_TRANS: 0}
     dispatched = []
 
@@ -480,12 +492,12 @@ def test_class_level_handler_wrappers_see_every_call(monkeypatch, algorithm):
         original = getattr(EeePort, name)
 
         def wrapper(*args):
-            calls[name] = calls.get(name, 0) + 1
+            calls[name] += 1
             return original(*args)
 
         monkeypatch.setattr(EeePort, name, wrapper)
 
-    for name in ("enqueue", "on_tx_complete", "on_sleep_complete", "on_wake_complete"):
+    for name in calls:
         counting(name)
     set_state, dispatch = EeePort._set_state, FlowTable.dispatch
 
@@ -500,20 +512,24 @@ def test_class_level_handler_wrappers_see_every_call(monkeypatch, algorithm):
 
     monkeypatch.setattr(EeePort, "_set_state", tally_state)
     monkeypatch.setattr(FlowTable, "dispatch", log_dispatch)
-    monkeypatch.setattr(eee_port, "_PATH", "handlers")
     wrapped = run(config, iter(pkts))
-
     assert wrapped.to_json() == plain.to_json()
-    assert wrapped.departures == plain.departures
-    totals = wrapped.totals
+    assert not any(calls.values())
+    monkeypatch.setattr(EeePort, "serve", reference_port.serve)
+    monkeypatch.setattr(EeePort, "drain", reference_port.drain)
+    by_handlers = run(config, iter(pkts))
+
+    assert by_handlers.to_json() == plain.to_json()
+    assert by_handlers.departures == plain.departures
+    totals = by_handlers.totals
     assert totals["queued_end"] == 0 and totals["dropped"] == 0
     assert calls["enqueue"] == totals["arrived"] == len(pkts)
     assert calls["on_tx_complete"] == totals["delivered"]
     assert calls["on_wake_complete"] == entered[PortState.WAKE_TRANS] > 0
     assert calls["on_sleep_complete"] == entered[PortState.SLEEP_TRANS] > 0
-    # every flow starts in the first segment: one dispatch registers them all,
-    # in order of first sighting
-    assert dispatched == [list(dict.fromkeys(p[2] for p in pkts))]
+    # every flow starts in the first segment: one dispatch per run registers
+    # them all, in order of first sighting
+    assert dispatched == [list(dict.fromkeys(p[2] for p in pkts))] * 2
 
 
 def test_batches_with_tables_of_their_own_map_their_names_afresh():
@@ -570,16 +586,15 @@ def test_unordered_stream_faults():
 
 
 def _lose_third_frame(monkeypatch):
-    enqueue = EeePort.enqueue
+    serve = EeePort.serve
 
-    def lossy(self, pkt, queue, cls, now):
-        result = enqueue(self, pkt, queue, cls, now)
-        if pkt[4] == 2:
-            self.low.tail -= 1  # accepted, then silently lost
-        return result
+    def lossy(self, *arrivals):
+        served = serve(self, *arrivals)
+        if 2 in arrivals[4]:
+            self.low.tail -= 1  # the third frame, accepted, then silently lost
+        return served
 
-    monkeypatch.setattr(EeePort, "enqueue", lossy)
-    monkeypatch.setattr(eee_port, "_PATH", "handlers")
+    monkeypatch.setattr(EeePort, "serve", lossy)
 
 
 def _skip_final_accounting(monkeypatch):
@@ -609,6 +624,21 @@ def test_duration_beyond_int64_rejected():
     config.duration_ns = 2**63
     with pytest.raises(ConfigError, match="below 2"):
         run(config, [])
+
+
+def test_packet_size_outside_the_frame_range_rejected():
+    # a 10**17-byte frame would take its wire time out of int64
+    for size in (MIN_FRAME_BYTES - 1, MAX_FRAME_BYTES + 1, 10**17):
+        pkts = [Packet(0, 1500, "f", 0, 0), Packet(5, size, "f", 0, 1)]
+        with pytest.raises(ConfigError, match=r"packet size outside \[64, 9216\]"):
+            run(make_config(), pkts)
+
+
+def test_packet_dscp_outside_its_range_rejected():
+    for dscp in (-1, MAX_DSCP + 1):
+        pkts = [Packet(0, 1500, "f", 0, 0), Packet(5, 1500, "f", dscp, 1)]
+        with pytest.raises(ConfigError, match=r"packet dscp outside \[0, 63\]"):
+            run(make_config(), pkts)
 
 
 def test_report_renders_text_and_csv():

@@ -1,14 +1,16 @@
-"""Busy-period kernel against the handler path and the oracle.
+"""Busy-period kernel against the handlers and the oracle.
 
-``eee_port._PATH`` picks how :meth:`EeePort.serve` serves each run of
-arrivals; these tests run the kernel (``"kernel"``, the default; a run that
-could leave int64 still goes to the handlers) and the handlers
-(``"handlers"``) and require the same reports, departures, drops and port
-states after every ``serve`` call. Every time is a multiple of ``UNIT``, so
-arrivals often fall exactly on a transmit, sleep or wake completion or on
-an epoch. Ports are served every ``k`` arrivals, so frames are also held
-from one ``serve`` call to the next. Where every frame is in one queue, the
-blocks that decide the drops are held to the per-start steps as well.
+:meth:`EeePort.serve` serves each run of arrivals with the busy-period
+kernel and :meth:`EeePort.drain` finishes a port in closed form. These
+tests run the engine on them (``"kernel"``) and on the per-event reference
+driver of ``reference_port`` (``"handlers"``), which serves the same runs
+through the port's handlers, and require the same reports, departures,
+drops and port states after every ``serve`` call. Every time is a multiple
+of ``UNIT``, so arrivals often fall exactly on a transmit, sleep or wake
+completion or on an epoch. Ports are served every ``k`` arrivals, so frames
+are also held from one ``serve`` call to the next. Where every frame is in
+one queue, the blocks that decide the drops are held to the per-start
+steps as well. ``drain`` is held to the driver at arbitrary horizons.
 """
 
 import random
@@ -18,9 +20,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import reference_port
 from eeesim import (
     Algorithm,
     BundleConfig,
+    ConfigError,
     EeePortConfig,
     Packet,
     SimConfig,
@@ -32,7 +36,14 @@ from eeesim import (
 )
 from eeesim.eee_port import EeePort
 from eeesim.engine import _delay_stats
-from eeesim.traffic import Batch, cbr_slabs, merge_slabs, packets
+from eeesim.traffic import (
+    MAX_FRAME_BYTES,
+    SLAB_PKTS,
+    Batch,
+    cbr_slabs,
+    merge_slabs,
+    packets,
+)
 
 UNIT = 100  # ns
 #: wire times 100, 200 and 1200 ns at 10 Gb/s; ten times that at 1 Gb/s
@@ -75,10 +86,11 @@ def _batches(pkts, cuts):
 
 
 def _run(monkeypatch, path, config, stream):
-    """Report of ``run`` on ``path``, and each port's state and what it
-    returned after every :meth:`EeePort.serve` call."""
+    """Report of ``run`` with the ports served on ``path``, ``"kernel"`` or
+    ``"handlers"``, and each port's state and what it returned after every
+    ``serve`` call."""
     states = []
-    serve = EeePort.serve
+    serve = EeePort.serve if path == "kernel" else reference_port.serve
 
     def recording(port, *arrivals):
         *served, dropped = serve(port, *arrivals)
@@ -87,15 +99,16 @@ def _run(monkeypatch, path, config, stream):
         return (*served, dropped)
 
     with monkeypatch.context() as m:
-        m.setattr(eee_port, "_PATH", path)
+        if path == "handlers":
+            m.setattr(EeePort, "drain", reference_port.drain)
         m.setattr(EeePort, "serve", recording)
         report = run(config, stream)
     return report, states
 
 
 def _returned(served):
-    """The completions of one ``serve`` return, independent of the path:
-    sorted ``(seq, start, end)`` of the frames done."""
+    """The completions of one ``serve`` or ``drain`` return, independent of
+    the path: sorted ``(seq, start, end)`` of the frames done."""
     (_, _, _, _, seq, _), start, end, done = served
     return sorted(zip(seq[done].tolist(), start[done].tolist(), end[done].tolist()))
 
@@ -166,9 +179,9 @@ def _check(monkeypatch, params, rows, cuts, k):
                                        _batches(pkts, cuts))
     _assert_same(by_kernel, by_handlers)
     assert kernel_states == handler_states
-    # the default path again, on the engine's own batches
-    by_default, _ = _run(monkeypatch, "kernel", config, pkts)
-    _assert_same(by_default, by_handlers)
+    # the kernel again, on the engine's own batches
+    again, _ = _run(monkeypatch, "kernel", config, pkts)
+    _assert_same(again, by_handlers)
     departures, dropped = oracle_simulate(config, pkts)
     assert by_kernel.departures == departures
     assert by_kernel.drop_seqs == dropped
@@ -381,35 +394,37 @@ def test_kernel_counts_transitions_like_the_handlers(monkeypatch):
     assert all(s <= w <= s + 1 for w, s in by_kernel.transitions)
 
 
-@pytest.mark.parametrize("t_wake, declined", [
-    (2**62, 0), (2**63 - 10**6, 0), (2**63, 200)])
-def test_times_near_the_int64_limit_match_the_handlers(monkeypatch, t_wake, declined):
-    # The first two wakes keep every time inside int64, just below 2**63 for
-    # the second; with the third the kernel's bound fails, so it declines and
-    # the handlers serve all 200 arrivals with Python ints.
+def test_times_up_to_the_int64_bound_match_the_handlers(monkeypatch):
+    # SimConfig.validate bounds every port time by duration + 2 (t_sleep +
+    # t_wake) + (buffer_limit + SLAB_PKTS + 2) wire(MAX_FRAME_BYTES). A wake
+    # that puts the bound exactly at 2**63 - 1 runs like the handlers and
+    # the oracle, with the frames held through a wake of ~2**61 ns; one
+    # nanosecond more is refused before the run starts.
+    port = EeePortConfig(capacity_bps=TEN_G, t_sleep_ns=7)
     config = SimConfig(
         bundle=BundleConfig(n_ports=2, capacity_bps=TEN_G,
                             algorithm=Algorithm.TWO_QUEUES),
-        port=EeePortConfig(capacity_bps=TEN_G, t_wake_ns=t_wake, t_sleep_ns=7),
-        duration_ns=2**62 + 10**9,
+        port=port,
+        duration_ns=2**62 + 10**9 + 1,  # odd, so that the bound can be odd
         sampling_period_ns=2**60,
         warmup_ns=0,
         record_departures=True,
     )
+    room = (2**63 - 1 - config.duration_ns - 2 * port.t_sleep_ns
+            - (port.buffer_limit + SLAB_PKTS + 2) * port.tx_time_ns(MAX_FRAME_BYTES))
+    assert room % 2 == 0
+    port.t_wake_ns = room // 2
     pkts = [Packet(i * 1000, 1500, f"f{i % 3}", 46 * (i % 2), i) for i in range(200)]
-    enqueued = []
-    enqueue = EeePort.enqueue
-
-    def counting(self, *args):
-        enqueued.append(args[-1])
-        return enqueue(self, *args)
-
-    monkeypatch.setattr(EeePort, "enqueue", counting)
     by_kernel, states = _run(monkeypatch, "kernel", config, pkts)
-    assert len(enqueued) == declined
     by_handlers, handler_states = _run(monkeypatch, "handlers", config, pkts)
     _assert_same(by_kernel, by_handlers)
     assert states == handler_states
+    departures, dropped = oracle_simulate(config, pkts)
+    assert by_kernel.departures == departures and not dropped
+    assert max(departures.values()) > 2**60
+    port.t_wake_ns += 1
+    with pytest.raises(ConfigError, match="port.t_wake_ns"):
+        run(config, pkts)
 
 
 def test_one_bit_per_second_matches_the_handlers(monkeypatch):
@@ -431,6 +446,73 @@ def test_one_bit_per_second_matches_the_handlers(monkeypatch):
     assert by_kernel.totals["delivered"] > 0
 
 
+@st.composite
+def drain_cases(draw):
+    """A port's config, a run of arrivals to serve it and horizons to drain
+    it at: each an event still due after the run (a transition, a frame's
+    start or end), or the midpoint of two, moved by -1, 0 or +1 ns."""
+    cfg = EeePortConfig(capacity_bps=TEN_G,
+                        t_sleep_ns=draw(st.sampled_from([0, UNIT, 23 * UNIT])),
+                        t_wake_ns=draw(st.sampled_from([0, 2 * UNIT, 45 * UNIT])),
+                        buffer_limit=draw(st.sampled_from([2, 5, 10000])))
+    # (gap in units, size, high queue): gaps of 13 and 40 units often land
+    # in the sleep after a short busy period
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from([0, 0, 1, 2, 13, 40]), st.sampled_from(SIZES),
+                  st.booleans()),
+        min_size=1, max_size=30,
+    ))
+    horizons = draw(st.lists(
+        st.tuples(st.integers(0, 200), st.booleans(), st.sampled_from([-1, 0, 1])),
+        min_size=1, max_size=3,
+    ))
+    return cfg, rows, horizons
+
+
+def _arrivals(rows):
+    """Columns of ``serve`` for ``(gap, size, high)`` rows; the class
+    index follows the queue."""
+    gap, size, high = (np.array(col) for col in zip(*rows))
+    seq = np.arange(len(rows))
+    return [np.cumsum(gap) * UNIT, size, seq, 46 * high, seq, high.astype(np.int64), high]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(drain_cases())
+# a frame queued during the sleep after the first (t = 13: wake 0..2, frame
+# 2..3, sleep 3..26) and a high frame behind two low ones; drained exactly
+# at the first completion, inside the wake, and past the last sleep
+@example((EeePortConfig(capacity_bps=TEN_G, t_sleep_ns=23 * UNIT, t_wake_ns=2 * UNIT),
+          [(0, 125, False), (13, 1500, False), (0, 1500, False), (0, 125, True)],
+          [(2, False, 0), (1, True, 0), (200, False, 1)]))
+def test_drain_matches_the_handlers_at_any_horizon(case):
+    cfg, rows, picks = case
+    arrivals = _arrivals(rows)
+    kernel, handlers, probe = (EeePort(0, cfg, window=(UNIT, None)) for _ in range(3))
+    kernel.serve(*arrivals)
+    for port in (handlers, probe):
+        reference_port.serve(port, *arrivals)
+    assert _snapshot(kernel) == _snapshot(handlers)
+    finished, log = [], []
+    reference_port.fire(probe, float("inf"), finished, log)
+    events = sorted({now for now, _, _ in log}
+                    | {x for pkt, _, delay, started in finished
+                       for x in (started, pkt[0] + delay)})
+    horizons = []
+    for k, mid, shift in picks:
+        k %= len(events)
+        at = events[k]
+        if mid:  # halfway to the next event
+            at = (at + events[min(k + 1, len(events) - 1)]) // 2
+        horizons.append(max(at + shift, int(arrivals[0][-1])))
+    for horizon in sorted(horizons):
+        got = kernel.drain(horizon)
+        want = reference_port.drain(handlers, horizon)
+        assert _returned(got) == _returned(want)
+        assert _snapshot(kernel) == _snapshot(handlers)
+
+
 def test_kernel_rejects_arrivals_out_of_order():
     port = EeePort(0, EeePortConfig(capacity_bps=TEN_G))
     cols = [np.array(x, dtype=np.int64) for x in ([5, 3], [100, 100])]
@@ -438,6 +520,17 @@ def test_kernel_rejects_arrivals_out_of_order():
     other = [np.zeros(2, dtype=np.int64)] * 3
     with pytest.raises(SimulationFault, match="not time-ordered"):
         port.serve(*cols, flows, *other, np.zeros(2, dtype=bool))
+
+
+@pytest.mark.parametrize("t_wake, size", [(2**63 - 1000, 1500), (0, 10**17)])
+def test_kernel_refuses_times_that_could_leave_int64(t_wake, size):
+    # SimConfig.validate and batches keep such a port or frame out of a run;
+    # serve called directly checks the bound again and changes nothing
+    port = EeePort(0, EeePortConfig(capacity_bps=TEN_G, t_wake_ns=t_wake))
+    arrivals = [np.array([0, 10]), np.array([1500, size])] + [np.zeros(2, dtype=np.int64)] * 4
+    with pytest.raises(SimulationFault, match="could leave int64"):
+        port.serve(*arrivals, np.zeros(2, dtype=bool))
+    assert (port.state, port.held) == (eee_port.LPI, 0)
 
 
 def test_delay_stats_do_not_depend_on_sample_order():
@@ -450,10 +543,10 @@ def test_delay_stats_do_not_depend_on_sample_order():
     assert stats["mean_us"] == sum(samples) / len(samples) / 1000
 
 
-def test_default_path_serves_the_fixed_stream_like_the_handlers(monkeypatch):
+def test_kernel_serves_the_fixed_stream_like_the_handlers(monkeypatch):
     config = _two_queue_config(buffer_limit=40)
     pkts = list(packets(_mixed_stream()))
-    by_default, states = _run(monkeypatch, "kernel", config, iter(pkts))
+    by_kernel, states = _run(monkeypatch, "kernel", config, iter(pkts))
     by_handlers, handler_states = _run(monkeypatch, "handlers", config, iter(pkts))
-    _assert_same(by_default, by_handlers)
+    _assert_same(by_kernel, by_handlers)
     assert states == handler_states
