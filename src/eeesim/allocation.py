@@ -45,14 +45,15 @@ class BundleConfig:
     algorithm: Algorithm = Algorithm.CONSERVATIVE
     bound_fraction: float = 0.9  # bounded-greedy per-port fill threshold
 
-    def validate(self) -> None:
+    def validate(self, prefix: str = "") -> None:
+        """A ConfigError naming the first bad field, ``prefix`` before its name."""
         if self.n_ports < 1:
-            raise ConfigError(f"bundle needs at least one port, got {self.n_ports}")
+            raise ConfigError(f"{prefix}n_ports must be >= 1, got {self.n_ports}")
         if self.capacity_bps <= 0:
-            raise ConfigError(f"port capacity must be positive, got {self.capacity_bps}")
+            raise ConfigError(f"{prefix}capacity_bps must be positive, got {self.capacity_bps}")
         if not 0 < self.bound_fraction <= 1:
             raise ConfigError(
-                f"bound fraction must be in (0, 1], got {self.bound_fraction}"
+                f"{prefix}bound_fraction must be in (0, 1], got {self.bound_fraction}"
             )
 
 

@@ -98,11 +98,12 @@ def _apply_overrides(scenario: Scenario, overrides) -> Scenario:
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     scenario = _apply_overrides(scenario, args.set)
+    if args.trace_scale is not None and not args.trace:
+        raise ConfigError("--trace-scale needs --trace: it scales the trace --trace names")
     if args.trace:
         # Substitute the synthetic bulk traffic with a recorded trace.
-        scenario.sources = [
-            {"kind": "trace", "path": args.trace, "scale": str(args.trace_scale)}
-        ]
+        scale = 1 if args.trace_scale is None else args.trace_scale
+        scenario.sources = [{"kind": "trace", "path": args.trace, "scale": str(scale)}]
         scenario.validate()
     if args.dump_scenario:
         print(json.dumps(scenario.to_json_dict(), indent=2, sort_keys=True))
@@ -198,9 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a scalar scenario field, e.g. sim.duration_ns=1e8")
     p_run.add_argument("--trace", default=None,
                        help="replace synthetic bulk traffic with a trace-csv file")
-    p_run.add_argument("--trace-scale", type=_fraction, default=Fraction(1),
-                       help="divide trace timestamps by this exact factor, "
-                            "e.g. 2, 0.5 or 3/2")
+    p_run.add_argument("--trace-scale", type=_fraction, default=None,
+                       help="with --trace, divide trace timestamps by this exact "
+                            "factor, e.g. 2, 0.5 or 3/2 (default 1)")
     p_run.add_argument("--epoch-csv", action="store_true",
                        help="also write per-epoch port-load CSVs")
     p_run.add_argument("--dump-scenario", action="store_true",

@@ -25,6 +25,7 @@ runs lazily: :meth:`EeePort.serve` takes a time-ordered run of arrivals
 and :meth:`EeePort.drain` fires what is due before the end of the run.
 Each queue keeps its frames as int64 columns (:class:`_Fifo`); flows
 travel as the int codes the engine gave them, which the port never reads.
+A frame's class is its flow's, which the engine keeps.
 
 ``serve`` is a busy-period kernel on those columns and the run's. With
 ``c`` the end of the previous frame, a frame arriving at ``a <= c`` starts
@@ -66,7 +67,6 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ConfigError, SimulationFault
-from .traffic import Packet
 
 
 class PortState(IntEnum):
@@ -115,15 +115,18 @@ class EeePortConfig:
     p_active: float = 1.0
     p_lpi: float = 0.1
 
-    def validate(self) -> None:
+    def validate(self, prefix: str = "") -> None:
+        """A ConfigError naming the first bad field, ``prefix`` before its name."""
         if not 0 < self.capacity_bps <= 10**18:  # keeps wire times exact in int64
-            raise ConfigError(f"capacity must be in (0, 10**18] b/s, got {self.capacity_bps}")
+            raise ConfigError(
+                f"{prefix}capacity_bps must be in (0, 10**18] b/s, got {self.capacity_bps}")
         if self.t_sleep_ns < 0 or self.t_wake_ns < 0:
-            raise ConfigError("transition times must be non-negative")
+            raise ConfigError(f"{prefix}t_sleep_ns and {prefix}t_wake_ns must be non-negative")
         if self.buffer_limit < 1:
-            raise ConfigError(f"buffer limit must be >= 1, got {self.buffer_limit}")
+            raise ConfigError(f"{prefix}buffer_limit must be >= 1, got {self.buffer_limit}")
         if not 0 <= self.p_lpi <= self.p_active:
-            raise ConfigError("power levels must satisfy 0 <= p_lpi <= p_active")
+            raise ConfigError(f"power levels must satisfy 0 <= {prefix}p_lpi <= "
+                              f"{prefix}p_active, got {self.p_lpi} and {self.p_active}")
 
     def tx_time_ns(self, size_bytes: int) -> int:
         """Wire time of a frame, rounded to the nearest nanosecond."""
@@ -132,9 +135,9 @@ class EeePortConfig:
 
 
 class _Fifo:
-    """One queue: the int64 columns ``t, size, flow, dscp, seq, ci, w`` of
-    its frames (``w`` is the wire time), of which rows ``head:tail`` wait, in
-    order."""
+    """One queue: the int64 columns ``t, size, flow, seq, w`` of its frames
+    (``w`` is the wire time), of which rows ``head:tail`` wait, in order. A
+    frame's class is its flow's, which the engine keeps."""
 
     __slots__ = ("cols", "head", "tail")
 
@@ -145,22 +148,15 @@ class _Fifo:
     def __len__(self) -> int:
         return self.tail - self.head
 
-    def waiting(self, k=None) -> list:
-        """The columns of the frames waiting, or of the first ``k``."""
-        end = self.tail if k is None else self.head + k
-        return [col[self.head:end] for col in self.cols]
+    def waiting(self) -> list:
+        """The columns of the frames waiting."""
+        return [col[self.head:self.tail] for col in self.cols]
 
     def _room(self, k: int) -> None:
         if self.tail + k > len(self.cols[0]):  # keep the waiting rows, double
             self.cols = [np.concatenate((col, np.empty(len(self) + k + 8, col.dtype)))
                          for col in self.waiting()]
             self.head, self.tail = 0, len(self)
-
-    def append(self, row) -> None:
-        self._room(1)
-        for col, value in zip(self.cols, row):
-            col[self.tail] = value
-        self.tail += 1
 
     def extend(self, rows) -> None:
         """Queue the frames of the columns ``rows`` behind the others."""
@@ -171,10 +167,10 @@ class _Fifo:
         self.tail += k
 
     def popleft(self):
-        """The frame at the head, as ``(Packet, class)``, taken off the queue."""
-        *pkt, ci, _ = (int(col[self.head]) for col in self.cols)
+        """The frame at the head, as ``(t, size, flow, seq)``, taken off the queue."""
+        *pkt, _ = (int(col[self.head]) for col in self.cols)
         self.head += 1
-        return Packet(*pkt), ci
+        return tuple(pkt)
 
 
 def _reach(w, room) -> int:
@@ -183,7 +179,7 @@ def _reach(w, room) -> int:
     return min(len(w), int(np.searchsorted(np.cumsum(w), room)) + 1)
 
 
-_EMPTY = (np.empty(0, dtype=np.int64),) * 7
+_EMPTY = (np.empty(0, dtype=np.int64),) * 5
 
 
 class EeePort:
@@ -198,7 +194,7 @@ class EeePort:
 
     __slots__ = (
         "index", "cfg", "state", "state_since", "next_at",
-        "high", "low", "tx_packet", "tx_class", "tx_start",
+        "high", "low", "tx_packet", "tx_start",
         "clock", "residence_ns", "win_start", "win_end", "wakes", "sleeps",
     )
 
@@ -212,7 +208,6 @@ class EeePort:
         self.high = _Fifo(_EMPTY)
         self.low = _Fifo(_EMPTY)
         self.tx_packet = None
-        self.tx_class = None
         self.tx_start = 0
         self.clock = 0
         self.residence_ns = [0] * len(PortState)
@@ -232,8 +227,8 @@ class EeePort:
         """Enter ``new`` at ``now``: the handlers' one state change."""
         self._enter(np.array([now]), np.array([new]))
 
-    def enqueue(self, pkt, queue: Queue, cls: int, now: int):
-        """Accept or tail-drop an arriving frame.
+    def enqueue(self, pkt, queue: Queue, now: int):
+        """Accept or tail-drop an arriving frame ``pkt``, ``(t, size, flow, seq)``.
 
         Returns ``(accepted, next_at)``. A frame arriving to an LPI port
         starts the wake transition; during SLEEP_TRANS the wake is deferred
@@ -248,7 +243,8 @@ class EeePort:
         self.clock = now
         if self.occupancy >= self.cfg.buffer_limit:
             return False, self.next_at
-        (self.high if queue is HIGH else self.low).append((*pkt, cls, self.cfg.tx_time_ns(pkt[1])))
+        (self.high if queue is HIGH else self.low).extend(
+            [[x] for x in (*pkt, self.cfg.tx_time_ns(pkt[1]))])
         if self.state is LPI:
             self._set_state(WAKE_TRANS, now)
             self.next_at = now + self.cfg.t_wake_ns
@@ -257,19 +253,19 @@ class EeePort:
     def on_tx_complete(self, now: int):
         """Finish the frame in flight and start the next one or the sleep.
 
-        Returns ``(packet, class, delay, tx_start)`` of the finished frame.
+        Returns ``(packet, delay, tx_start)`` of the finished frame.
         """
         pkt = self.tx_packet
         if pkt is None or self.next_at != now:
             raise SimulationFault(
                 f"port {self.index}: tx completion at {now} without matching transmission"
             )
-        record = (pkt, self.tx_class, now - pkt[0], self.tx_start)
+        record = (pkt, now - pkt[0], self.tx_start)
         self.clock = now
         if self.occupancy:
             self._send_next(now)
         else:
-            self.tx_packet = self.tx_class = None
+            self.tx_packet = None
             self._set_state(SLEEP_TRANS, now)
             self.next_at = now + self.cfg.t_sleep_ns
         return record
@@ -303,27 +299,27 @@ class EeePort:
 
     def _send_next(self, now: int) -> None:
         """Put the first frame of the high queue, else of the low, on the wire."""
-        pkt, self.tx_class = (self.high or self.low).popleft()
-        self.tx_packet, self.tx_start = pkt, now
+        pkt = self.tx_packet = (self.high or self.low).popleft()
+        self.tx_start = now
         self.next_at = now + self.cfg.tx_time_ns(pkt[1])
 
-    def serve(self, t, size, flow, dscp, seq, ci, high):
+    def serve(self, t, size, flow, seq, high):
         """Take a time-ordered run of arrivals: the port's one entry point.
 
         The arguments are the arrivals' columns: int64 ``t``, ``size``,
-        ``flow`` (codes), ``dscp``, ``seq`` and class index ``ci``, and bool
-        ``high`` for the high queue. With ``H = t[-1]``, the port ends as
-        if each arrival had been handed to :meth:`enqueue` after the
-        transitions due before it: every timed transition before ``H`` and
-        every arrival-triggered wake at or before ``H`` is fired.
+        ``flow`` (codes) and ``seq``, and bool ``high`` for the high queue;
+        a frame's class lives on its flow, which the port never reads. With
+        ``H = t[-1]``, the port ends as if each arrival had been handed to
+        :meth:`enqueue` after the transitions due before it: every timed
+        transition before ``H`` and every arrival-triggered wake at or
+        before ``H`` is fired.
 
         Returns ``(frames, start, end, done, dropped)``: ``frames`` holds
-        the columns ``(t, size, flow, dscp, seq, ci)`` of frames the run
-        touched, the frames held before that could start by ``H`` first,
-        ``start`` and ``end`` their wire times, ``done`` indexes the frames
-        that completed before ``H`` and ``dropped`` the arrivals that were
-        tail-dropped. A time that could leave int64 raises
-        :class:`SimulationFault`.
+        the columns ``(t, size, flow, seq)`` of frames the run touched, the
+        frames held before that could start by ``H`` first, ``start`` and
+        ``end`` their wire times, ``done`` indexes the frames that completed
+        before ``H`` and ``dropped`` the arrivals that were tail-dropped. A
+        time that could leave int64 raises :class:`SimulationFault`.
         """
         last = int(t[-1])
         if int(t[0]) < self.clock or (t[1:] < t[:-1]).any():
@@ -336,19 +332,19 @@ class EeePort:
         held = self._held()
         # every start and end is at most this; intermediates stay below it too
         base = last if self.next_at == _INF else max(last, self.next_at)
-        w_max = max(int(x.max()) for x in (w, *(part[6] for part in held)) if len(x))
+        w_max = max(int(x.max()) for x in (w, *(part[4] for part in held)) if len(x))
         if (int(size.max()) > (_I64_MAX - 2 * self.cfg.capacity_bps) // 16_000_000_000
                 or base + t_sleep + t_wake + w_max * (self.held + len(t)) > _I64_MAX):
             raise SimulationFault(f"port {self.index}: a time could leave int64")
         if len(self.low):  # only the low frames that can start by ``last`` take part
-            ahead = sum(int(part[6].sum()) for part in held[:-1])
-            k = _reach(held[-1][6], last - self._resume() - ahead)
+            ahead = sum(int(part[4].sum()) for part in held[:-1])
+            k = _reach(held[-1][4], last - self._resume() - ahead)
             held[-1] = [col[:k] for col in held[-1]]
         nc = sum(len(part[0]) for part in held)
-        cols = [np.concatenate(parts) for parts in zip(*held, (t, size, flow, dscp, seq, ci, w))]
+        cols = [np.concatenate(parts) for parts in zip(*held, (t, size, flow, seq, w))]
         up = np.zeros(nc, dtype=bool)
         up[in_flight:in_flight + len(self.high)] = True
-        w, high = cols[6], np.concatenate((up, high))
+        w, high = cols[4], np.concatenate((up, high))
         if idle:  # the earliest a wake can start
             lead = (self.next_at if state is SLEEP_TRANS else self.state_since, True, False)
         else:  # the time the leading frame starts, or started
@@ -362,7 +358,7 @@ class EeePort:
                 keep = np.ones(len(high), dtype=bool)
                 keep[dropped] = False
                 cols = [col[keep] for col in cols]
-                w, high = cols[6], high[keep]
+                w, high = cols[4], high[keep]
                 start, periods = self._schedule(cols[0], w, high, *lead)
                 dropped = dropped - nc
         t = cols[0]
@@ -401,7 +397,7 @@ class EeePort:
             self._enter(np.concatenate(times), np.concatenate(states))
         self.clock = last
         done = self._settle(cols, high[nc:], start, end, last, in_flight)
-        return tuple(cols[:6]), start, end, done, dropped
+        return tuple(cols[:4]), start, end, done, dropped
 
     def drain(self, horizon):
         """Fire the transitions due before ``horizon``, no arrival left to
@@ -410,10 +406,10 @@ class EeePort:
         in the order :meth:`_held` gives; then the port sleeps and enters LPI.
         """
         if self.next_at >= horizon:  # nothing is due; in LPI nothing ever is
-            return _EMPTY[:6], _NO_DROPS, _NO_DROPS, _NO_DROPS
+            return _EMPTY[:4], _NO_DROPS, _NO_DROPS, _NO_DROPS
         in_flight = self.tx_packet is not None
         cols = [np.concatenate(parts) for parts in zip(*self._held())]
-        w = cols[6]
+        w = cols[4]
         start = self._resume() + np.cumsum(w) - w
         end = start + w
         if len(w):
@@ -428,18 +424,17 @@ class EeePort:
         fire = times < horizon
         self._enter(times[fire], states[fire])
         self.clock = int(np.concatenate((times[fire], end[end < horizon])).max())
-        return tuple(cols[:6]), start, end, self._settle(cols, _NO_UP, start, end,
+        return tuple(cols[:4]), start, end, self._settle(cols, _NO_UP, start, end,
                                                          horizon, in_flight)
 
     def _held(self):
         """The frames held, in the order they go if no frame arrives: the
-        columns ``t, size, flow, dscp, seq, ci, w`` of the frame in flight,
-        if any, of the high queue and of the low queue."""
+        columns ``t, size, flow, seq, w`` of the frame in flight, if any, of
+        the high queue and of the low queue."""
         held = [self.high.waiting(), self.low.waiting()]
         if self.tx_packet is not None:
             pkt = self.tx_packet
-            held.insert(0, [np.array([x]) for x in
-                            (*pkt, self.tx_class, self.cfg.tx_time_ns(pkt[1]))])
+            held.insert(0, [np.array([x]) for x in (*pkt, self.cfg.tx_time_ns(pkt[1]))])
         return held
 
     def _resume(self):
@@ -465,12 +460,11 @@ class EeePort:
                 raise SimulationFault(
                     f"port {self.index}: active at {horizon} with {len(flying)} frames in flight")
             f = int(flying[0])
-            self.tx_packet = tuple(int(col[f]) for col in cols[:5])
-            self.tx_class = int(cols[5][f])
+            self.tx_packet = tuple(int(col[f]) for col in cols[:4])
             self.tx_start = int(start[f])
             self.next_at = int(end[f])
         else:
-            self.tx_packet = self.tx_class = None
+            self.tx_packet = None
             self.next_at = _INF if state is LPI else self.state_since + (
                 self.cfg.t_sleep_ns if state is SLEEP_TRANS else self.cfg.t_wake_ns)
             if len(flying) or self.next_at < horizon or state is LPI and waiting.any():
@@ -485,13 +479,10 @@ class EeePort:
         k = in_flight + len(self.high)
         self.high.head += int(np.count_nonzero(~waiting[in_flight:k]))
         self.low.head += int(np.count_nonzero(~waiting[k:nc]))
-        mixed = up.any() and not up.all()
         for queue, mine in ((self.high, up), (self.low, ~up)):
             new = mine & waiting[nc:]
-            n = int(np.count_nonzero(new))
-            if n:
-                queue.extend([col[nc:][new] for col in cols] if mixed
-                             else [col[len(col) - n:] for col in cols])
+            if new.any():
+                queue.extend([col[nc:][new] for col in cols])
         return done
 
     def _schedule(self, t, w, high, theta, idle, in_flight):

@@ -15,12 +15,14 @@ numbered once per run in order of first sighting, over which the
 :meth:`FlowTable.dispatch` call registers the flows new in a segment. A
 segment is routed with one ``take`` of the route array, its bytes counted
 with an int64 ``np.add.at``, and grouped by port, stably; names come back
-only in ``delay_log`` and tracked flows. A port meets only its own
-arrivals, so each port holds its share across segments and epochs and takes
-``SLAB_PKTS // 2`` to :data:`SLAB_PKTS` of them per :meth:`EeePort.serve`
-call, and the rest before it drains. How a port's arrivals are cut into
-runs changes only the order of delay samples and ``delay_log`` rows, and
-no statistic depends on it.
+only in ``delay_log`` and tracked flows. A flow's class is bit 0 of its
+route, set once from its first packet's dscp: a port run is ``t, size,
+flow, seq`` and the queue, and the tally reads the class from the flow. A
+port meets only its own arrivals, so each port holds its share across
+segments and epochs and takes ``SLAB_PKTS // 2`` to :data:`SLAB_PKTS` of
+them per :meth:`EeePort.serve` call, and the rest before it drains. How a
+port's arrivals are cut into runs changes only the order of delay samples
+and ``delay_log`` rows, and no statistic depends on it.
 
 Events at the same nanosecond keep a fixed order: control epochs first (a
 plan takes effect at exactly t = nT), then arrivals in stream order, then
@@ -71,26 +73,35 @@ class SimConfig:
     def resolved_warmup(self) -> int:
         return self.sampling_period_ns if self.warmup_ns is None else self.warmup_ns
 
-    def validate(self) -> None:
-        self.bundle.validate()
-        self.port.validate()
+    def validate(self, prefix: str | None = None) -> None:
+        """A ConfigError naming the first bad field, as ``bundle.n_ports`` or
+        ``duration_ns``, or with the flat ``prefix`` ``sim.``, ``sim.n_ports``."""
+        own, bundle, port = (prefix,) * 3 if prefix else ("", "bundle.", "port.")
+        self.bundle.validate(bundle)
+        self.port.validate(port)
+        if self.bundle.capacity_bps != self.port.capacity_bps:
+            # plans size the bundle by one capacity and ports send at the other
+            raise ConfigError(
+                f"{bundle}capacity_bps ({self.bundle.capacity_bps}) must equal "
+                f"{port}capacity_bps ({self.port.capacity_bps})")
         if self.sampling_period_ns <= 0:
-            raise ConfigError("sampling period must be positive")
+            raise ConfigError(f"{own}sampling_period_ns must be positive")
         if self.duration_ns <= 0:
-            raise ConfigError("duration must be positive")
+            raise ConfigError(f"{own}duration_ns must be positive")
         # Port times are int64, and none exceeds D + 2 (t_sleep + t_wake) +
         # (B + SLAB_PKTS + 2) W, with D the duration, B the buffer limit and W
         # the wire time of a MAX_FRAME_BYTES frame: arrivals come before D, so
         # a port's next transition is due before D plus one of W, t_sleep and
         # t_wake, and from there one serve call sends at most B queued frames,
         # the one in flight and SLAB_PKTS arrivals, after a sleep and a wake.
-        port = self.port
-        top = (port.buffer_limit + SLAB_PKTS + 2) * port.tx_time_ns(MAX_FRAME_BYTES)
-        if self.duration_ns + 2 * (port.t_sleep_ns + port.t_wake_ns) + top >= 2**63:
-            raise ConfigError("duration_ns, port.t_sleep_ns, port.t_wake_ns, port.buffer_limit "
-                              "and port.capacity_bps must keep port times below 2**63 ns")
+        cfg = self.port
+        top = (cfg.buffer_limit + SLAB_PKTS + 2) * cfg.tx_time_ns(MAX_FRAME_BYTES)
+        if self.duration_ns + 2 * (cfg.t_sleep_ns + cfg.t_wake_ns) + top >= 2**63:
+            raise ConfigError(f"{own}duration_ns, {port}t_sleep_ns, {port}t_wake_ns, "
+                              f"{port}buffer_limit and {port}capacity_bps must keep port "
+                              "times below 2**63 ns")
         if not 0 <= self.resolved_warmup() < self.duration_ns:
-            raise ConfigError("warmup must satisfy 0 <= warmup < duration")
+            raise ConfigError(f"{own}warmup_ns must satisfy 0 <= warmup < {own}duration_ns")
 
 
 class FlowTable:
@@ -338,8 +349,9 @@ class _Tally:
         self.delivered = self.dropped = 0
 
     def frames(self, frames, start, end, done) -> None:
-        """The frames ``done`` of a return of :meth:`EeePort.serve`."""
-        t, size, flow, _, seq, ci = frames
+        """The frames ``done`` of a return of :meth:`EeePort.serve`; each
+        frame's class is its flow's, route bit 0."""
+        t, size, flow, seq = frames
         self.delivered += len(done)
         if self.departures is not None:
             self.departures.update(zip(seq[done].tolist(), end[done].tolist()))
@@ -347,25 +359,25 @@ class _Tally:
         if not len(done):
             return
         delay = end[done] - t[done]
-        ci = ci[done]
+        flows = flow[done]
+        ci = self.table.route[flows] & 1
         for c, samples in enumerate(self.delays):
             samples.frombytes(delay[ci == c].tobytes())
         if self.tracked:
-            flows = flow[done]
             for name, samples in self.tracked.items():
                 code = self.table.codes.get(name)
                 if code is not None:
                     samples.frombytes(delay[flows == code].tobytes())
         if self.delay_log is not None:
-            names = map(self.table.flows.__getitem__, flow[done].tolist())
+            names = map(self.table.flows.__getitem__, flows.tolist())
             self.delay_log.extend(zip(names, t[done].tolist(), delay.tolist(),
                                       start[done].tolist(), size[done].tolist()))
 
     def drops(self, run, dropped) -> None:
         """The arrivals ``dropped`` of the ``run`` handed to :meth:`EeePort.serve`."""
-        t, _, _, _, seq, ci, _ = run
+        t, _, flow, seq, _ = run
         self.dropped += len(dropped)
-        late = ci[dropped][t[dropped] >= self.warmup]
+        late = self.table.route[flow[dropped][t[dropped] >= self.warmup]] & 1
         for c, n in enumerate(np.bincount(late, minlength=2).tolist()):
             self.drops_w[c] += n
         if self.drop_seqs is not None:
@@ -407,21 +419,12 @@ def run(config: SimConfig, stream) -> MetricsReport:
     # the first ``mapped`` of its ``names``
     names, run_code, mapped = None, np.empty(0, dtype=np.int64), 0
 
-    # Time-weighted incumbent-plan width ("ports the algorithm is using").
-    ap_acc = 0
-    ap_last = 0
-    ap_k = table.plan.active_ports
+    first_width = table.plan.active_ports
     epoch_rows: list = []
 
     def fire_epoch(t):
         """Run the control epoch at ``t``; returns the next epoch's time."""
-        nonlocal ap_acc, ap_last, ap_k
-        lo = ap_last if ap_last > warmup else warmup
-        if t > lo:
-            ap_acc += ap_k * (t - lo)
-        ap_last = t
         plan = table.control_epoch(t)
-        ap_k = plan.active_ports
         epoch_rows.append((t, plan.active_ports, [float(x) for x in plan.port_loads]))
         nt = t + period
         return nt if nt < duration else _INF
@@ -443,7 +446,7 @@ def run(config: SimConfig, stream) -> MetricsReport:
             c[new] = run_code[s]
         np.add.at(table.nbytes, c, size[lo:hi])
         r = table.route[c]
-        seg = (t[lo:hi], size[lo:hi], c, dscp[lo:hi], seq[lo:hi], r & 1, (r & 2) > 0)
+        seg = (t[lo:hi], size[lo:hi], c, seq[lo:hi], (r & 2) > 0)
         on_port = r >> 2
         order = np.argsort(on_port, kind="stable")
         b = 0
@@ -516,9 +519,11 @@ def run(config: SimConfig, stream) -> MetricsReport:
             serve(i, 1)
         tally.frames(*port.drain(duration))
         port.finalize(duration)
-    lo = ap_last if ap_last > warmup else warmup
-    if duration > lo:
-        ap_acc += ap_k * (duration - lo)
+    # Time-weighted incumbent-plan width ("ports the algorithm is using"):
+    # each plan holds from its epoch to the next, clipped to [warmup, duration).
+    plans = [(0, first_width)] + [(t, k) for t, k, _ in epoch_rows]
+    ends = [t for t, _ in plans[1:]] + [duration]
+    width_ns = sum(k * max(0, end - max(t, warmup)) for (t, k), end in zip(plans, ends))
 
     measured_ns = duration - warmup
     queued_end = sum(p.held for p in ports)
@@ -570,7 +575,7 @@ def run(config: SimConfig, stream) -> MetricsReport:
         ],
         total_energy=total_energy,
         normalized_energy=normalized,
-        mean_active_ports=ap_acc / measured_ns,
+        mean_active_ports=width_ns / measured_ns,
         epoch_loads=epoch_rows,
         flow_delays={flow: _delay_stats(samples)
                      for flow, samples in tally.tracked.items()},

@@ -177,6 +177,7 @@ class Scenario:
         for key in ("ll_rates_bps", "normal_rates_bps"):
             for rate in getattr(self, key):
                 _exact_int(key, rate)
+        build_sim_config(self, self.algorithms[0]).validate("sim.")
 
     def sim_value(self, key):
         return self.sim.get(key, _SIM_DEFAULTS[key])

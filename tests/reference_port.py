@@ -13,12 +13,10 @@ import numpy as np
 
 from eeesim.eee_port import PortState, Queue
 
-NORMAL = 0  # class index of normal traffic
-
 
 def fire(port, horizon, finished, log=None):
     """Fire the transitions due strictly before ``horizon``: extend
-    ``finished`` by ``(packet, class, delay, tx_start)`` for each frame
+    ``finished`` by ``(packet, delay, tx_start)`` for each frame
     finished and ``log``, if given, by ``(now, old, new)`` for each state
     change."""
     while port.next_at < horizon:
@@ -36,21 +34,21 @@ def fire(port, horizon, finished, log=None):
 def _completions(finished):
     """``(frames, start, end, done)`` of the frames ``finished``, in the
     columns ``EeePort.serve`` returns."""
-    rows = [(*pkt, cls, delay, started) for pkt, cls, delay, started in finished]
-    t, size, flow, dscp, seq, ci, delay, start = (
-        np.array(col, dtype=np.int64) for col in (zip(*rows) if rows else [()] * 8))
-    return (t, size, flow, dscp, seq, ci), start, t + delay, np.arange(len(t))
+    rows = [(*pkt, delay, started) for pkt, delay, started in finished]
+    t, size, flow, seq, delay, start = (
+        np.array(col, dtype=np.int64) for col in (zip(*rows) if rows else [()] * 6))
+    return (t, size, flow, seq), start, t + delay, np.arange(len(t))
 
 
-def serve(port, t, size, flow, dscp, seq, ci, high, log=None):
+def serve(port, t, size, flow, seq, high, log=None):
     """``EeePort.serve`` on the handlers, one arrival at a time."""
     finished, dropped = [], []
-    arrivals = zip(*(col.tolist() for col in (t, size, flow, dscp, seq)))
-    for i, (pkt, up, cls) in enumerate(zip(arrivals, high.tolist(), ci.tolist())):
+    arrivals = zip(*(col.tolist() for col in (t, size, flow, seq)))
+    for i, (pkt, up) in enumerate(zip(arrivals, high.tolist())):
         now = pkt[0]
         fire(port, now, finished, log)  # same-instant arrivals precede completions
         old = port.state
-        if not port.enqueue(pkt, Queue.HIGH if up else Queue.LOW, cls, now)[0]:
+        if not port.enqueue(pkt, Queue.HIGH if up else Queue.LOW, now)[0]:
             dropped.append(i)
         if log is not None and port.state is not old:
             log.append((now, old, port.state))
@@ -65,8 +63,8 @@ def drain(port, horizon, log=None):
 
 
 def drive(port, arrivals, log=None):
-    """Feed ``(t, size, queue)`` arrivals of normal class to one port on the
-    handlers, then run it until idle; frame ``i`` has flow and seq ``i``.
+    """Feed ``(t, size, queue)`` arrivals to one port on the handlers, then
+    run it until idle; frame ``i`` has flow and seq ``i``.
 
     Returns ``(departures, dropped)``: ``[(seq, departure, tx_start)]`` in
     service order and the seqs of tail-dropped frames. ``log`` gets
@@ -74,10 +72,9 @@ def drive(port, arrivals, log=None):
     """
     t, size, queue = zip(*arrivals)
     seq = np.arange(len(t))
-    cols = [np.array(t), np.array(size), seq, np.zeros(len(t), dtype=np.int64), seq,
-            np.full(len(t), NORMAL), np.array(queue) == Queue.HIGH]
+    cols = [np.array(t), np.array(size), seq, seq, np.array(queue) == Queue.HIGH]
     *_, dropped = served = serve(port, *cols, log=log)
     departures = []
     for frames, start, end, _ in (served[:4], drain(port, float("inf"), log)):
-        departures += zip(frames[4].tolist(), end.tolist(), start.tolist())
+        departures += zip(frames[3].tolist(), end.tolist(), start.tolist())
     return departures, dropped.tolist()

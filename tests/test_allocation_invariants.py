@@ -108,10 +108,10 @@ def _routes_of_run(monkeypatch, config, pkts):
     routes = {}
     serve = EeePort.serve
 
-    def logging(self, t, size, flow, dscp, seq, ci, high):
+    def logging(self, t, size, flow, seq, high):
         for s, h in zip(seq.tolist(), high.tolist()):
             routes[s] = (self.index, Queue.HIGH if h else Queue.LOW)
-        return serve(self, t, size, flow, dscp, seq, ci, high)
+        return serve(self, t, size, flow, seq, high)
 
     with monkeypatch.context() as patch:
         patch.setattr(EeePort, "serve", logging)

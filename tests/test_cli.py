@@ -393,6 +393,15 @@ def test_trace_scale_is_exact_fraction(tmp_path, capsys):
     assert dumped["sources"][0]["scale"] == "1/10"
 
 
+def test_trace_scale_without_trace_exits_2(tmp_path, capsys):
+    path = _tiny_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--trace-scale", "7", "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "--trace-scale" in err and "--trace:" in err
+    assert not out.exists()
+
+
 def _exit_code(argv):
     """main()'s return code, or argparse's exit code for a bad option."""
     try:
@@ -511,13 +520,19 @@ _BURSTY = {**_CBR, "kind": "bursty", "size": 1500}
     ({"ll_rates_bps": [], "ll_source": None}, ["--set", 'normal_rates_bps=["x"]'],
      "normal_rates_bps must be an integer"),
     ({}, ["--set", 'll_rates_bps=[1000000, 2.5]'], "ll_rates_bps must be an integer"),
+    ({}, ["--set", "sim.bound_fraction=2"], "sim.bound_fraction must be in (0, 1]"),
+    ({}, ["--set", "sim.p_lpi=3"], "0 <= sim.p_lpi <= sim.p_active"),
+    ({}, ["--set", "sim.n_ports=0", "--threads", "2"], "sim.n_ports must be >= 1"),
+    ({}, ["--set", "sim.buffer_limit=0"], "sim.buffer_limit must be >= 1"),
+    ({}, ["--set", "sim.sampling_period_ns=0"], "sim.sampling_period_ns must be positive"),
 ], ids=["no-size", "size-big", "trace-no-path", "ll-dscps-int", "sources-int",
         "bound-fraction-str", "algorithms-str", "algorithm-unknown", "track-flows-str",
         "trace-path-int", "trace-path-list", "scale-str", "scale-zero-denominator",
         "scale-list", "scale-bool", "pkts-per-frame-0", "pkts-per-frame-negative",
         "burst-pkts-0", "burst-pkts-negative", "dscp-bool", "n-ports-bool",
         "warmup-bool", "ll-dscp-99", "track-flows-nested", "p-lpi-bool", "p-active-bool",
-        "bound-fraction-bool", "normal-rates-str", "ll-rates-float"])
+        "bound-fraction-bool", "normal-rates-str", "ll-rates-float", "bound-fraction-2",
+        "p-lpi-3", "n-ports-0-on-a-pool", "buffer-limit-0", "sampling-period-0"])
 def test_run_bad_scenario_field_exits_2(tmp_path, capsys, doc, argv, message):
     path = _tiny_scenario(tmp_path, **doc)
     out = tmp_path / "out"

@@ -6,6 +6,8 @@ Every time below is a multiple of ``UNIT``, so arrivals often fall exactly
 on an epoch boundary or on a port's transmit, sleep or wake completion.
 """
 
+from collections import Counter
+
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -71,6 +73,14 @@ def _check(params, rows):
     assert report.departures == departures
     assert report.drop_seqs == dropped
     assert report.totals["queued_end"] == 0
+    # per class, a flow's class being its first packet's; the window is the
+    # whole run (warmup 0)
+    cls = {}
+    for p in pkts:
+        cls.setdefault(p.flow, "low_latency" if p.dscp in config.ll_dscps else "normal")
+    for counted, seqs in ((report.delivered, departures), (report.drops, dropped)):
+        by_class = Counter(cls[pkts[s].flow] for s in seqs)
+        assert counted == {"normal": by_class["normal"], "low_latency": by_class["low_latency"]}
 
 
 _BASE = {"n_ports": 1, "capacity": 10_000_000_000, "algorithm": "conservative",

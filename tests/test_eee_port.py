@@ -14,7 +14,7 @@ from eeesim import (
     run,
 )
 from eeesim.eee_port import EeePort, EeePortConfig, PortState, Queue
-from reference_port import NORMAL, drive
+from reference_port import drive
 
 RSEED = 424242
 TEN_G = 10_000_000_000
@@ -39,13 +39,13 @@ def _run_one_port(cfg, packets, duration):
 # -- configuration -----------------------------------------------------------
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="capacity_bps"):
         EeePortConfig(capacity_bps=0).validate()
-    with pytest.raises(ConfigError):
-        _cfg(buffer_limit=0).validate()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="port.buffer_limit"):
+        _cfg(buffer_limit=0).validate("port.")
+    with pytest.raises(ConfigError, match="p_lpi"):
         _cfg(p_lpi=2.0).validate()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="t_wake_ns"):
         _cfg(t_wake_ns=-1).validate()
 
 
@@ -60,12 +60,12 @@ def test_tx_time_rounds_to_nearest_ns():
 
 def test_wake_from_lpi_single_packet():
     port = EeePort(0, _cfg())
-    assert port.enqueue(Packet(0, 1500, 0, 0, 0), Queue.LOW, NORMAL, 0) == (True, 4480)
+    assert port.enqueue((0, 1500, 0, 0), Queue.LOW, 0) == (True, 4480)
     assert port.state is PortState.WAKE_TRANS
     port.on_wake_complete(4480)
     assert (port.state, port.next_at) == (PortState.ACTIVE, 5680)
-    pkt, cls, delay, started = port.on_tx_complete(5680)
-    assert (delay, started) == (5680, 4480)
+    pkt, delay, started = port.on_tx_complete(5680)
+    assert (pkt, delay, started) == ((0, 1500, 0, 0), 5680, 4480)
     # both queues empty: the port immediately starts its sleep transition
     assert (port.state, port.next_at) == (PortState.SLEEP_TRANS, 5680 + 2280)
     port.on_sleep_complete(5680 + 2280)
@@ -131,7 +131,7 @@ def test_fifo_within_queue():
 def test_tail_drop_when_buffer_full():
     port = EeePort(0, _cfg(buffer_limit=2))
     accepted = [
-        port.enqueue(Packet(t, 100, 0, 0, i), Queue.LOW, NORMAL, t)[0]
+        port.enqueue((t, 100, 0, i), Queue.LOW, t)[0]
         for i, t in enumerate((0, 10, 20))
     ]
     assert accepted == [True, True, False]
@@ -152,9 +152,9 @@ def test_drop_does_not_count_delivered():
 
 def test_time_regression_fault():
     port = EeePort(0, _cfg())
-    port.enqueue(Packet(100, 100, 0, 0, 0), Queue.LOW, NORMAL, 100)
+    port.enqueue((100, 100, 0, 0), Queue.LOW, 100)
     with pytest.raises(SimulationFault):
-        port.enqueue(Packet(50, 100, 0, 0, 1), Queue.LOW, NORMAL, 50)
+        port.enqueue((50, 100, 0, 1), Queue.LOW, 50)
 
 
 def test_tx_complete_without_transmission_fault():
@@ -165,7 +165,7 @@ def test_tx_complete_without_transmission_fault():
 
 def test_wake_complete_with_empty_queues_fault():
     port = EeePort(0, _cfg())
-    port.enqueue(Packet(0, 100, 0, 0, 0), Queue.LOW, NORMAL, 0)
+    port.enqueue((0, 100, 0, 0), Queue.LOW, 0)
     port.low.popleft()  # lose the frame that started the wake
     with pytest.raises(SimulationFault):
         port.on_wake_complete(4480)

@@ -295,9 +295,9 @@ def test_flows_register_once_and_keep_planned_routes(monkeypatch, algorithm,
         dispatched.append((list(flows), dscp.tolist()))
         return dispatch(self, flows, dscp)
 
-    def log_serve(self, t, size, flow, dscp, seq, ci, in_high):
+    def log_serve(self, t, size, flow, seq, in_high):
         served.extend((s, self.index, h) for s, h in zip(seq.tolist(), in_high.tolist()))
-        return serve(self, t, size, flow, dscp, seq, ci, in_high)
+        return serve(self, t, size, flow, seq, in_high)
 
     def log_epoch(self, now):
         plans.append(control_epoch(self, now))
@@ -590,7 +590,7 @@ def _lose_third_frame(monkeypatch):
 
     def lossy(self, *arrivals):
         served = serve(self, *arrivals)
-        if 2 in arrivals[4]:
+        if 2 in arrivals[3]:
             self.low.tail -= 1  # the third frame, accepted, then silently lost
         return served
 
@@ -624,6 +624,15 @@ def test_duration_beyond_int64_rejected():
     config.duration_ns = 2**63
     with pytest.raises(ConfigError, match="below 2"):
         run(config, [])
+
+
+def test_unequal_bundle_and_port_capacities_rejected():
+    # plans would size a 10G bundle while its 1G ports drop the excess
+    config = make_config(n_ports=5)
+    config.port.capacity_bps = 1_000_000_000
+    pkts = [Packet(i * 4_000, 1500, "cbr", 0, i) for i in range(100)]  # 3 Gb/s
+    with pytest.raises(ConfigError, match=r"bundle\.capacity_bps .* port\.capacity_bps"):
+        run(config, pkts)
 
 
 def test_packet_size_outside_the_frame_range_rejected():

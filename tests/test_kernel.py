@@ -53,14 +53,14 @@ TEN_G = 10_000_000_000
 #: arrivals per segment and per serve call; 4096 serves each port once
 SERVE_SIZES = st.sampled_from([1, 2, 3, 7, 4096])
 
-_STATE = ("state", "state_since", "next_at", "clock", "tx_packet", "tx_class",
+_STATE = ("state", "state_since", "next_at", "clock", "tx_packet",
           "tx_start", "residence_ns", "wakes", "sleeps")
 
 
 def _queued(queue):
-    """The frames waiting in one of a port's queues, as ``(pkt, cls)`` pairs."""
-    t, size, flow, dscp, seq, ci, _ = (col.tolist() for col in queue.waiting())
-    return list(zip(zip(t, size, flow, dscp, seq), ci))
+    """The frames waiting in one of a port's queues, as ``(t, size, flow, seq)``."""
+    t, size, flow, seq, _ = (col.tolist() for col in queue.waiting())
+    return list(zip(t, size, flow, seq))
 
 
 def _snapshot(port):
@@ -94,7 +94,7 @@ def _run(monkeypatch, path, config, stream):
 
     def recording(port, *arrivals):
         *served, dropped = serve(port, *arrivals)
-        seq = arrivals[4]
+        seq = arrivals[3]
         states.append((_snapshot(port), _returned(served), seq[dropped].tolist()))
         return (*served, dropped)
 
@@ -109,7 +109,7 @@ def _run(monkeypatch, path, config, stream):
 def _returned(served):
     """The completions of one ``serve`` or ``drain`` return, independent of
     the path: sorted ``(seq, start, end)`` of the frames done."""
-    (_, _, _, _, seq, _), start, end, done = served
+    (_, _, _, seq), start, end, done = served
     return sorted(zip(seq[done].tolist(), start[done].tolist(), end[done].tolist()))
 
 
@@ -470,11 +470,10 @@ def drain_cases(draw):
 
 
 def _arrivals(rows):
-    """Columns of ``serve`` for ``(gap, size, high)`` rows; the class
-    index follows the queue."""
+    """Columns of ``serve`` for ``(gap, size, high)`` rows."""
     gap, size, high = (np.array(col) for col in zip(*rows))
     seq = np.arange(len(rows))
-    return [np.cumsum(gap) * UNIT, size, seq, 46 * high, seq, high.astype(np.int64), high]
+    return [np.cumsum(gap) * UNIT, size, seq, seq, high]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
@@ -497,7 +496,7 @@ def test_drain_matches_the_handlers_at_any_horizon(case):
     finished, log = [], []
     reference_port.fire(probe, float("inf"), finished, log)
     events = sorted({now for now, _, _ in log}
-                    | {x for pkt, _, delay, started in finished
+                    | {x for pkt, delay, started in finished
                        for x in (started, pkt[0] + delay)})
     horizons = []
     for k, mid, shift in picks:
@@ -517,9 +516,8 @@ def test_kernel_rejects_arrivals_out_of_order():
     port = EeePort(0, EeePortConfig(capacity_bps=TEN_G))
     cols = [np.array(x, dtype=np.int64) for x in ([5, 3], [100, 100])]
     flows = np.zeros(2, dtype=np.int64)
-    other = [np.zeros(2, dtype=np.int64)] * 3
     with pytest.raises(SimulationFault, match="not time-ordered"):
-        port.serve(*cols, flows, *other, np.zeros(2, dtype=bool))
+        port.serve(*cols, flows, flows, np.zeros(2, dtype=bool))
 
 
 @pytest.mark.parametrize("t_wake, size", [(2**63 - 1000, 1500), (0, 10**17)])
@@ -527,7 +525,7 @@ def test_kernel_refuses_times_that_could_leave_int64(t_wake, size):
     # SimConfig.validate and batches keep such a port or frame out of a run;
     # serve called directly checks the bound again and changes nothing
     port = EeePort(0, EeePortConfig(capacity_bps=TEN_G, t_wake_ns=t_wake))
-    arrivals = [np.array([0, 10]), np.array([1500, size])] + [np.zeros(2, dtype=np.int64)] * 4
+    arrivals = [np.array([0, 10]), np.array([1500, size])] + [np.zeros(2, dtype=np.int64)] * 2
     with pytest.raises(SimulationFault, match="could leave int64"):
         port.serve(*arrivals, np.zeros(2, dtype=bool))
     assert (port.state, port.held) == (eee_port.LPI, 0)

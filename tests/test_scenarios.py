@@ -144,7 +144,8 @@ def test_integer_sim_fields_stay_integers():
     assert type(config.duration_ns) is int and config.duration_ns == 300_000_000
     assert type(config.port.t_wake_ns) is int and config.port.t_wake_ns == 4480
     assert [type(d) for d in config.ll_dscps] == [int] and config.ll_dscps == {46}
-    doc["sim"]["warmup_ns"] = None
+    # warmup None is one sampling period, 5e8, which must end before the run does
+    doc["sim"].update(warmup_ns=None, duration_ns=1e9)
     assert build_sim_config(Scenario.from_dict(doc), "conservative").warmup_ns is None
 
 
