@@ -14,12 +14,13 @@ numbered once per run in order of first sighting, over which the
 :class:`FlowTable` keeps byte counters and routes in int64 arrays. One
 :meth:`FlowTable.dispatch` call registers the flows new in a segment. A
 segment is routed with one ``take`` of the route array, its bytes counted
-with an int64 ``np.add.at``, and grouped by port, stably; names come back
-only in ``delay_log`` and tracked flows. A flow's class is bit 0 of its
-route, set once from its first packet's dscp: a port run is ``t, size,
-flow, seq`` and the queue, and the tally reads the class from the flow. A
+with an int64 ``np.add.at``, and grouped by port with a stable radix sort
+of the ports as the smallest unsigned ints that hold them; names come back
+only in ``delay_log`` and tracked flows. A flow's class is bit 0 of its route,
+set once from its first packet's dscp: a port run is ``t, size, flow, seq``
+and the queue, and the tally reads the class from the flow. A
 port meets only its own arrivals, so each port holds its share across
-segments and epochs and takes ``SLAB_PKTS // 2`` to :data:`SLAB_PKTS` of
+segments and epochs and takes :data:`_SERVE_PKTS` to :data:`_RUN_PKTS` of
 them per :meth:`EeePort.serve` call, and the rest before it drains. How a
 port's arrivals are cut into runs changes only the order of delay samples
 and ``delay_log`` rows, and no statistic depends on it.
@@ -54,6 +55,12 @@ from .errors import ConfigError, SimulationFault
 from .traffic import DEFAULT_LL_DSCPS, MAX_FRAME_BYTES, SLAB_PKTS, batches
 
 _INF = float("inf")
+#: most arrivals routed at once; bounds the per-arrival arrays of a segment
+_SEGMENT_PKTS = 2 * SLAB_PKTS
+#: fewest routed arrivals a port is served at once, but for its last run
+_SERVE_PKTS = SLAB_PKTS
+#: most arrivals one :meth:`EeePort.serve` call takes
+_RUN_PKTS = 2 * SLAB_PKTS
 
 
 @dataclass
@@ -89,13 +96,13 @@ class SimConfig:
         if self.duration_ns <= 0:
             raise ConfigError(f"{own}duration_ns must be positive")
         # Port times are int64, and none exceeds D + 2 (t_sleep + t_wake) +
-        # (B + SLAB_PKTS + 2) W, with D the duration, B the buffer limit and W
+        # (B + _RUN_PKTS + 2) W, with D the duration, B the buffer limit and W
         # the wire time of a MAX_FRAME_BYTES frame: arrivals come before D, so
         # a port's next transition is due before D plus one of W, t_sleep and
         # t_wake, and from there one serve call sends at most B queued frames,
-        # the one in flight and SLAB_PKTS arrivals, after a sleep and a wake.
+        # the one in flight and _RUN_PKTS arrivals, after a sleep and a wake.
         cfg = self.port
-        top = (cfg.buffer_limit + SLAB_PKTS + 2) * cfg.tx_time_ns(MAX_FRAME_BYTES)
+        top = (cfg.buffer_limit + _RUN_PKTS + 2) * cfg.tx_time_ns(MAX_FRAME_BYTES)
         if self.duration_ns + 2 * (cfg.t_sleep_ns + cfg.t_wake_ns) + top >= 2**63:
             raise ConfigError(f"{own}duration_ns, {port}t_sleep_ns, {port}t_wake_ns, "
                               f"{port}buffer_limit and {port}capacity_bps must keep port "
@@ -384,12 +391,6 @@ class _Tally:
             self.drop_seqs.update(seq[dropped].tolist())
 
 
-#: most arrivals routed at once; bounds the per-arrival arrays of a segment
-_SEGMENT_PKTS = 2 * SLAB_PKTS
-#: fewest routed arrivals a port is served at once, but for its last run
-_SERVE_PKTS = SLAB_PKTS // 2
-
-
 def run(config: SimConfig, stream) -> MetricsReport:
     """Simulate one packet stream through the bundle.
 
@@ -407,6 +408,7 @@ def run(config: SimConfig, stream) -> MetricsReport:
     """
     config.validate()
     n_ports = config.bundle.n_ports
+    key = np.min_scalar_type(n_ports - 1)  # holds any port; 8 or 16 bits radix-sort
     duration = config.duration_ns
     warmup = config.resolved_warmup()
     period = config.sampling_period_ns
@@ -448,7 +450,7 @@ def run(config: SimConfig, stream) -> MetricsReport:
         r = table.route[c]
         seg = (t[lo:hi], size[lo:hi], c, seq[lo:hi], (r & 2) > 0)
         on_port = r >> 2
-        order = np.argsort(on_port, kind="stable")
+        order = np.argsort(on_port.astype(key), kind="stable")
         b = 0
         for i, e in enumerate(np.cumsum(np.bincount(on_port, minlength=n_ports)).tolist()):
             if e > b:
@@ -462,14 +464,14 @@ def run(config: SimConfig, stream) -> MetricsReport:
     pending: list = [[] for _ in ports]
 
     def serve(i, least=_SERVE_PKTS):
-        """Serve port ``i``'s pending arrivals, at most SLAB_PKTS a call,
+        """Serve port ``i``'s pending arrivals, at most _RUN_PKTS a call,
         while at least ``least`` of them remain."""
         parts = pending[i]
         cols = parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
         parts.clear()  # free the parts before the port makes its temporaries
         n, lo = len(cols[0]), 0
         while n - lo >= least:
-            run = [col[lo:lo + SLAB_PKTS] for col in cols]
+            run = [col[lo:lo + _RUN_PKTS] for col in cols]
             *served, dropped = ports[i].serve(*run)
             tally.frames(*served)
             if len(dropped):

@@ -416,6 +416,7 @@ def run_scenario(scenario: Scenario, output_dir=None, threads=None,
     function of the scenario, so re-running overwrites identical bytes.
     """
     out = Path(output_dir or scenario.output_dir or f"out/{scenario.name}")
+    scenario.validate()  # a bad scenario leaves no output dir behind
     out.mkdir(parents=True, exist_ok=True)
     jobs, reports = run_sweep(scenario, threads)
     written = []

@@ -10,8 +10,9 @@ iterable of :class:`Slab` s: int64 numpy columns ``t``, ``size`` and
 ``dscp`` plus ``flow``, time-ordered, at most :data:`SLAB_PKTS` packets
 each (a frames slab holds whole frames). Flows travel as int codes into
 the source's table of names. CBR is a frames train of one packet per
-frame. Sources validate their arguments when called but synthesize
-nothing before the first ``next()``. Every arrival
+frame; a synthetic source's other columns are stride-0 views of one value.
+Sources validate their arguments when called but synthesize nothing
+before the first ``next()``. Every arrival
 time comes from an exact integer formula; a column is computed in int64
 only where a bound shows that no intermediate exceeds ``2**63 - 1``, and
 with Python ints otherwise.
@@ -187,9 +188,8 @@ def _count_below(num: int, den: int, limit: int) -> int:
 
 def _const_columns(n: int, size: int, flow: str, dscp: int) -> tuple:
     """Size, flow (code 0) and dscp columns for up to ``n`` packets of one
-    source, and its table of names."""
-    return (np.full(n, size, dtype=np.int64), np.zeros(n, dtype=np.int64),
-            np.full(n, dscp, dtype=np.int64), (flow,))
+    source, as read-only stride-0 views, and its table of names."""
+    return (*(np.broadcast_to(np.int64(x), n) for x in (size, 0, dscp)), (flow,))
 
 
 def _const_slab(t: np.ndarray, columns: tuple) -> Slab:

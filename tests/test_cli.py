@@ -346,6 +346,17 @@ def test_mininet_scenario_command_smoke(tmp_path, capsys):
     assert len(lines) == 4  # header + conservative, spare_port, two_queues
 
 
+def test_mininet_scenario_shorter_than_its_warmup_exits_2_before_any_output(
+        tmp_path, capsys):
+    # 1 s ends before the testbed's 1.5 s warm-up
+    out_dir = tmp_path / "out"
+    rc = main(["mininet-scenario", "--duration", "1s", "--output-dir", str(out_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "sim.warmup_ns" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_trace_substitution(tmp_path, capsys):
     trace = tmp_path / "replay.csv"
     main(["gen", "--rate", "40M", "--size", "1500", "--duration", "20ms",

@@ -246,17 +246,44 @@ def test_merge_tie_at_slab_boundary():
                    (10, "b"), (10, "c")]
 
 
+def _synthetic_sources():
+    return {"cbr-flow": cbr_slabs(10**9, 100, 0, 10**6, flow="cbr-flow"),
+            "frames-flow": frames_slabs(10**9, 100, 46, 10**6, 10**10, flow="frames-flow"),
+            "bursty-flow": bursty_slabs(400, 100, 0, 10**6, 2, 10**10, 10**6,
+                                        flow="bursty-flow")}
+
+
 def test_synthetic_flow_column_shares_one_str():
-    # 8 bytes a packet for the flow, code 0 into one table of one name
-    sources = {"cbr-flow": cbr_slabs(10**9, 100, 0, 10**6, flow="cbr-flow"),
-               "frames-flow": frames_slabs(10**9, 100, 0, 10**6, 10**10, flow="frames-flow"),
-               "bursty-flow": bursty_slabs(400, 100, 0, 10**6, 2, 10**10, 10**6,
-                                           flow="bursty-flow")}
-    for name, source in sources.items():
+    # code 0 into one table of one name
+    for name, source in _synthetic_sources().items():
         slabs = list(source)
         flows = np.concatenate([slab.flow for slab in slabs])
         assert len(flows) > 1 and flows.dtype == np.int64 and not flows.any()
         assert all(slab.names is slabs[0].names == (name,) for slab in slabs)
+
+
+def test_synthetic_constant_columns_are_read_only_stride_0_views():
+    # a source stores only its times: size, flow and dscp are one value each
+    for source in _synthetic_sources().values():
+        for slab in source:
+            for col in (slab.size, slab.flow, slab.dscp):
+                assert col.strides == (0,) and not col.flags.writeable
+                assert len(col) == len(slab.t)
+
+
+@pytest.mark.parametrize("names", [["cbr-flow"], ["cbr-flow", "frames-flow", "bursty-flow"]])
+def test_merge_of_views_equals_merge_of_materialized_columns(names):
+    def materialized(source):
+        for slab in source:
+            yield Slab(slab.t, *(np.array(col) for col in slab[1:4]), slab.names)
+
+    views = list(merge_slabs([_synthetic_sources()[name] for name in names]))
+    copies = list(merge_slabs([materialized(_synthetic_sources()[name]) for name in names]))
+    assert len(views) == len(copies) > 1
+    for a, b in zip(views, copies):
+        assert a.names == b.names
+        for x, y in zip(a[:5], b[:5]):
+            assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
 
 
 # -- exact int64 arithmetic ----------------------------------------------------

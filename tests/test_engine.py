@@ -221,19 +221,19 @@ def test_epoch_rank_matches_a_fresh_sort_across_registrations(monkeypatch):
         assert rank.tolist() == flow_rank(flows).tolist()
 
 
-def test_ports_are_served_in_half_slabs_and_match_the_oracle(monkeypatch):
+def test_ports_are_served_in_runs_of_one_to_two_slabs_and_match_the_oracle(monkeypatch):
     # Each port holds its routed arrivals across segments, batches and
-    # epochs and is served SLAB_PKTS // 2 to SLAB_PKTS of them at a time,
-    # but for its last run. Every flow sits on port 0 until the first epoch,
-    # where a 16-frame buffer drops; the plans that spread the flows, and
-    # the ones that place "late", land while ports hold arrivals. The stream
-    # is one batch, so port 0 takes all ~5,600 arrivals before the first
-    # epoch at once and holds the ones past SLAB_PKTS across it.
+    # epochs and is served engine._SERVE_PKTS to engine._RUN_PKTS of them
+    # at a time, but for its last run. Every flow sits on port 0 until the
+    # first epoch, where a 16-frame buffer drops; the plans that spread the
+    # flows, and the ones that place "late", land while ports hold
+    # arrivals. The stream is one batch, and port 0 takes ~9,500 arrivals
+    # before the first epoch: one full run, and the rest held across it.
     streams = [cbr_slabs(4 * 10**9, 1500, 0, 12_000_000, flow=f"bulk{i}")
                for i in range(4)]
     streams.append(cbr_slabs(400_000_000, 125, 46, 12_000_000, flow="rt"))
     streams.append(cbr_slabs(4 * 10**9, 1500, 0, 5_000_000, 7_000_000, "late"))
-    streams.append(cbr_slabs(2 * 10**9, 64, 0, 1_000_000, flow="burst"))
+    streams.append(cbr_slabs(4 * 10**9, 64, 0, 1_000_000, flow="burst"))
     merged = list(merge_slabs(streams))
     batch = Batch(*map(np.concatenate, zip(*(b[:5] for b in merged))), merged[-1].names)
     pkts = list(packets([batch]))
@@ -257,9 +257,12 @@ def test_ports_are_served_in_half_slabs_and_match_the_oracle(monkeypatch):
     report = run(config, [batch])
 
     assert sorted(runs) == [0, 1, 2] and max(map(len, runs.values())) >= 3
+    least, most = engine._SERVE_PKTS, engine._RUN_PKTS
+    assert (least, most) == (SLAB_PKTS, 2 * SLAB_PKTS)
     for port_runs in runs.values():
-        assert all(SLAB_PKTS // 2 <= n <= SLAB_PKTS for n, _, _ in port_runs[:-1])
-        assert 0 < port_runs[-1][0] <= SLAB_PKTS
+        assert all(least <= n <= most for n, _, _ in port_runs[:-1])
+        assert 0 < port_runs[-1][0] <= most
+    assert runs[0][0][0] == most and runs[0][1][1] < plans[0][0] <= runs[0][1][2]
     changed = [now for (now, plan), (_, before) in zip(plans[1:], plans) if plan != before]
     spanned = [now for now in [plans[0][0], *changed] for port_runs in runs.values()
                for _, first, last in port_runs if first < now <= last]
@@ -334,6 +337,44 @@ def _mixed_scenario(algorithm, include_ll=True):
     if include_ll:
         streams.append(cbr_slabs(50_000_000, 125, 46, 50_000_000, flow="rt"))
     return config, list(packets(merge_slabs(streams)))
+
+
+def _sort_keys(monkeypatch) -> list:
+    """The dtypes of the arrays np.argsort sorts from now on."""
+    keys = []
+    argsort = np.argsort
+
+    def logging(a, *args, **kwargs):
+        keys.append(np.asarray(a).dtype)
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", logging)
+    return keys
+
+
+@pytest.mark.parametrize("n_ports, key", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
+def test_segments_group_by_port_on_the_smallest_unsigned_key(monkeypatch, n_ports, key):
+    keys = _sort_keys(monkeypatch)
+    run(make_config(n_ports=n_ports), [Packet(0, 1500, "f", 0, 0)])
+    assert {k for k in keys if k.kind == "u"} == {np.dtype(key)}
+
+
+def test_flows_on_ports_past_255_match_the_oracle(monkeypatch):
+    # 300 flows of 0.95 Gb/s spread over ports up to 287 of 300: a uint8 key
+    # would sort port 287 with port 31
+    n, period = 300, 200_000
+    streams = [cbr_slabs(950_000_000, 1500, 46 if i % 7 == 0 else 0, 3 * period,
+                         flow=f"f{i:03d}") for i in range(n)]
+    pkts = list(packets(merge_slabs(streams)))
+    config = make_config(n_ports=n, capacity=1_000_000_000, algorithm=Algorithm.TWO_QUEUES,
+                         duration=3 * period + 1_000_000, period=period, buffer_limit=4)
+    keys = _sort_keys(monkeypatch)
+    report = run(config, pkts)
+    assert {k for k in keys if k.kind == "u"} == {np.dtype(np.uint16)}
+    assert max(k for _, k, _ in report.epoch_loads) > 256
+    departures, dropped = oracle_simulate(config, pkts)
+    assert report.departures == departures
+    assert report.drop_seqs == dropped and len(dropped) > 0
 
 
 def test_run_is_deterministic():

@@ -38,7 +38,6 @@ from eeesim.eee_port import EeePort
 from eeesim.engine import _delay_stats
 from eeesim.traffic import (
     MAX_FRAME_BYTES,
-    SLAB_PKTS,
     Batch,
     cbr_slabs,
     merge_slabs,
@@ -394,12 +393,10 @@ def test_kernel_counts_transitions_like_the_handlers(monkeypatch):
     assert all(s <= w <= s + 1 for w, s in by_kernel.transitions)
 
 
-def test_times_up_to_the_int64_bound_match_the_handlers(monkeypatch):
-    # SimConfig.validate bounds every port time by duration + 2 (t_sleep +
-    # t_wake) + (buffer_limit + SLAB_PKTS + 2) wire(MAX_FRAME_BYTES). A wake
-    # that puts the bound exactly at 2**63 - 1 runs like the handlers and
-    # the oracle, with the frames held through a wake of ~2**61 ns; one
-    # nanosecond more is refused before the run starts.
+def _at_the_int64_bound():
+    """A config whose port-time bound, as SimConfig.validate takes it, is
+    exactly 2**63 - 1: duration + 2 (t_sleep + t_wake) + (buffer_limit +
+    engine._RUN_PKTS + 2) wire(MAX_FRAME_BYTES), with a wake of ~2**61 ns."""
     port = EeePortConfig(capacity_bps=TEN_G, t_sleep_ns=7)
     config = SimConfig(
         bundle=BundleConfig(n_ports=2, capacity_bps=TEN_G,
@@ -411,9 +408,17 @@ def test_times_up_to_the_int64_bound_match_the_handlers(monkeypatch):
         record_departures=True,
     )
     room = (2**63 - 1 - config.duration_ns - 2 * port.t_sleep_ns
-            - (port.buffer_limit + SLAB_PKTS + 2) * port.tx_time_ns(MAX_FRAME_BYTES))
+            - (port.buffer_limit + engine._RUN_PKTS + 2) * port.tx_time_ns(MAX_FRAME_BYTES))
     assert room % 2 == 0
     port.t_wake_ns = room // 2
+    return config
+
+
+def test_times_up_to_the_int64_bound_match_the_handlers(monkeypatch):
+    # At the bound, a run goes like the handlers and the oracle, with the
+    # frames held through the wake; one nanosecond more is refused before
+    # the run starts.
+    config = _at_the_int64_bound()
     pkts = [Packet(i * 1000, 1500, f"f{i % 3}", 46 * (i % 2), i) for i in range(200)]
     by_kernel, states = _run(monkeypatch, "kernel", config, pkts)
     by_handlers, handler_states = _run(monkeypatch, "handlers", config, pkts)
@@ -422,9 +427,37 @@ def test_times_up_to_the_int64_bound_match_the_handlers(monkeypatch):
     departures, dropped = oracle_simulate(config, pkts)
     assert by_kernel.departures == departures and not dropped
     assert max(departures.values()) > 2**60
-    port.t_wake_ns += 1
+    config.port.t_wake_ns += 1
     with pytest.raises(ConfigError, match="port.t_wake_ns"):
         run(config, pkts)
+
+
+def test_a_full_run_at_the_int64_bound_matches_the_handlers(monkeypatch):
+    # One serve call takes engine._RUN_PKTS arrivals of MAX_FRAME_BYTES in
+    # one batch, and the wake holds them all; they leave just before the end.
+    config = _at_the_int64_bound()
+    n = engine._RUN_PKTS
+    pkts = [Packet(2**61 + i * 1000, MAX_FRAME_BYTES, "f", 0, i) for i in range(n)]
+    stream = list(_batches(pkts, []))
+    served = []
+    serve = EeePort.serve
+
+    def logging(port, t, *cols):
+        served.append((port.index, len(t)))
+        return serve(port, t, *cols)
+
+    monkeypatch.setattr(EeePort, "serve", logging)
+    by_kernel, states = _run(monkeypatch, "kernel", config, stream)
+    assert served == [(0, n)]
+    by_handlers, handler_states = _run(monkeypatch, "handlers", config, stream)
+    _assert_same(by_kernel, by_handlers)
+    assert states == handler_states
+    departures, dropped = oracle_simulate(config, pkts)
+    assert by_kernel.departures == departures and not dropped
+    assert len(departures) == n and max(departures.values()) > 2**62 - 10**9
+    config.port.t_wake_ns += 1
+    with pytest.raises(ConfigError, match="port.t_wake_ns"):
+        run(config, stream)
 
 
 def test_one_bit_per_second_matches_the_handlers(monkeypatch):
