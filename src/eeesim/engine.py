@@ -18,12 +18,13 @@ with an int64 ``np.add.at``, and grouped by port with a stable radix sort
 of the ports as the smallest unsigned ints that hold them; names come back
 only in ``delay_log`` and tracked flows. A flow's class is bit 0 of its route,
 set once from its first packet's dscp: a port run is ``t, size, flow, seq``
-and the queue, and the tally reads the class from the flow. A
-port meets only its own arrivals, so each port holds its share across
-segments and epochs and takes :data:`_SERVE_PKTS` to :data:`_RUN_PKTS` of
-them per :meth:`EeePort.serve` call, and the rest before it drains. How a
-port's arrivals are cut into runs changes only the order of delay samples
-and ``delay_log`` rows, and no statistic depends on it.
+and the queue, and the tally reads the class from the flow. A port meets
+only its own arrivals, so each port holds its share across segments and
+epochs and takes :data:`_SERVE_PKTS` to :data:`_RUN_PKTS` of them (one to
+two slabs, 8,192 to 16,384) per :meth:`EeePort.serve` call, and the rest
+before it drains. How a port's arrivals are cut into runs changes only the
+order of delay samples and ``delay_log`` rows, and no statistic depends on
+it.
 
 Events at the same nanosecond keep a fixed order: control epochs first (a
 plan takes effect at exactly t = nT), then arrivals in stream order, then
@@ -495,8 +496,7 @@ def run(config: SimConfig, stream) -> MetricsReport:
         late = np.flatnonzero(t >= duration) if n and t.max() >= duration else ()
         cut = int(late[0]) if len(late) else n
         if cut:
-            prev = np.concatenate(([last_arrival], t[:cut - 1]))
-            back = np.flatnonzero(t[:cut] < prev)
+            back = np.flatnonzero(t[:cut] < np.concatenate(([last_arrival], t[:cut - 1])))
             if len(back):
                 raise SimulationFault(
                     f"arrival stream not time-ordered at t={t[back[0]]}")
@@ -514,6 +514,7 @@ def run(config: SimConfig, stream) -> MetricsReport:
                 lo = hi
         if cut < n:
             break
+        del batch, t  # free the batch before the stream builds the next
     while next_epoch < duration:
         next_epoch = fire_epoch(next_epoch)
     for i, port in enumerate(ports):

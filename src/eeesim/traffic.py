@@ -28,7 +28,9 @@ replays an earlier complete read of an unchanged regular file.
 index, position in source) and yields :class:`Batch` es, one column per
 field of the packet tuple ``(arrival_time, size, flow, dscp, seq)``,
 ``flow`` renumbered with one ``take`` per slab into the stream's table of
-names (a lone source's table is the stream's). Names come back only at the
+names (a lone source's table is the stream's). It holds each source's
+slabs as views until it emits them, and a batch holds about ``2 *
+SLAB_PKTS`` packets at most, sorted once. Names come back only at the
 edges: :func:`packets` is the one place that turns batches into tuples and
 :func:`batches` the one place that turns tuples into batches. A packet
 tuple is read by position only, so a :class:`Packet` and a plain tuple are
@@ -70,7 +72,12 @@ TRACE_HEADER = ("t_ns", "flow", "bytes", "dscp")
 FRAME_UNIT_BPS = 100_000_000
 
 #: packets per slab; batches are converted to and from tuples in runs this long.
-SLAB_PKTS = 4096
+SLAB_PKTS = 8192
+
+#: most trace lines one ``loadtxt`` call parses, so a trace slab holds at
+#: most this many packets or SLAB_PKTS, whichever is fewer: a chunk makes a
+#: ``str`` per row for its flows
+TRACE_CHUNK_LINES = 4096
 
 _I64_MAX = 2**63 - 1
 
@@ -203,12 +210,6 @@ def _take(slab: Slab, index) -> Slab:
     return Slab(*(col[index] for col in slab[:4]), slab.names)
 
 
-def _concat(slabs) -> Slab:
-    """One slab of ``slabs``, which share a table of names or extend it."""
-    cols = zip(*(slab[:4] for slab in slabs))
-    return Slab(*(np.concatenate(c) for c in cols), slabs[-1].names)
-
-
 # -- sources ------------------------------------------------------------------
 
 def cbr_slabs(rate_bps, pkt_size: int, dscp: int, duration_ns: int,
@@ -270,6 +271,7 @@ def frames_slabs(rate_bps, pkt_size, dscp, duration_ns, line_rate_bps,
             f = np.arange(lo, min(lo + per_slab, n_frames), dtype=np.int64)
             starts = _round_div_col(f, frame_num, frame_den, start_offset_ns)
             t = (starts[:, None] + within).ravel()
+            del f, starts  # held by no slab
             late = np.flatnonzero(t >= end)
             if late.size:
                 if late[0]:
@@ -325,6 +327,7 @@ def bursty_slabs(pkts_per_window, pkt_size, dscp, window_ns, bursts_per_window,
                 k = np.arange(lo, min(lo + SLAB_PKTS, pkts_per_window), dtype=np.int64)
                 burst = np.searchsorted(first, k, side="right") - 1
                 t = starts[burst] + (k - first[burst]) * intra
+                del k, burst  # held by no slab
                 late = np.flatnonzero(t >= duration_ns)
                 if late.size:
                     if late[0]:
@@ -500,10 +503,11 @@ def trace_slabs(path, factor=1) -> Iterator[Slab]:
     """Slabs of a trace-csv file in file order, arrival times divided by ``factor``.
 
     Expected header: ``t_ns,flow,bytes,dscp``; fields follow csv quoting.
-    Each chunk of :data:`SLAB_PKTS` lines is parsed by one
-    :func:`numpy.loadtxt` call and checked in bulk, unless it holds a ``"``,
-    a character outside printable ASCII and tab to carriage return or a line
-    over ``csv.field_size_limit()``, or ``loadtxt`` or a check rejects it.
+    Each chunk of :data:`TRACE_CHUNK_LINES` lines (:data:`SLAB_PKTS` if
+    fewer) is parsed by one :func:`numpy.loadtxt` call and checked in bulk,
+    unless it holds a ``"``, a character outside printable ASCII and tab to
+    carriage return or a line over ``csv.field_size_limit()``, or
+    ``loadtxt`` or a check rejects it.
     Such a chunk is read by the csv reader, on to the end of a quoted record
     the chunk cuts, and parsed by the row parser, which alone decides
     errors: a malformed row, an undecodable byte or a timestamp running
@@ -544,7 +548,7 @@ def trace_slabs(path, factor=1) -> Iterator[Slab]:
                 )
             last_t = -1
             lineno = 1
-            while lines := list(islice(fh, SLAB_PKTS)):
+            while lines := list(islice(fh, min(SLAB_PKTS, TRACE_CHUNK_LINES))):
                 cols = _parse_lines(lines, last_t)
                 if cols is not None:
                     lineno += len(lines)
@@ -577,18 +581,23 @@ def merge_slabs(sources: Iterable[Iterable[Slab]]) -> Iterator[Batch]:
     """Merge time-ordered slab sources into one stream of :class:`Batch` es.
 
     Packets are ordered by (time, source index, position in source), with
-    ``seq`` numbering the output. Each round emits, as one batch, every
-    buffered packet earlier than the smallest last buffered time of the
-    sources not yet exhausted, then refills the sources that set it, so the
-    order does not depend on where slabs end. With several sources, each
+    ``seq`` numbering the output. Each source keeps the slabs it has not yet
+    emitted as views. A round emits, as one batch, the packets earlier than
+    the horizon, the smallest last held time of the sources not yet
+    exhausted, but at most ``2 * SLAB_PKTS // k`` from each of the ``k``
+    sources that hold packets: where a source has more, the round ends at
+    the first packet, in stream order, that a source could not give. A round
+    that reaches the horizon refills the sources that set it. So no batch
+    holds much more than ``2 * SLAB_PKTS`` packets, and the order depends on
+    neither where slabs end nor where rounds end. With several sources, each
     one's flow codes are renumbered into the stream's table of names as its
     slabs arrive, a new name taking the next code; a lone source's codes and
     table are the stream's. Nothing is read from the sources before the
     first ``next()``.
     """
     feeds = [iter(s) for s in sources]
-    buf = [None] * len(feeds)   # not yet emitted packets of each source
-    last = [-1] * len(feeds)    # time of each source's last buffered packet
+    held = [[] for _ in feeds]  # each source's slabs not yet emitted, as views
+    last = [-1] * len(feeds)    # time of each source's last held packet
     codes_of, names = _numbering()  # the stream's codes
     # each source's codes -> the stream's, for the names it has shown so far
     recode = [np.empty(0, dtype=np.int64) for _ in feeds]
@@ -609,35 +618,83 @@ def merge_slabs(sources: Iterable[Iterable[Slab]]) -> Iterator[Batch]:
                 known = len(recode[i])
                 if len(slab.names) > known:
                     recode[i] = np.concatenate((recode[i], codes_of(slab.names[known:])))
-                slab = slab._replace(flow=recode[i][slab.flow], names=names)
-            buf[i] = slab if buf[i] is None else _concat((buf[i], slab))
+                slab = slab._replace(flow=_lookup(recode[i], slab.flow), names=names)
+            held[i].append(slab)
             last[i] = int(t[-1])
             return True
         return False
 
     live = [i for i in range(len(feeds)) if pull(i)]  # may yield more slabs
     seq = 0
-    while True:
+    while busy := [i for i, views in enumerate(held) if views]:
         horizon = min(last[i] for i in live) if live else None
-        parts = []
-        for i, b in enumerate(buf):
-            if b is None:
-                continue
-            cut = len(b.t) if horizon is None else int(np.searchsorted(b.t, horizon))
-            if cut:
-                parts.append(_take(b, slice(None, cut)))
-                buf[i] = _take(b, slice(cut, None)) if cut < len(b.t) else None
-        if parts:
-            out = parts[0]
-            if len(parts) > 1:
-                out = _concat(parts)
-                out = _take(out, np.argsort(out.t, kind="stable"))
-            n = len(out.t)
-            yield Batch(*out[:4], np.arange(seq, seq + n, dtype=np.int64), out.names)
+        quota = max(1, 2 * SLAB_PKTS // len(busy))
+        cuts = {i: _before(held[i], horizon) for i in busy}
+        capped = [(_time_at(held[i], quota), i) for i in busy if cuts[i] > quota]
+        if capped:  # end the round at the first packet a source could not give
+            at, k = min(capped)
+            cuts = {i: quota if i == k else _before(held[i], at, "right" if i < k else "left")
+                    for i in busy}
+        n = sum(cuts.values())
+        if n:
+            yield _round([part for i in busy for part in _split(held[i], cuts[i])], seq)
             seq += n
-        if not live:
-            return
-        live = [i for i in live if last[i] != horizon or pull(i)]
+        if not capped:
+            live = [i for i in live if last[i] != horizon or pull(i)]
+
+
+def _lookup(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """``table[codes]``, a stride-0 view where ``codes`` is one."""
+    if codes.strides == (0,):
+        return np.broadcast_to(table[codes[0]], len(codes))
+    return table[codes]
+
+
+def _before(views: list, at, side: str = "left") -> int:
+    """How many packets of the time-ordered slabs ``views`` come before time
+    ``at`` (all of them if ``at`` is None), or at it too if ``side`` is "right"."""
+    n = 0
+    for view in views:
+        k = len(view.t) if at is None else int(np.searchsorted(view.t, at, side))
+        n += k
+        if k < len(view.t):
+            break
+    return n
+
+
+def _time_at(views: list, i: int) -> int:
+    """Time of packet ``i`` of the slabs ``views``."""
+    for view in views:
+        if i < len(view.t):
+            return int(view.t[i])
+        i -= len(view.t)
+
+
+def _split(views: list, n: int) -> list:
+    """Views of the first ``n`` packets of the slabs ``views``, which keeps the rest."""
+    parts = []
+    while n:
+        view = views[0]
+        if len(view.t) > n:
+            parts.append(_take(view, slice(None, n)))
+            views[0] = _take(view, slice(n, None))
+            break
+        parts.append(views.pop(0))
+        n -= len(view.t)
+    return parts
+
+
+def _round(parts: list, seq: int) -> Batch:
+    """One batch of the slabs ``parts``, each time-ordered, in source order,
+    numbered from ``seq``: sorted once by time, stably, and each column
+    gathered once."""
+    if len(parts) == 1:
+        out = parts[0]
+    else:
+        order = np.argsort(np.concatenate([part.t for part in parts]), kind="stable")
+        out = [np.concatenate([part[c] for part in parts])[order] for c in range(4)]
+    n = len(out[0])
+    return Batch(*out[:4], np.arange(seq, seq + n, dtype=np.int64), parts[-1].names)
 
 
 def packets(stream: Iterable[Batch]) -> Iterator[tuple]:
@@ -663,6 +720,7 @@ def batches(stream: Iterable) -> Iterator[Batch]:
     for first in it:
         if isinstance(first, Batch):
             yield first
+            del first  # hold no batch while the stream builds the next
             yield from it
             return
         rows = [first, *islice(it, SLAB_PKTS - 1)]

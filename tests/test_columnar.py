@@ -22,7 +22,7 @@ from eeesim import (
 )
 from eeesim import engine, scenarios, traffic
 from eeesim.errors import ConfigError
-from eeesim.scenarios import Scenario, build_sim_config, build_stream
+from eeesim.scenarios import Scenario, build_sim_config, build_stream, run_scenario
 from eeesim.traffic import (
     Slab, bursty_slabs, cbr_slabs, frames_slabs, merge_slabs, packets,
 )
@@ -32,14 +32,24 @@ SETTINGS = settings(max_examples=120, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
+#: the engine's windows, which are fixed multiples of the slab size
+WINDOWS = ("_SEGMENT_PKTS", "_SERVE_PKTS", "_RUN_PKTS")
+
+
 @contextmanager
 def slab_size(n):
-    old = traffic.SLAB_PKTS
+    """Slabs of ``n`` packets, and the engine's windows scaled with them."""
+    old = [traffic.SLAB_PKTS, *(getattr(engine, w) for w in WINDOWS)]
     traffic.SLAB_PKTS = n
+    for w, size in zip(WINDOWS, old[1:]):
+        assert size % old[0] == 0, w
+        setattr(engine, w, size // old[0] * n)
     try:
         yield
     finally:
-        traffic.SLAB_PKTS = old
+        traffic.SLAB_PKTS = old[0]
+        for w, size in zip(WINDOWS, old[1:]):
+            setattr(engine, w, size)
 
 
 def _times(slabs):
@@ -246,6 +256,31 @@ def test_merge_tie_at_slab_boundary():
                    (10, "b"), (10, "c")]
 
 
+@pytest.mark.parametrize("slab, ppw", [(1, 4), (2, 5), (3, 7),
+                                       (traffic.SLAB_PKTS, traffic.SLAB_PKTS)])
+def test_merge_rounds_are_bounded_and_never_stall(slab, ppw):
+    # Nine bursty sources, seven of them with no room to jitter, so that
+    # their bursts start at the same instants and their packets tie: 100 B
+    # ones every 80 ns, and source 0's 200 B ones on every other of those
+    # instants. A round takes at most 2 * SLAB_PKTS // 9 packets from each
+    # source, even where a source holds more before the horizon, and a
+    # capped round ends inside the ties without losing the (time, source)
+    # order.
+    tight = (ppw - 1) * 80 + 1  # the window a 100 B burst fills with no jitter
+    few = max(1, ppw // 8)
+    args = [(few, 200, 0, (few - 1) * 160 + 1, 1, 10**10, 4 * tight, "b0")]
+    args += [(ppw, 100, 0, tight if i % 3 else 3 * tight, 1, 10**10, 4 * tight, f"b{i}")
+             for i in range(1, 9)]
+    streams = [list(ref.bursty(*a)) for a in args]
+    with slab_size(slab):
+        merged = list(merge_slabs([bursty_slabs(*a) for a in args]))
+    assert max(len(b.t) for b in merged) <= max(2 * slab, 9)
+    assert list(packets(merged)) == list(ref.merge(streams))
+    if slab == ppw:  # the first round is capped: a source has more before the horizon
+        horizon = min(stream[min(slab, a[0]) - 1][0] for stream, a in zip(streams, args))
+        assert max(sum(p[0] < horizon for p in stream) for stream in streams) > 2 * slab // 9
+
+
 def _synthetic_sources():
     return {"cbr-flow": cbr_slabs(10**9, 100, 0, 10**6, flow="cbr-flow"),
             "frames-flow": frames_slabs(10**9, 100, 46, 10**6, 10**10, flow="frames-flow"),
@@ -391,6 +426,26 @@ def test_build_stream_calls_module_merge_once(monkeypatch):
     build_stream(scenario, scenario.sweep_points()[0])
     assert len(calls) == 1 and isinstance(calls[0], list)
     assert len(calls[0]) == len(scenario.sources) + 1
+
+
+@pytest.mark.parametrize("name, period", [("qos-sweep", 1_000_000),
+                                          ("testbed", 10_000_000)])
+def test_report_bytes_do_not_depend_on_the_slab_size(tmp_path, name, period):
+    # Serving a port's arrivals in parts is exact, and the merge order depends
+    # on neither where slabs end nor where rounds end: a short run writes the
+    # same files with slabs of 7 and 64 packets, the engine's windows scaled
+    # with them, as with the default.
+    scenario = scenarios.load_scenario(name)
+    scenario.sim.update(sampling_period_ns=period, warmup_ns=period, duration_ns=3 * period)
+    scenario.ll_rates_bps = scenario.ll_rates_bps[2:3]
+    files = []
+    for slab in (7, 64, traffic.SLAB_PKTS):
+        with slab_size(slab):
+            _, reports, written = run_scenario(scenario, tmp_path / str(slab), threads=1,
+                                               epoch_csv=True)
+        files.append({path.name: path.read_bytes() for path in written})
+    assert files[0] == files[1] == files[2]
+    assert all(r.totals["arrived"] > 8 * 64 and r.totals["delivered"] for r in reports)
 
 
 def test_run_reads_packets_and_plain_tuples_alike():

@@ -227,18 +227,20 @@ def test_ports_are_served_in_runs_of_one_to_two_slabs_and_match_the_oracle(monke
     # at a time, but for its last run. Every flow sits on port 0 until the
     # first epoch, where a 16-frame buffer drops; the plans that spread the
     # flows, and the ones that place "late", land while ports hold
-    # arrivals. The stream is one batch, and port 0 takes ~9,500 arrivals
-    # before the first epoch: one full run, and the rest held across it.
-    streams = [cbr_slabs(4 * 10**9, 1500, 0, 12_000_000, flow=f"bulk{i}")
+    # arrivals. The stream is one batch, and port 0 takes ~1.17 runs of
+    # arrivals before the first epoch: one full run, and the rest held
+    # across it.
+    period = 122 * engine._RUN_PKTS  # ns; ~9,550 arrivals a ms reach port 0
+    streams = [cbr_slabs(4 * 10**9, 1500, 0, 12 * period, flow=f"bulk{i}")
                for i in range(4)]
-    streams.append(cbr_slabs(400_000_000, 125, 46, 12_000_000, flow="rt"))
-    streams.append(cbr_slabs(4 * 10**9, 1500, 0, 5_000_000, 7_000_000, "late"))
-    streams.append(cbr_slabs(4 * 10**9, 64, 0, 1_000_000, flow="burst"))
+    streams.append(cbr_slabs(400_000_000, 125, 46, 12 * period, flow="rt"))
+    streams.append(cbr_slabs(4 * 10**9, 1500, 0, 5 * period, 7 * period, "late"))
+    streams.append(cbr_slabs(4 * 10**9, 64, 0, period, flow="burst"))
     merged = list(merge_slabs(streams))
     batch = Batch(*map(np.concatenate, zip(*(b[:5] for b in merged))), merged[-1].names)
     pkts = list(packets([batch]))
     config = make_config(n_ports=3, algorithm=Algorithm.TWO_QUEUES,
-                         period=1_000_000, duration=pkts[-1][0] + 5_000_000,
+                         period=period, duration=pkts[-1][0] + 5 * period,
                          buffer_limit=16)
     runs = {}
     plans = []

@@ -398,6 +398,7 @@ def _at_the_int64_bound():
     exactly 2**63 - 1: duration + 2 (t_sleep + t_wake) + (buffer_limit +
     engine._RUN_PKTS + 2) wire(MAX_FRAME_BYTES), with a wake of ~2**61 ns."""
     port = EeePortConfig(capacity_bps=TEN_G, t_sleep_ns=7)
+    port.buffer_limit = max(port.buffer_limit, engine._RUN_PKTS)  # a wake may hold a run
     config = SimConfig(
         bundle=BundleConfig(n_ports=2, capacity_bps=TEN_G,
                             algorithm=Algorithm.TWO_QUEUES),
