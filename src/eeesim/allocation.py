@@ -7,9 +7,10 @@ where flow ``i`` carries ``units[i] * unit`` bits/s: integer units and one
 exact ``Fraction`` unit. Within a control epoch every rate is
 ``bytes * 8e9 / period``, so the byte counts are the units; a list of
 :class:`FlowEstimate` is converted over the lcm of its rate denominators.
-The core ranks flows with one ``np.lexsort`` (rate descending, equal rates
-by flow name), balances, packs and sizes on Python ints, and turns the
-per-port loads into ``Fraction`` only when it builds the plan.
+The core ranks flows by one int key (rate descending, equal rates by flow
+name, see :attr:`Estimates.units`), balances, packs and sizes on Python
+ints, and turns the per-port loads into ``Fraction`` only when it builds
+the plan.
 """
 
 from __future__ import annotations
@@ -84,10 +85,17 @@ class Estimates:
     """
 
     flows: Sequence
-    units: np.ndarray  # int64, or object where a value leaves int64
+    # int64 >= 0, or Python ints (object) where max(units) * n leaves int64:
+    # flows rank by the distinct keys rank - units * n, n = len(units)
+    units: np.ndarray
     unit: Fraction
     low_latency: np.ndarray  # bool
     rank: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.units)
+        if n and self.units.dtype != object and int(self.units.max()) > (2**63 - 1) // n:
+            self.units = self.units.astype(object)
 
     def __len__(self) -> int:
         return len(self.flows)
@@ -192,13 +200,13 @@ def required_ports(total_rate, capacity_bps, n_ports: int) -> int:
 
 def _sized(est, idx, capacity_bps, n_ports) -> int:
     """:func:`required_ports` for the total rate of the flows at ``idx``."""
-    return required_ports(sum(est.units[idx].tolist()) * est.unit, capacity_bps, n_ports)
+    return required_ports(int(est.units[idx].sum()) * est.unit, capacity_bps, n_ports)
 
 
 def _ranked(est) -> np.ndarray:
     """Flow indices in allocation order: rate descending, equal rates by flow
     name, so replays are deterministic."""
-    return np.lexsort((est.rank, -est.units))
+    return np.argsort(est.rank - est.units * len(est))
 
 
 def _lpt(units, ranked, k, n_ports, port):
@@ -332,7 +340,7 @@ def spare_port_allocate(estimates, capacity_bps, n_ports: int, epoch: int = 0) -
     if len(lowlat):
         spare = n_ports - 1 - loads[::-1].index(min(loads))
         port[lowlat] = spare
-        loads[spare] += sum(est.units[lowlat].tolist())
+        loads[spare] += int(est.units[lowlat].sum())
     active = k + (1 if spare is not None and spare >= k else 0)
     return _plan(est, Algorithm.SPARE_PORT, epoch, port, loads, active, range(k), spare)
 

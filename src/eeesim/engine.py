@@ -53,7 +53,7 @@ from .allocation import (
 )
 from .eee_port import EeePort, EeePortConfig, PortState, Queue
 from .errors import ConfigError, SimulationFault
-from .traffic import DEFAULT_LL_DSCPS, MAX_FRAME_BYTES, SLAB_PKTS, batches
+from .traffic import DEFAULT_LL_DSCPS, MAX_DSCP, MAX_FRAME_BYTES, SLAB_PKTS, batches
 
 _INF = float("inf")
 #: most arrivals routed at once; bounds the per-arrival arrays of a segment
@@ -110,6 +110,9 @@ class SimConfig:
                               "times below 2**63 ns")
         if not 0 <= self.resolved_warmup() < self.duration_ns:
             raise ConfigError(f"{own}warmup_ns must satisfy 0 <= warmup < {own}duration_ns")
+        for dscp in self.ll_dscps:
+            if not (isinstance(dscp, (int, np.integer)) and 0 <= dscp <= MAX_DSCP):
+                raise ConfigError(f"{own}ll_dscps: dscp {dscp!r} outside [0, {MAX_DSCP}]")
 
 
 class FlowTable:
@@ -135,7 +138,10 @@ class FlowTable:
         self.flows: list = []
         self.nbytes = np.zeros(64, dtype=np.int64)
         self.route = np.zeros(64, dtype=np.int64)
-        self._rank = np.empty(0, dtype=np.int64)  # each code's place in key order
+        self._order: list = []  # the codes in key order at the last epoch, then newer ones
+        self._rank = np.empty(0, dtype=np.int64)  # each code's place in _order
+        # 1 at each low-latency dscp; validate() keeps ll_dscps in [0, MAX_DSCP]
+        self._low_latency = np.isin(np.arange(MAX_DSCP + 1), tuple(config.ll_dscps)) * 1
 
     def dispatch(self, flows, dscp) -> np.ndarray:
         """Register the list ``flows``, distinct and new, whose first packets
@@ -148,9 +154,11 @@ class FlowTable:
         lo, hi = len(self.flows), len(self.flows) + len(flows)
         codes = np.arange(lo, hi)
         self.nbytes, self.route = _grown(self.nbytes, hi), _grown(self.route, hi)
-        self.codes.update(zip(flows, range(lo, hi)))
+        new = list(range(lo, hi))  # _order shares the codes' int objects
+        self.codes.update(zip(flows, new))
+        self._order += new
         self.flows += flows
-        low_latency = np.isin(dscp, tuple(self.config.ll_dscps)).astype(np.int64)
+        low_latency = self._low_latency[dscp]
         plan = self.plan
         port = plan.least_loaded
         if plan.algorithm is Algorithm.SPARE_PORT and plan.spare_port is not None:
@@ -178,9 +186,9 @@ class FlowTable:
         n = len(self.flows)
         if len(self._rank) != n:  # flows registered since the last epoch
             # the old codes in key order, then the new: Timsort merges the runs
-            order = np.argsort(self._rank).tolist() + list(range(len(self._rank), n))
-            order.sort(key=self.flows.__getitem__)
-            self._rank = np.argsort(order)  # rank and order are inverse permutations
+            self._order.sort(key=self.flows.__getitem__)
+            self._rank = np.empty(n, dtype=np.int64)
+            self._rank[self._order] = np.arange(n)
         low_latency = self.route[:n] & 1
         estimates = estimate_rates(
             self.nbytes[:n],

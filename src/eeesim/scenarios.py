@@ -32,7 +32,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,7 +42,7 @@ from .eee_port import EeePortConfig
 from .engine import MetricsReport, SimConfig, run
 from .errors import ConfigError
 from .traffic import (
-    MAX_DSCP, _round_div, bursty_slabs, cbr_slabs, frames_slabs, open_trace_memo,
+    _round_div, bursty_slabs, cbr_slabs, frames_slabs, open_trace_memo,
     trace_memo, trace_slabs,
 )
 # build_stream looks ``merge`` up at call time, so a profiler can wrap it.
@@ -160,9 +159,6 @@ class Scenario:
             raise ConfigError(f"unknown sim fields: {sorted(unknown)}")
         for key in _SIM_INTS:
             self.sim_int(key)
-        for dscp in self.sim_value("ll_dscps"):
-            if not 0 <= _exact_int("sim.ll_dscps", dscp) <= MAX_DSCP:
-                raise ConfigError(f"sim.ll_dscps: dscp {dscp} outside [0, {MAX_DSCP}]")
         for flow in self.sim_value("track_flows"):
             if not isinstance(flow, str):
                 raise ConfigError(f"sim.track_flows entries must be strings, got {flow!r}")
@@ -391,6 +387,7 @@ def run_sweep(scenario: Scenario, threads: int | None = None):
         with trace_memo() if len(jobs) > 1 else nullcontext():
             reports = collect(map(_worker, args))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # an in-process sweep skips its import
         workers = min(n_threads, len(jobs))
         keep = open_trace_memo if len(jobs) > workers else None
         with ProcessPoolExecutor(max_workers=workers, initializer=keep) as pool:

@@ -566,6 +566,7 @@ def trace_slabs(path, factor=1) -> Iterator[Slab]:
                         kept.append((t, size.astype(np.int16), dscp.astype(np.int8), codes))
                     else:  # not kept: stream it
                         key = kept = None
+                    del lines, cols, flows  # not held while the next chunk is read
                     yield Slab(_scale_col(t, frac), size, codes, dscp, names)
             if key and _trace_key(path, os.fstat(fh.fileno())) == key:
                 memo[key] = (names, kept)

@@ -29,7 +29,8 @@ from eeesim import (
     required_ports,
     run,
 )
-from eeesim.allocation import flow_rank
+from eeesim import allocation as alloc
+from eeesim.allocation import Estimates, flow_rank
 from eeesim.eee_port import EeePort
 
 NORMAL, LL = TrafficClass.NORMAL, TrafficClass.LOW_LATENCY
@@ -81,6 +82,72 @@ def test_allocators_keep_invariants_on_estimates(case):
         want = ref.allocate(algorithm, listed, n_ports, TEN_G, bound)
         assert plan.assignments == want["assignments"], algorithm
         assert plan.port_loads == want["port_loads"], algorithm
+
+
+# -- ranking and sizing keys ------------------------------------------------------
+
+I64_MAX = 2**63 - 1
+
+
+@st.composite
+def unit_arrays(draw):
+    """(units, rank, subset) where units sit at zero, in ties, or just below
+    and past the bound where rank - units * n leaves int64."""
+    n = draw(st.integers(0, 12))
+    bound = I64_MAX // max(n, 1)
+    pool = draw(st.lists(st.sampled_from([0, 1, 2, bound - 1, bound, bound + 1, 2**64])
+                         | st.integers(0, 2**65), min_size=1, max_size=4))
+    units = [draw(st.sampled_from(pool)) for _ in range(n)]
+    return units, draw(st.permutations(range(n))), draw(st.lists(st.booleans(), min_size=n,
+                                                                 max_size=n))
+
+
+@st.composite
+def huge_lcm_estimates(draw):
+    """:class:`FlowEstimate` s whose rate denominators are distinct large
+    primes, so their lcm takes the units past int64."""
+    primes = draw(st.permutations([1_000_000_007, 998_244_353, 2_147_483_647, 65_537]))
+    n = draw(st.integers(0, 4))
+    return [FlowEstimate(f"f{draw(st.integers(0, 99)):02d}-{i}", 0,
+                         Fraction(draw(st.integers(0, 3)) * 10**9, primes[i]), NORMAL)
+            for i in range(n)]
+
+
+def _check_ranked_and_sized(est, units, subset):
+    assert alloc._ranked(est).tolist() == np.lexsort(
+        (est.rank, -np.array(units, dtype=object))).tolist()
+    idx = np.flatnonzero(np.array(subset, dtype=bool))
+    for capacity in (1, TEN_G):
+        want = required_ports(sum(units[i] for i in idx.tolist()) * est.unit, capacity, 5)
+        assert alloc._sized(est, idx, capacity, 5) == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(unit_arrays())
+@example(([], [], []))
+@example(([I64_MAX], [0], [True]))
+@example(([I64_MAX // 2, I64_MAX // 2, 0], [2, 0, 1], [True, True, False]))
+@example(([I64_MAX // 3 + 1, 0, I64_MAX // 3 + 1], [1, 2, 0], [True, False, True]))
+def test_ranking_key_and_sizes_match_lexsort_and_python_sums(case):
+    # flows rank by rate descending, then name: one sort of rank - units * n,
+    # with units widened to Python ints where max(units) * n leaves int64
+    units, rank, subset = case
+    n = len(units)
+    dtype = np.int64 if max(units, default=0) <= I64_MAX else object
+    est = Estimates([f"f{i}" for i in range(n)], np.array(units, dtype=dtype), Fraction(1, 3),
+                    np.zeros(n, dtype=bool), np.array(rank, dtype=np.int64))
+    assert (est.units.dtype == object) == (n > 0 and max(units) > I64_MAX // n)
+    _check_ranked_and_sized(est, units, subset)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(huge_lcm_estimates(), st.data())
+def test_ranking_key_and_sizes_hold_on_huge_lcm_units(estimates, data):
+    est = Estimates.of(estimates)
+    units = est.units.tolist()
+    assert sum(e.rate > 0 for e in estimates) < 3 or est.units.dtype == object
+    _check_ranked_and_sized(est, units, data.draw(st.lists(
+        st.booleans(), min_size=len(units), max_size=len(units))))
 
 
 # -- a run's plans and routes against the reference ------------------------------

@@ -216,6 +216,7 @@ def test_epoch_rank_matches_a_fresh_sort_across_registrations(monkeypatch):
             table.route_packet(Packet(epoch * PERIOD - 1, 100, flow, 0, seq))
             seq += 1
         table.control_epoch(epoch * PERIOD)
+        assert table._rank.tolist() == flow_rank(table.flows).tolist()
     assert [len(flows) for flows, _ in ranks] == [0, 1, 41, 41, 341, 348, 1348]
     for flows, rank in ranks:
         assert rank.tolist() == flow_rank(flows).tolist()
@@ -691,6 +692,15 @@ def test_packet_dscp_outside_its_range_rejected():
         pkts = [Packet(0, 1500, "f", 0, 0), Packet(5, 1500, "f", dscp, 1)]
         with pytest.raises(ConfigError, match=r"packet dscp outside \[0, 63\]"):
             run(make_config(), pkts)
+
+
+def test_low_latency_dscp_outside_its_range_rejected():
+    # dispatch classifies a flow by indexing a table of the 64 dscps
+    for dscp in (-1, MAX_DSCP + 1, 99, "46"):
+        config = make_config()
+        config.ll_dscps = frozenset({46, dscp})
+        with pytest.raises(ConfigError, match=rf"^ll_dscps: dscp {dscp!r} outside \[0, 63\]"):
+            run(config, [])
 
 
 def test_report_renders_text_and_csv():

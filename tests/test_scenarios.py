@@ -161,6 +161,14 @@ def test_non_integral_sim_field_names_the_field(field, value):
         Scenario.from_dict(doc)
 
 
+@pytest.mark.parametrize("dscps", [[-1], [46, 64], [99]])
+def test_ll_dscp_outside_its_range_names_the_sim_field(dscps):
+    doc = mininet_scenario().to_json_dict()
+    doc["sim"]["ll_dscps"] = dscps
+    with pytest.raises(ConfigError, match=r"^sim\.ll_dscps: dscp -?\d+ outside \[0, 63\]"):
+        Scenario.from_dict(doc)
+
+
 def test_run_sweep_row_order_is_sweep_order(monkeypatch):
     monkeypatch.setenv("EEESIM_THREADS", "1")
     scenario = Scenario(

@@ -6,15 +6,19 @@ around its jobs. These tests hold the replay to the parse, check what is
 kept and what is not, and check that a changed file is read afresh.
 """
 
+import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eeesim
 from eeesim import scenarios, traffic
 from eeesim.cli import main
 from eeesim.errors import TraceError
@@ -200,14 +204,32 @@ def test_pool_workers_keep_traces_only_where_jobs_outnumber_them(
     path = _write(tmp_path / "t.csv", _rows(100))
     pools = []
 
-    class Pool(ProcessPoolExecutor):
+    class Pool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, **kwargs):
             pools.append(kwargs)
             super().__init__(**kwargs)
 
-    monkeypatch.setattr(scenarios, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     run_sweep(_scenario(path, algorithms), threads=2)
     assert pools == [{"max_workers": 2, "initializer": initializer}]
+
+
+def test_only_a_pool_sweep_imports_the_pool(tmp_path):
+    # concurrent.futures.process costs every launch ~6 ms of import
+    path = _write(tmp_path / "t.csv", _rows(100))
+    code = """
+import json, sys
+from eeesim.scenarios import Scenario, run_sweep
+scenario = Scenario.from_dict(json.loads(sys.argv[1]))
+_, reports = run_sweep(scenario, threads=1)
+assert "concurrent.futures.process" not in sys.modules
+_, pooled = run_sweep(scenario, threads=2)
+assert "concurrent.futures.process" in sys.modules
+assert [r.to_json() for r in pooled] == [r.to_json() for r in reports]
+"""
+    src = Path(eeesim.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", code, json.dumps(_scenario(path).to_json_dict())],
+                   check=True, env={**os.environ, "PYTHONPATH": str(src)})
 
 
 def test_open_trace_memo_keeps_an_open_one(monkeypatch):
