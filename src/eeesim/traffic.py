@@ -8,9 +8,10 @@ Traffic is built in columns. A *source* (:func:`cbr_slabs`,
 :func:`frames_slabs`, :func:`bursty_slabs`, :func:`trace_slabs`) is a lazy
 iterable of :class:`Slab` s: int64 numpy columns ``t``, ``size`` and
 ``dscp`` plus ``flow``, time-ordered, at most :data:`SLAB_PKTS` packets
-each (a frames slab holds whole frames). Flows travel as int codes into
-the source's table of names. CBR is a frames train of one packet per
-frame; a synthetic source's other columns are stride-0 views of one value.
+each. Flows travel as int codes into the source's table of names. CBR is
+a frames train of one packet per frame; a synthetic source gives the times
+of a range of its packets to one emitter that cuts slabs by packet index,
+and its other columns are stride-0 views of one value.
 Sources validate their arguments when called but synthesize nothing
 before the first ``next()``. Every arrival
 time comes from an exact integer formula; a column is computed in int64
@@ -50,6 +51,7 @@ from collections import defaultdict
 from contextlib import contextmanager
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, count, islice
 from operator import length_hint
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -71,7 +73,7 @@ TRACE_HEADER = ("t_ns", "flow", "bytes", "dscp")
 #: the sleep/wake time scale (one packet per frame up to 100 Mb/s).
 FRAME_UNIT_BPS = 100_000_000
 
-#: packets per slab; batches are converted to and from tuples in runs this long.
+#: packets per slab; :func:`packets` turns batches into tuples in runs this long.
 SLAB_PKTS = 8192
 
 #: most trace lines one ``loadtxt`` call parses, so a trace slab holds at
@@ -193,24 +195,27 @@ def _count_below(num: int, den: int, limit: int) -> int:
     return -(-(2 * den * limit - den) // (2 * num))
 
 
-def _const_columns(n: int, size: int, flow: str, dscp: int) -> tuple:
-    """Size, flow (code 0) and dscp columns for up to ``n`` packets of one
-    source, as read-only stride-0 views, and its table of names."""
-    return (*(np.broadcast_to(np.int64(x), n) for x in (size, 0, dscp)), (flow,))
-
-
-def _const_slab(t: np.ndarray, columns: tuple) -> Slab:
-    """Slab of times ``t`` whose other columns are views of ``columns``."""
-    n = len(t)
-    *cols, names = columns
-    return Slab(t, *(col[:n] for col in cols), names)
-
-
 def _take(slab: Slab, index) -> Slab:
     return Slab(*(col[index] for col in slab[:4]), slab.names)
 
 
 # -- sources ------------------------------------------------------------------
+
+def _synthetic(n: int, end: int, times, size: int, flow: str, dscp: int) -> Iterator[Slab]:
+    """Slabs of a one-flow source's packets ``0..n-1``, :data:`SLAB_PKTS` by
+    index, ending before the first at or after ``end``: ``times(lo, hi)`` gives
+    the int64 times of packets ``lo:hi``; size, flow (code 0) and dscp are stride-0 views."""
+    cols = [np.broadcast_to(np.int64(x), min(n, SLAB_PKTS)) for x in (size, 0, dscp)]
+    names = (flow,)
+    for lo in range(0, n, SLAB_PKTS):
+        t = times(lo, min(lo + SLAB_PKTS, n))
+        late = np.flatnonzero(t >= end)
+        k = int(late[0]) if late.size else len(t)
+        if k:
+            yield Slab(t[:k], *(col[:k] for col in cols), names)
+        if late.size:
+            return
+
 
 def cbr_slabs(rate_bps, pkt_size: int, dscp: int, duration_ns: int,
               start_offset_ns: int = 0, flow: str = "cbr") -> Iterator[Slab]:
@@ -261,25 +266,15 @@ def frames_slabs(rate_bps, pkt_size, dscp, duration_ns, line_rate_bps,
     frame_num = m * bits * 10**9 * rate.denominator
     frame_den = rate.numerator
     n_frames = _count_below(frame_num, frame_den, duration_ns) if duration_ns > 0 else 0
-    per_slab = max(1, SLAB_PKTS // m)
     # each k * intra fits int64 by the check above; intra alone need not (m = 1)
     within = np.array([k * intra for k in range(m)], dtype=np.int64)
 
-    def slabs():
-        columns = _const_columns(min(per_slab, n_frames) * m, pkt_size, flow, dscp)
-        for lo in range(0, n_frames, per_slab):
-            f = np.arange(lo, min(lo + per_slab, n_frames), dtype=np.int64)
-            starts = _round_div_col(f, frame_num, frame_den, start_offset_ns)
-            t = (starts[:, None] + within).ravel()
-            del f, starts  # held by no slab
-            late = np.flatnonzero(t >= end)
-            if late.size:
-                if late[0]:
-                    yield _const_slab(t[:late[0]], columns)
-                return
-            yield _const_slab(t, columns)
+    def times(lo, hi):  # the frames that hold packets lo:hi, sliced
+        starts = _round_div_col(np.arange(lo // m, -(-hi // m), dtype=np.int64),
+                                frame_num, frame_den, start_offset_ns)
+        return (starts[:, None] + within).ravel()[lo % m:][:hi - lo]
 
-    return slabs()
+    return _synthetic(n_frames * m, end, times, pkt_size, flow, dscp)
 
 
 def bursty_slabs(pkts_per_window, pkt_size, dscp, window_ns, bursts_per_window,
@@ -307,35 +302,28 @@ def bursty_slabs(pkts_per_window, pkt_size, dscp, window_ns, bursts_per_window,
     n_windows = -(-duration_ns // window_ns)
     _check_end(n_windows * window_ns)
     chunks = [base_chunk + (1 if b < extra else 0) for b in range(bursts_per_window)]
-    # index of each burst's first packet within its window
+    # per burst: its first packet's index in the window, and its start's room to jitter
     first = np.cumsum([0] + chunks[:-1], dtype=np.int64)
+    rooms = [slot - ((chunk - 1) * intra + 1) for chunk in chunks]
 
-    def slabs():
-        columns = _const_columns(min(SLAB_PKTS, pkts_per_window), pkt_size, flow, dscp)
-        for w in range(n_windows):
-            base = w * window_ns
-            starts = []
-            for b, chunk in enumerate(chunks):
-                room = slot - ((chunk - 1) * intra + 1)
-                jitter = (
-                    zlib.crc32(f"{flow}|{w}|{b}".encode()) % room
-                    if chunk and room > 0 else 0
-                )
-                starts.append(base + b * slot + jitter)
-            starts = np.array(starts, dtype=np.int64)
-            for lo in range(0, pkts_per_window, SLAB_PKTS):
-                k = np.arange(lo, min(lo + SLAB_PKTS, pkts_per_window), dtype=np.int64)
-                burst = np.searchsorted(first, k, side="right") - 1
-                t = starts[burst] + (k - first[burst]) * intra
-                del k, burst  # held by no slab
-                late = np.flatnonzero(t >= duration_ns)
-                if late.size:
-                    if late[0]:
-                        yield _const_slab(t[:late[0]], columns)
-                    return
-                yield _const_slab(t, columns)
+    @lru_cache(maxsize=1)  # the window a slab ends in is the next slab's first
+    def window_starts(w):
+        return [w * window_ns + b * slot
+                + (zlib.crc32(f"{flow}|{w}|{b}".encode()) % room if room > 0 else 0)
+                for b, room in enumerate(rooms)]
 
-    return slabs()
+    def times(lo, hi):
+        # bursts of the windows holding packets lo:hi by the source-wide index
+        # of their first packets; an empty burst's equals the next one's, and
+        # searchsorted takes the last of equal indices
+        w = np.arange(lo // pkts_per_window, (hi - 1) // pkts_per_window + 1)
+        firsts = (w[:, None] * pkts_per_window + first).ravel()
+        starts = np.array([window_starts(v) for v in w.tolist()], dtype=np.int64).ravel()
+        k = np.arange(lo, hi, dtype=np.int64)
+        burst = np.searchsorted(firsts, k, side="right") - 1
+        return starts[burst] + (k - firsts[burst]) * intra
+
+    return _synthetic(n_windows * pkts_per_window, duration_ns, times, pkt_size, flow, dscp)
 
 
 def _scale_factor(factor) -> Fraction:
@@ -711,10 +699,10 @@ def packets(stream: Iterable[Batch]) -> Iterator[tuple]:
 def batches(stream: Iterable) -> Iterator[Batch]:
     """Batches of a stream of packet tuples, or of batches, which pass through.
 
-    Tuples are read by position, :data:`SLAB_PKTS` at a time, and their
-    flows numbered into one table of names; a field outside the int64
-    range, or a size or dscp outside the range a trace row may hold, raises
-    :class:`ConfigError`.
+    Tuples are read by position, ``2 * SLAB_PKTS`` at a time (the engine's
+    run cap), and their flows numbered into one table of names; a field
+    outside the int64 range, or a size or dscp outside the range a trace
+    row may hold, raises :class:`ConfigError`.
     """
     it = iter(stream)
     codes_of, names = _numbering()
@@ -724,7 +712,7 @@ def batches(stream: Iterable) -> Iterator[Batch]:
             del first  # hold no batch while the stream builds the next
             yield from it
             return
-        rows = [first, *islice(it, SLAB_PKTS - 1)]
+        rows = [first, *islice(it, 2 * SLAB_PKTS - 1)]
         t, size, flow, dscp, seq = zip(*rows)
         size, dscp = _int64(size), _int64(dscp)
         if bad := _outside(size, dscp):

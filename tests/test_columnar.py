@@ -114,6 +114,43 @@ def test_bursty_matches_reference(data, slab):
     assert got == list(ref.bursty(*args))
 
 
+#: (source, its reference, arguments): about 20,000 packets each; frames of
+#: three packets, and bursty windows of 3,001 packets, a multiple of no slab
+#: size tested
+FULL_SLAB_SOURCES = {
+    "cbr": (cbr_slabs, ref.cbr, (Fraction(10**10), 64, 0, 10**6, 5, "c")),
+    "frames": (frames_slabs, ref.frames, (10**9, 64, 46, 10**7, 10**10, 3, "fr", 3)),
+    "bursty": (bursty_slabs, ref.bursty, (3001, 100, 0, 10**6, 3, 10**10, 7 * 10**6, "b")),
+}
+
+
+@pytest.mark.parametrize("slab", [1, 7, traffic.SLAB_PKTS])
+@pytest.mark.parametrize("name", list(FULL_SLAB_SOURCES))
+def test_synthetic_slabs_are_full_but_the_last(name, slab):
+    # Slabs are cut by packet index over the whole source, so a frames slab
+    # may end mid-frame and a bursty one may span windows.
+    source, reference, args = FULL_SLAB_SOURCES[name]
+    with slab_size(slab):
+        slabs = list(source(*args))
+        got = list(packets(merge_slabs([iter(slabs)])))
+    want = list(reference(*args))
+    assert len(want) > 2 * traffic.SLAB_PKTS
+    assert all(len(s.t) == slab for s in slabs[:-1]) and 0 < len(slabs[-1].t) <= slab
+    assert got == want
+    if name == "bursty" and slab > 1:  # a slab holds the end of a window and the next's start
+        window = args[3]
+        assert any(s.t[0] // window != s.t[-1] // window for s in slabs)
+
+
+def test_qos_point_stream_is_merged_into_few_batches():
+    # qos-sweep's eight bulk flows each give 16,927 packets a 50 ms window;
+    # with slabs cut by index, not per window, no third short slab per window
+    # ends a merge round (204 batches when slabs were cut per window)
+    scenario = scenarios.qos_sweep_scenario()
+    point = next(p for p in scenario.sweep_points() if p["ll_rate_bps"] == 100_000_000)
+    assert sum(1 for _ in build_stream(scenario, point)) <= 170
+
+
 # -- merge ---------------------------------------------------------------------
 
 @st.composite
@@ -362,6 +399,36 @@ def test_stream_end_beyond_int64_is_rejected():
         cbr_slabs(10**9, 1250, 0, 2**63 - 10, 100)
 
 
+@pytest.mark.parametrize("slab", [1, 3, traffic.SLAB_PKTS])
+def test_bursty_windows_ending_at_the_int64_bound(slab):
+    # Two windows of (2**63 - 1) // 2 ns end 1 ns short of 2**63 - 1; five
+    # packets a window, so slabs of 3 cross the window boundary.
+    window = (2**63 - 1) // 2
+    args = (5, 1500, 0, window, 2, 10**10, 2 * window, "b")
+    with slab_size(slab):
+        got = list(packets(merge_slabs([bursty_slabs(*args)])))
+    want = list(ref.bursty(*args))
+    assert len(want) == 10 and want[-1][0] > 2**63 - window // 2
+    assert got == want
+    with pytest.raises(ConfigError, match="int64"):
+        bursty_slabs(*args[:6], 2 * window + 1, "b")  # a third window
+
+
+@pytest.mark.parametrize("slab", [1, 7, 64, traffic.SLAB_PKTS])
+def test_frames_near_the_int64_bound_straddle_slab_ends(slab):
+    # Frames of three packets, 1,200 ns apart, whose last ones end just
+    # below 2**63 - 1; the slab sizes are multiples of no frame.
+    offset = 2**63 - 10**7
+    args = (10**9, 1500, 46, 10**7 - 2 * 1200 - 1, 10**10, offset, "fr", 3)
+    with slab_size(slab):
+        slabs = list(frames_slabs(*args))
+        got = list(packets(merge_slabs([iter(slabs)])))
+    want = list(ref.frames(*args))
+    assert len(want) > 800 and want[-1][0] > 2**63 - 10**5
+    assert got == want
+    assert all(len(s.t) == slab for s in slabs[:-1])
+
+
 # -- build_stream --------------------------------------------------------------
 
 def _two_source_scenario():
@@ -409,10 +476,15 @@ def test_integral_float_pkts_per_frame_reads_as_int():
 
 
 def test_build_stream_synthesizes_nothing_until_next(monkeypatch):
-    def refuse(*args):
+    # every synthetic source hands the emitter its times function; any call
+    # of it is synthesis
+    emit = traffic._synthetic
+
+    def refuse(lo, hi):
         raise AssertionError("synthesized")
 
-    monkeypatch.setattr(traffic, "_const_slab", refuse)
+    monkeypatch.setattr(traffic, "_synthetic",
+                        lambda n, end, times, *cols: emit(n, end, refuse, *cols))
     scenario = scenarios.qos_sweep_scenario()
     stream = build_stream(scenario, scenario.sweep_points()[0])
     with pytest.raises(AssertionError, match="synthesized"):

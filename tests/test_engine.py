@@ -589,6 +589,30 @@ def test_batches_with_tables_of_their_own_map_their_names_afresh():
     assert run(config, halves).to_json() == run(config, pkts).to_json()
 
 
+def test_a_tuple_stream_reaches_the_run_cap(monkeypatch):
+    # batches() packs tuples a run cap at a time, so engine._RUN_PKTS tuples
+    # to one port make one serve call, as one Batch of the same rows does
+    n = engine._RUN_PKTS
+    config = make_config(duration=50_000_000)
+    pkts = [Packet(i * 1300, 1500, "f", 0, i) for i in range(n)]
+    t, size, _, dscp, seq = zip(*pkts)
+    batch = Batch(*map(np.array, (t, size, [0] * n, dscp, seq)), ["f"])
+    served = []
+    serve = EeePort.serve
+
+    def logging(port, t, *cols):
+        served.append(len(t))
+        return serve(port, t, *cols)
+
+    monkeypatch.setattr(EeePort, "serve", logging)
+    by_tuples = run(config, iter(pkts))
+    assert served == [n]
+    by_batch = run(config, [batch])
+    assert served == [n, n]
+    assert by_tuples.to_json() == by_batch.to_json()
+    assert by_tuples.departures == by_batch.departures and len(by_batch.departures) == n
+
+
 # -- oracle agreement ------------------------------------------------------------
 
 def test_oracle_matches_run_on_random_traces():
