@@ -31,8 +31,11 @@ A frame's class is its flow's, which the engine keeps.
 ``c`` the end of the previous frame, a frame arriving at ``a <= c`` starts
 at ``c``, otherwise at ``max(a, c + t_sleep) + t_wake``. With ``P`` the
 prefix sums of wire times, a busy period can end only where ``a_i -
-P_{i-1}`` sets a strict running-max record. A Python loop over the records'
-values finds the periods' first frames, and one max-plus scan their starts.
+P_{i-1}`` sets a strict running-max record. After a period that opens past
+the sleep before it (fresh), the next opens at the first record past its
+own plus ``t_wake``: in a long run, pointer doubling follows fresh periods.
+A Python loop over the records takes over at the second period that opens
+in a sleep, and one max-plus scan gives the periods' starts.
 A period holding both queues is re-ordered by strict priority with one
 running max over its high frames. Where the run can fill the buffer,
 :meth:`EeePort._dropped` first finds the arrivals that meet it full, and
@@ -47,7 +50,8 @@ queue untouched and count only towards the buffer.
 held go back to back in priority order, then the port sleeps and enters
 LPI. Both gather the frames held with :meth:`EeePort._held`, leave the
 port as at their horizon with :meth:`EeePort._settle`, and account
-residence, wakes and sleeps in one place, :meth:`EeePort._enter`. Port
+residence, wakes and sleeps in one place, :meth:`EeePort._enter`, which
+takes the periods strictly inside a long run as column sums. Port
 times are int64: ``SimConfig.validate`` refuses a run whose times could
 leave that range, and ``serve`` checks it again.
 
@@ -97,6 +101,8 @@ _I64_MAX = 2**63 - 1
 _PERIOD_STATES = np.array([SLEEP_TRANS, LPI, WAKE_TRANS, ACTIVE])
 _NO_DROPS = np.empty(0, dtype=np.int64)
 _NO_UP = np.empty(0, dtype=bool)
+_DOUBLING_RECORDS = 1024  #: pointer doubling finds opens from this many records on
+_PERIOD_SUMS = 64  #: ``serve`` sums the periods inside a run from this many on
 
 
 @dataclass(slots=True)
@@ -177,6 +183,35 @@ def _reach(w, room) -> int:
     """How many of the frames with wire times ``w``, sent back to back, start
     within ``room`` ns; at least the first."""
     return min(len(w), int(np.searchsorted(np.cumsum(w), room)) + 1)
+
+
+def _fresh_opens(x, p, t_sleep, t_wake):
+    """The opens among the running-max records ``x`` from the fresh open ``p``
+    while each is fresh, by pointer doubling: one at x_k wakes at x_k, and the
+    next, the first record past x_k + t_wake, is fresh if x_k + t_sleep + t_wake
+    or later."""
+    n = len(x)
+    q = int(np.searchsorted(x, x[p] + t_wake, "right"))
+    if q == n or x[q] < x[p] + t_sleep + t_wake:  # nothing to double
+        return [p]
+    succ = np.searchsorted(x, x + t_wake, "right")
+    succ[x[np.minimum(succ, n - 1)] < x + t_sleep + t_wake] = n  # none, or chained
+    path, jump = np.array([p]), np.append(succ, n)
+    while path[-1] < n:
+        path = np.concatenate((path, jump[path]))
+        jump = jump[jump]
+    return path[:int(np.searchsorted(path, n))]
+
+
+def _walk(records, x, theta, t_sleep, t_wake):
+    """The ``records`` (slack ``x``) that open periods after ``theta``, one at a time."""
+    opens = []
+    for k, v in zip(records.tolist(), x.tolist()):
+        if v > theta:  # a wake starts at v or, if later, when the sleep ends
+            ready = theta + t_sleep
+            theta = (v if v > ready else ready) + t_wake
+            opens.append(k)
+    return np.array(opens, dtype=np.int64)
 
 
 _EMPTY = (np.empty(0, dtype=np.int64),) * 5
@@ -369,7 +404,7 @@ class EeePort:
 
         # Every period but the last ends before ``last``, so all its
         # transitions fire; the last one may still be asleep or waking.
-        times, states = [], []
+        times, states, inner = [], [], None
         if state is WAKE_TRANS and self.next_at < last:
             times.append(np.array([self.next_at]))
             states.append(np.array([ACTIVE]))
@@ -381,20 +416,23 @@ class EeePort:
             ready = prev_end + t_sleep
             if state is LPI:  # a cold port, in LPI since it started
                 ready[0] = self.state_since
-            at = np.stack((prev_end, ready, wakes, wakes + t_wake), axis=1)
+            at = np.stack((prev_end, ready, wakes, wakes + t_wake))  # a row per state
+            if len(wakes) > max(_PERIOD_SUMS, 2):  # the periods inside go as sums
+                at, inner = at[:, [0, -1]], at[:, 1:-1]
+            at = at.T
             fires = np.ones(at.shape, dtype=bool)
-            fires[:, 1] = wakes > ready  # idle in LPI until an arrival woke it
+            fires[:, 1] = at[:, 2] > at[:, 1]  # idle in LPI until an arrival woke it
             if idle:  # already asleep or in LPI
                 fires[0, 0] = False
                 fires[0, 1] &= state is SLEEP_TRANS
-            woke = (fires[-1, 1] or ready[-1] < last
+            woke = (fires[-1, 1] or at[-1, 1] < last
                     or len(wakes) == 1 and state is LPI)
             fires[-1, 2] = woke
             fires[-1, 3] = woke and at[-1, 3] < last
             times.append(at[fires])
             states.append(np.broadcast_to(_PERIOD_STATES, at.shape)[fires])
         if times:
-            self._enter(np.concatenate(times), np.concatenate(states))
+            self._enter(np.concatenate(times), np.concatenate(states), inner)
         self.clock = last
         done = self._settle(cols, high[nc:], start, end, last, in_flight)
         return tuple(cols[:4]), start, end, done, dropped
@@ -512,16 +550,22 @@ class EeePort:
             prior[0] = theta
             np.maximum(prior, theta, out=prior)
         records = np.flatnonzero(slack > prior)
-        opens = [0]
-        first, add = theta, opens.append
-        for k, x in zip(records.tolist(), slack[records].tolist()):
-            if x > theta:  # a wake starts at x or, if later, when the sleep ends
-                ready = theta + t_sleep
-                theta = (x if x > ready else ready) + t_wake
-                add(k)
+        x = slack[records]
+        first, opens = theta, [np.zeros(1, dtype=np.int64)]
+        for _ in range(2 if len(x) >= _DOUBLING_RECORDS else 0):  # then walk
+            p = int(np.searchsorted(x, theta, "right"))  # the next open
+            if p < len(x) and x[p] >= theta + t_sleep:  # fresh: it wakes at x_p
+                path = _fresh_opens(x, p, t_sleep, t_wake)
+                opens.append(records[path])
+                theta = int(x[path[-1]]) + t_wake
+                p = int(np.searchsorted(x, theta, "right"))
+            opens.append(records[p:p + 1])  # chained, if any: one loop step
+            theta += t_sleep + t_wake
+        i = int(np.searchsorted(x, theta, "right"))
+        opens.append(_walk(records[i:], x[i:], theta, t_sleep, t_wake))
         # at the m-th head theta_m = max(x_m + t_wake, theta_{m-1} + c), with
         # c = t_sleep + t_wake: theta_m - m c is a running max from ``first``
-        heads = np.array(opens)
+        heads = np.concatenate(opens)
         step = np.arange(len(heads)) * (t_sleep + t_wake)
         thetas = slack[heads] + t_wake
         thetas[0] = first
@@ -622,10 +666,13 @@ class EeePort:
             queued = np.flatnonzero(taken) + p
             p = q
 
-    def _enter(self, times, states) -> None:
+    def _enter(self, times, states, inner=None) -> None:
         """Enter ``states`` at ``times``, in order: account the residence of
         each state left, count the wakes and sleeps entered. Re-entering the
-        state the port is in (as :meth:`finalize` does) is no transition."""
+        state the port is in (as :meth:`finalize` does) is no transition.
+        ``inner`` holds the times whole periods enter ``_PERIOD_STATES`` while
+        ``times`` leave the port ACTIVE, one row per state: row sums move
+        their residence out of ACTIVE."""
         if not len(times):
             return
         since = np.concatenate(([self.state_since], times[:-1]))
@@ -633,6 +680,14 @@ class EeePort:
         spent = np.minimum(times, self.win_end) - np.maximum(since, self.win_start)
         residence = np.zeros(len(PortState), dtype=np.int64)
         np.add.at(residence, was, np.maximum(spent, 0))
+        if inner is not None:  # times in order, so the window cuts them only at its edges
+            if inner[0, 0] < self.win_start or inner[-1, -1] > self.win_end:
+                inner = np.clip(inner, self.win_start, self.win_end)
+            ns = (inner[1:] - inner[:-1]).sum(axis=1)  # each difference fits int64, each sum too
+            residence[_PERIOD_STATES[:3]] += ns
+            residence[ACTIVE] -= ns.sum()
+            self.wakes += inner.shape[1]
+            self.sleeps += inner.shape[1]
         for state, ns in enumerate(residence.tolist()):
             self.residence_ns[state] += ns
         entered = states[states != was]

@@ -266,13 +266,18 @@ def frames_slabs(rate_bps, pkt_size, dscp, duration_ns, line_rate_bps,
     frame_num = m * bits * 10**9 * rate.denominator
     frame_den = rate.numerator
     n_frames = _count_below(frame_num, frame_den, duration_ns) if duration_ns > 0 else 0
-    # each k * intra fits int64 by the check above; intra alone need not (m = 1)
-    within = np.array([k * intra for k in range(m)], dtype=np.int64)
+    # (m - 1) * intra fits int64 by the check above; intra alone need not (m = 1)
+    within = np.arange(m, dtype=np.int64) * (intra if m > 1 else 0)
 
-    def times(lo, hi):  # the frames that hold packets lo:hi, sliced
-        starts = _round_div_col(np.arange(lo // m, -(-hi // m), dtype=np.int64),
+    def times(lo, hi):  # the frames that hold packets lo:hi, the first and last cut
+        f, g = lo // m, (hi - 1) // m
+        starts = _round_div_col(np.arange(f, g + 1, dtype=np.int64),
                                 frame_num, frame_den, start_offset_ns)
-        return (starts[:, None] + within).ravel()[lo % m:][:hi - lo]
+        if f == g:
+            return starts[0] + within[lo - f * m:hi - f * m]
+        return np.concatenate((starts[0] + within[lo - f * m:],
+                               (starts[1:-1, None] + within).ravel(),
+                               starts[-1] + within[:hi - g * m]))
 
     return _synthetic(n_frames * m, end, times, pkt_size, flow, dscp)
 

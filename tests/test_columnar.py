@@ -429,6 +429,20 @@ def test_frames_near_the_int64_bound_straddle_slab_ends(slab):
     assert all(len(s.t) == slab for s in slabs[:-1])
 
 
+@pytest.mark.parametrize("slab", [1, 7, 64])
+def test_frames_far_longer_than_a_slab_compute_only_the_slab(slab):
+    # 1,000 packets a frame: each slab's times are computed alone, not with
+    # the rest of the frames it cuts, and match the reference
+    args = (10**9, 64, 0, 2 * 10**6, 10**10, 5, "fr", 1000)
+    with slab_size(slab):
+        slabs = list(frames_slabs(*args))
+        got = list(packets(merge_slabs([iter(slabs)])))
+    want = list(ref.frames(*args))
+    assert len(want) > 3000
+    assert got == want
+    assert all(s.t.base is None or s.t.base.size <= slab for s in slabs)
+
+
 # -- build_stream --------------------------------------------------------------
 
 def _two_source_scenario():

@@ -11,6 +11,10 @@ completion or on an epoch. Ports are served every ``k`` arrivals, so frames
 are also held from one ``serve`` call to the next. Where every frame is in
 one queue, the blocks that decide the drops are held to the per-start
 steps as well. ``drain`` is held to the driver at arbitrary horizons.
+The same properties run again with the vector paths forced on (busy-period
+opens by pointer doubling, the periods inside a run accounted by sums);
+the doubled opens are held to the record loop directly, and a measured
+window that opens or closes in any phase of a summed period to the handlers.
 """
 
 import random
@@ -250,6 +254,31 @@ def saturating_cases(draw):
           [(0, 1500, 0, 0), (1, 1500, 0, 0), (11, 125, 1, 46), (1, 125, 1, 46),
            (0, 1500, 0, 0), (30, 250, 0, 0)], [2], 3))
 def test_kernel_drops_like_the_handlers_and_oracle(monkeypatch, case):
+    _check(monkeypatch, *case)
+
+
+@pytest.fixture
+def vector_paths(monkeypatch):
+    """Every ``_schedule`` call finds its opens by pointer doubling and
+    every ``serve`` call with three or more periods accounts them by sums."""
+    monkeypatch.setattr(eee_port, "_DOUBLING_RECORDS", 0)
+    monkeypatch.setattr(eee_port, "_PERIOD_SUMS", 0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(cases())
+def test_kernel_matches_handlers_and_oracle_on_vector_paths(monkeypatch, vector_paths, case):
+    _check(monkeypatch, *case)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(saturating_cases())
+def test_kernel_drops_like_the_handlers_and_oracle_on_vector_paths(monkeypatch, vector_paths,
+                                                                    case):
     _check(monkeypatch, *case)
 
 
@@ -520,7 +549,18 @@ def _arrivals(rows):
           [(0, 125, False), (13, 1500, False), (0, 1500, False), (0, 125, True)],
           [(2, False, 0), (1, True, 0), (200, False, 1)]))
 def test_drain_matches_the_handlers_at_any_horizon(case):
-    cfg, rows, picks = case
+    _check_drain(*case)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(drain_cases())
+def test_drain_matches_the_handlers_at_any_horizon_on_vector_paths(vector_paths, case):
+    _check_drain(*case)
+
+
+def _check_drain(cfg, rows, picks):
     arrivals = _arrivals(rows)
     kernel, handlers, probe = (EeePort(0, cfg, window=(UNIT, None)) for _ in range(3))
     kernel.serve(*arrivals)
@@ -544,6 +584,119 @@ def test_drain_matches_the_handlers_at_any_horizon(case):
         want = reference_port.drain(handlers, horizon)
         assert _returned(got) == _returned(want)
         assert _snapshot(kernel) == _snapshot(handlers)
+
+
+def _counting_walk(monkeypatch):
+    """Patch ``eee_port._walk`` to log how many records each call walks."""
+    walked = []
+    walk = eee_port._walk
+    monkeypatch.setattr(eee_port, "_walk",
+                        lambda records, *a: walked.append(len(records)) or walk(records, *a))
+    return walked
+
+
+@st.composite
+def schedule_cases(draw):
+    """A run of arrivals for ``_schedule`` whose gaps sit at, just under and
+    just over ``t_sleep + t_wake`` plus a wire time, so that busy periods
+    open fresh, chained to the one before, or both; and a ``theta`` that
+    the first open may come less than ``t_sleep`` after."""
+    t_sleep = draw(st.sampled_from([0, 1, 3, 23]))
+    t_wake = draw(st.sampled_from([0, 1, 2, 45]))
+    c = t_sleep + t_wake
+    n = draw(st.integers(1, 150))
+    w = np.array(draw(st.lists(st.sampled_from([1, 2, 12]), min_size=n, max_size=n)))
+    gaps = draw(st.lists(st.sampled_from([0, 1, t_wake, c, c + 1, c + 2, c + 12, c + 13, 500]),
+                         min_size=n, max_size=n))
+    t = np.cumsum(gaps) + 1000
+    high = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    theta = int(t[0]) + draw(st.sampled_from([-c - 1, -c, -1, 0, 1, t_sleep, c, 100]))
+    return t_sleep, t_wake, t, w, high, theta, draw(st.booleans())
+
+
+def _periodic(gaps, n):
+    """``_schedule`` arguments for ``n`` frames of wire time 2, cycling
+    through ``gaps`` between arrivals; t_sleep 3 and t_wake 2."""
+    t = np.cumsum([0] + [gaps[i % len(gaps)] for i in range(n - 1)])
+    return 3, 2, t, np.full(n, 2), np.zeros(n, dtype=bool), 0, True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(schedule_cases())
+# every open fresh (a period takes 2 + 2 + 3 = 7), every open chained, the
+# first chained to theta and the rest fresh, and two chained among fresh
+# ones, after which the loop takes over
+@example(_periodic([20], 40))
+@example(_periodic([6], 40))
+@example((3, 2, np.arange(40) * 20 + 1, np.full(40, 2), np.zeros(40, dtype=bool), 0, False))
+@example(_periodic([20, 20, 6, 20, 6, 20, 20], 60))
+def test_doubled_opens_match_the_record_loop(monkeypatch, case):
+    t_sleep, t_wake, t, w, high, theta, idle = case
+    port = EeePort(0, EeePortConfig(capacity_bps=TEN_G, t_sleep_ns=t_sleep,
+                                    t_wake_ns=t_wake))
+    walked = _counting_walk(monkeypatch)
+    args = (t, w, high, theta, idle, False)
+    monkeypatch.setattr(eee_port, "_DOUBLING_RECORDS", 2**62)
+    start, periods = port._schedule(*args)
+    monkeypatch.setattr(eee_port, "_DOUBLING_RECORDS", 0)
+    doubled_start, doubled = port._schedule(*args)
+    assert walked[1] <= walked[0]
+    np.testing.assert_array_equal(doubled_start, start)
+    for got, want in zip(doubled, periods):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_fresh_opens_walk_no_records(monkeypatch):
+    # CBR at 600 Mb/s to a 1G port: 1500 B frames 20 us apart take 12 us of
+    # wire, so each opens a busy period well past the sleep and wake after
+    # the one before. Doubling finds every open; the loop walks no record.
+    walked = _counting_walk(monkeypatch)
+    cfg = EeePortConfig(capacity_bps=1_000_000_000)
+    slab, = cbr_slabs(600_000_000, 1500, 0, 2048 * 20_000)
+    arrivals = [np.asarray(col) for col in (slab.t, slab.size, slab.flow, slab.t)]
+    arrivals.append(np.zeros(len(slab.t), dtype=bool))
+    assert len(slab.t) == 2048 >= eee_port._DOUBLING_RECORDS
+    kernel, handlers = (EeePort(0, cfg, window=(10**6, 3 * 10**7)) for _ in range(2))
+    kernel.serve(*arrivals)
+    reference_port.serve(handlers, *arrivals)
+    assert walked == [0]
+    assert kernel.wakes == 2048
+    assert _snapshot(kernel) == _snapshot(handlers)
+
+
+#: 100 periods of one 125 B frame (1 unit of wire), t_sleep 23 and t_wake 2
+#: units: a frame 10 units after the last arrives in its sleep, so its period
+#: chains, and one 200 units after finds the port in LPI
+_PERIODIC_ROWS = [(0, 125, False)] + [((10, 200)[i % 2], 125, False) for i in range(99)]
+
+
+@pytest.mark.parametrize("phase", range(8))
+@pytest.mark.parametrize("edge", ["warmup", "end"])
+def test_period_sums_clip_at_window_edges_in_every_phase(monkeypatch, phase, edge):
+    # The window opens or closes inside the sleep, LPI, wake or active phase
+    # of a period in the middle of one serve call, which period sums account;
+    # residence, wakes and sleeps go as on the handlers.
+    cfg = EeePortConfig(capacity_bps=TEN_G, t_sleep_ns=23 * UNIT, t_wake_ns=2 * UNIT)
+    arrivals = _arrivals(_PERIODIC_ROWS)
+    log = []
+    reference_port.serve(EeePort(0, cfg), *arrivals, log=log)
+    k = len(log) // 2 + phase
+    at = (log[k][0] + log[k + 1][0]) // 2  # inside the state entered at log[k]
+    window = (at, None) if edge == "warmup" else (0, at)
+    kernel, handlers = (EeePort(0, cfg, window=window) for _ in range(2))
+    inner = []
+    enter = EeePort._enter
+    monkeypatch.setattr(EeePort, "_enter", lambda port, times, states, rows=None:
+                        inner.append(rows is not None) or enter(port, times, states, rows))
+    kernel.serve(*arrivals)
+    assert inner == [True]
+    reference_port.serve(handlers, *arrivals)
+    assert _snapshot(kernel) == _snapshot(handlers)
+    kernel.drain(float("inf"))
+    reference_port.drain(handlers, float("inf"))
+    assert _snapshot(kernel) == _snapshot(handlers)
 
 
 def test_kernel_rejects_arrivals_out_of_order():
