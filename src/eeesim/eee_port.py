@@ -101,8 +101,8 @@ _I64_MAX = 2**63 - 1
 _PERIOD_STATES = np.array([SLEEP_TRANS, LPI, WAKE_TRANS, ACTIVE])
 _NO_DROPS = np.empty(0, dtype=np.int64)
 _NO_UP = np.empty(0, dtype=bool)
-_DOUBLING_RECORDS = 1024  #: pointer doubling finds opens from this many records on
-_PERIOD_SUMS = 64  #: ``serve`` sums the periods inside a run from this many on
+_DOUBLING_RECORDS = 512  #: find opens by doubling from this many records on (BENCH_23.json)
+_PERIOD_SUMS = 256  #: sum the inner periods of calls of more periods (>= 2; BENCH_23.json)
 
 
 @dataclass(slots=True)
@@ -417,7 +417,7 @@ class EeePort:
             if state is LPI:  # a cold port, in LPI since it started
                 ready[0] = self.state_since
             at = np.stack((prev_end, ready, wakes, wakes + t_wake))  # a row per state
-            if len(wakes) > max(_PERIOD_SUMS, 2):  # the periods inside go as sums
+            if len(wakes) > _PERIOD_SUMS:  # the periods inside go as sums
                 at, inner = at[:, [0, -1]], at[:, 1:-1]
             at = at.T
             fires = np.ones(at.shape, dtype=bool)

@@ -262,7 +262,7 @@ def vector_paths(monkeypatch):
     """Every ``_schedule`` call finds its opens by pointer doubling and
     every ``serve`` call with three or more periods accounts them by sums."""
     monkeypatch.setattr(eee_port, "_DOUBLING_RECORDS", 0)
-    monkeypatch.setattr(eee_port, "_PERIOD_SUMS", 0)
+    monkeypatch.setattr(eee_port, "_PERIOD_SUMS", 2)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
@@ -674,7 +674,7 @@ _PERIODIC_ROWS = [(0, 125, False)] + [((10, 200)[i % 2], 125, False) for i in ra
 
 @pytest.mark.parametrize("phase", range(8))
 @pytest.mark.parametrize("edge", ["warmup", "end"])
-def test_period_sums_clip_at_window_edges_in_every_phase(monkeypatch, phase, edge):
+def test_period_sums_clip_at_window_edges_in_every_phase(monkeypatch, vector_paths, phase, edge):
     # The window opens or closes inside the sleep, LPI, wake or active phase
     # of a period in the middle of one serve call, which period sums account;
     # residence, wakes and sleeps go as on the handlers.
