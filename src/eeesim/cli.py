@@ -86,11 +86,9 @@ def _apply_overrides(scenario: Scenario, overrides) -> Scenario:
         node = data
         parts = key.strip().split(".")
         for part in parts[:-1]:
-            if not isinstance(node, dict) or not isinstance(node.get(part), dict):
+            node = node.get(part)
+            if not isinstance(node, dict):
                 raise ConfigError(f"--set: {key!r} does not address a scenario field")
-            node = node[part]
-        if not isinstance(node, dict):
-            raise ConfigError(f"--set: {key!r} does not address a scenario field")
         node[parts[-1]] = value
     return Scenario.from_dict(data)
 

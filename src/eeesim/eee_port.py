@@ -34,8 +34,8 @@ prefix sums of wire times, a busy period can end only where ``a_i -
 P_{i-1}`` sets a strict running-max record. After a period that opens past
 the sleep before it (fresh), the next opens at the first record past its
 own plus ``t_wake``: in a long run, pointer doubling follows fresh periods.
-A Python loop over the records takes over at the second period that opens
-in a sleep, and one max-plus scan gives the periods' starts.
+A Python loop over the records takes over at the first period that opens
+in a sleep (chained), and one max-plus scan gives the periods' starts.
 A period holding both queues is re-ordered by strict priority with one
 running max over its high frames. Where the run can fill the buffer,
 :meth:`EeePort._dropped` first finds the arrivals that meet it full, and
@@ -552,16 +552,12 @@ class EeePort:
         records = np.flatnonzero(slack > prior)
         x = slack[records]
         first, opens = theta, [np.zeros(1, dtype=np.int64)]
-        for _ in range(2 if len(x) >= _DOUBLING_RECORDS else 0):  # then walk
-            p = int(np.searchsorted(x, theta, "right"))  # the next open
-            if p < len(x) and x[p] >= theta + t_sleep:  # fresh: it wakes at x_p
-                path = _fresh_opens(x, p, t_sleep, t_wake)
-                opens.append(records[path])
-                theta = int(x[path[-1]]) + t_wake
-                p = int(np.searchsorted(x, theta, "right"))
-            opens.append(records[p:p + 1])  # chained, if any: one loop step
-            theta += t_sleep + t_wake
-        i = int(np.searchsorted(x, theta, "right"))
+        i = int(np.searchsorted(x, theta, "right"))  # the first open
+        if len(x) >= _DOUBLING_RECORDS and i < len(x) and x[i] >= theta + t_sleep:
+            path = _fresh_opens(x, i, t_sleep, t_wake)  # fresh: it wakes at x_i
+            opens.append(records[path])
+            theta = int(x[path[-1]]) + t_wake
+            i = int(np.searchsorted(x, theta, "right"))  # the loop walks on from here
         opens.append(_walk(records[i:], x[i:], theta, t_sleep, t_wake))
         # at the m-th head theta_m = max(x_m + t_wake, theta_{m-1} + c), with
         # c = t_sleep + t_wake: theta_m - m c is a running max from ``first``

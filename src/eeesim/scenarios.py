@@ -33,16 +33,16 @@ import os
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
 from .allocation import Algorithm, BundleConfig
 from .eee_port import EeePortConfig
 from .engine import MetricsReport, SimConfig, run
-from .errors import ConfigError
+from .errors import ConfigError, TraceError
 from .traffic import (
-    _round_div, bursty_slabs, cbr_slabs, frames_slabs, open_trace_memo,
+    _check_size, _round_div, bursty_slabs, cbr_slabs, frames_slabs, open_trace_memo,
     trace_memo, trace_slabs,
 )
 # build_stream looks ``merge`` up at call time, so a profiler can wrap it.
@@ -63,8 +63,6 @@ _SIM_DEFAULTS = {
     "ll_dscps": [46],
     "track_flows": [],
 }
-_SIM_INTS = ("n_ports", "capacity_bps", "t_sleep_ns", "t_wake_ns", "buffer_limit",
-             "sampling_period_ns", "warmup_ns", "duration_ns")
 _LISTS = ("sources", "algorithms", "ll_rates_bps", "normal_rates_bps")
 #: the fields each source kind needs, and the integer fields a source may have
 _SOURCE_NEEDS = {"trace": ("path",), **dict.fromkeys(
@@ -111,15 +109,20 @@ class Scenario:
     """One experiment: traffic, bundle parameters and sweep axes."""
 
     name: str
-    sim: dict
-    sources: list
-    algorithms: list
+    sim: dict = field(default_factory=dict)
+    sources: list = field(default_factory=list)
+    algorithms: list = field(default_factory=list)
     ll_source: dict | None = None
     ll_rates_bps: list = field(default_factory=list)
     normal_rates_bps: list = field(default_factory=list)
     output_dir: str | None = None
 
     def validate(self) -> None:
+        """A ConfigError naming the first bad field. Each source's values are
+        checked by the constructor that builds it, at every sweep point;
+        nothing is synthesized and no trace is opened."""
+        if not isinstance(self.sim, dict):
+            raise ConfigError(f"sim must be an object, got {self.sim!r}")
         lists = {key: getattr(self, key) for key in _LISTS}
         for key in ("ll_dscps", "track_flows"):
             lists[f"sim.{key}"] = self.sim_value(key)
@@ -157,8 +160,6 @@ class Scenario:
         unknown = set(self.sim) - set(_SIM_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown sim fields: {sorted(unknown)}")
-        for key in _SIM_INTS:
-            self.sim_int(key)
         for flow in self.sim_value("track_flows"):
             if not isinstance(flow, str):
                 raise ConfigError(f"sim.track_flows entries must be strings, got {flow!r}")
@@ -170,10 +171,13 @@ class Scenario:
                 float(value)
             except (TypeError, ValueError):
                 raise ConfigError(f"sim.{key} must be a number, got {value!r}") from None
-        for key in ("ll_rates_bps", "normal_rates_bps"):
-            for rate in getattr(self, key):
-                _exact_int(key, rate)
         build_sim_config(self, self.algorithms[0]).validate("sim.")
+        for point in self.sweep_points():
+            for name, src, factor in _point_sources(self, point):
+                try:
+                    _materialize(src, self, factor)
+                except (ConfigError, TraceError) as exc:
+                    raise ConfigError(f"{name}: {exc}") from None
 
     def sim_value(self, key):
         return self.sim.get(key, _SIM_DEFAULTS[key])
@@ -204,34 +208,16 @@ class Scenario:
         return [{"ll_rate_bps": ll, "normal_rate_bps": base}]
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "sim": self.sim,
-            "sources": self.sources,
-            "algorithms": self.algorithms,
-            "ll_source": self.ll_source,
-            "ll_rates_bps": self.ll_rates_bps,
-            "normal_rates_bps": self.normal_rates_bps,
-            "output_dir": self.output_dir,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        known = {"name", "sim", "sources", "algorithms", "ll_source",
-                 "ll_rates_bps", "normal_rates_bps", "output_dir"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
-        try:
-            scenario = cls(
-                name=data["name"],
-                sim=dict(data.get("sim", {})),
-                ll_source=data.get("ll_source"),
-                output_dir=data.get("output_dir"),
-                **{key: data.get(key, []) for key in _LISTS},
-            )
-        except KeyError as exc:
-            raise ConfigError(f"scenario is missing field {exc}") from None
+        if "name" not in data:
+            raise ConfigError("scenario is missing field 'name'")
+        scenario = cls(**data)
         scenario.validate()
         return scenario
 
@@ -280,30 +266,34 @@ def _materialize(src: dict, scenario: Scenario, scale_factor=Fraction(1)):
         m = src.get("pkts_per_frame")
         return frames_slabs(rate, size, dscp, duration, line_rate, offset, flow,
                             None if m is None else _exact_int("pkts_per_frame", m))
-    if kind == "bursty":
-        window = scenario.sim_int("sampling_period_ns")
-        ppw = _round_div(rate * window, size * 8 * 10**9)
-        if ppw < 1:
-            raise ConfigError(f"source {flow!r}: rate too low for one packet per window")
-        bursts = max(1, round(Fraction(ppw, _src_int(src, "burst_pkts", 500))))
-        return bursty_slabs(ppw, size, dscp, window, bursts, line_rate, duration, flow)
-    raise ConfigError(f"unknown source kind {kind!r}")
+    window = scenario.sim_int("sampling_period_ns")  # bursty
+    _check_size(size)  # before it divides
+    ppw = _round_div(rate * window, size * 8 * 10**9)
+    if ppw < 1:
+        raise ConfigError("rate too low for one packet per window")
+    bursts = max(1, round(Fraction(ppw, _src_int(src, "burst_pkts", 500))))
+    return bursty_slabs(ppw, size, dscp, window, bursts, line_rate, duration, flow)
+
+
+def _point_sources(scenario: Scenario, point: dict) -> list:
+    """``(name, source, rate factor)`` of each source the sweep ``point`` runs."""
+    factor = Fraction(1)
+    if scenario.normal_rates_bps:
+        base = scenario.base_normal_rate_bps()
+        if base <= 0:
+            raise ConfigError("normal-rate sweep needs sources with rate_bps")
+        factor = Fraction(point["normal_rate_bps"], base)
+    named = [(f"sources[{i}]", src, factor) for i, src in enumerate(scenario.sources)]
+    if scenario.ll_source is not None and point.get("ll_rate_bps", 0) > 0:
+        src = {**scenario.ll_source, "rate_bps": point["ll_rate_bps"]}
+        named.append(("ll_source", src, Fraction(1)))
+    return named
 
 
 def build_stream(scenario: Scenario, point: dict):
     """Merged batch stream for one sweep point; nothing is built yet."""
-    base = scenario.base_normal_rate_bps()
-    factor = Fraction(1)
-    if scenario.normal_rates_bps:
-        if base <= 0:
-            raise ConfigError("normal-rate sweep needs sources with rate_bps")
-        factor = Fraction(point["normal_rate_bps"], base)
-    sources = [_materialize(src, scenario, factor) for src in scenario.sources]
-    if scenario.ll_source is not None and point.get("ll_rate_bps", 0) > 0:
-        src = dict(scenario.ll_source)
-        src["rate_bps"] = point["ll_rate_bps"]
-        sources.append(_materialize(src, scenario))
-    return merge(sources)
+    return merge([_materialize(src, scenario, factor)
+                  for _, src, factor in _point_sources(scenario, point)])
 
 
 def run_point(scenario_dict: dict, algorithm: str, point: dict) -> MetricsReport:

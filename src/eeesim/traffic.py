@@ -297,6 +297,8 @@ def bursty_slabs(pkts_per_window, pkt_size, dscp, window_ns, bursts_per_window,
         raise ConfigError("pkts_per_window must be >= 1")
     if bursts_per_window < 1:
         raise ConfigError("bursts_per_window must be >= 1")
+    if line_rate_bps <= 0:
+        raise ConfigError(f"line rate must be positive, got {line_rate_bps}")
     _check_size(pkt_size)
     _check_dscp(dscp)
     intra = _round_div(pkt_size * 8 * 10**9, line_rate_bps)

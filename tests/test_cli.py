@@ -427,6 +427,8 @@ def _bad_trace(tmp_path, case):
         path = tmp_path / "missing.csv"
         return path, "1", f"cannot read trace {path}: No such file or directory"
     path = tmp_path / "trace.csv"
+    if case == "not-a-number":  # refused by argparse, before the trace is read
+        return path, "x", "not a number: 'x'"
     if case == "bad-byte":
         path.write_bytes(b"t_ns,flow,bytes,dscp\n0,a,1500,0\n5,a\xff,1500,0\n")
         return path, "1", "line 3: undecodable byte 0xff"
@@ -436,7 +438,7 @@ def _bad_trace(tmp_path, case):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("case", ["missing", "bad-byte", "zero-denominator"])
+@pytest.mark.parametrize("case", ["missing", "bad-byte", "zero-denominator", "not-a-number"])
 def test_run_bad_trace_exits_2(tmp_path, capsys, threads, case):
     trace, scale, message = _bad_trace(tmp_path, case)
     path = _tiny_scenario(tmp_path)
@@ -448,7 +450,7 @@ def test_run_bad_trace_exits_2(tmp_path, capsys, threads, case):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("case", ["missing", "bad-byte", "zero-denominator"])
+@pytest.mark.parametrize("case", ["missing", "bad-byte", "zero-denominator", "not-a-number"])
 def test_scale_bad_trace_exits_2(tmp_path, capsys, case):
     trace, factor, message = _bad_trace(tmp_path, case)
     capsys.readouterr()
@@ -536,6 +538,37 @@ _BURSTY = {**_CBR, "kind": "bursty", "size": 1500}
     ({}, ["--set", "sim.n_ports=0", "--threads", "2"], "sim.n_ports must be >= 1"),
     ({}, ["--set", "sim.buffer_limit=0"], "sim.buffer_limit must be >= 1"),
     ({}, ["--set", "sim.sampling_period_ns=0"], "sim.sampling_period_ns must be positive"),
+    # a source's values are checked by its constructor before anything is written
+    ({"sources": [{**_CBR, "size": 10}]}, [],
+     "sources[0]: frame size 10 outside [64, 9216] bytes"),
+    ({"sources": [{**_CBR, "size": 1500, "rate_bps": 0}]}, [],
+     "sources[0]: rate must be positive, got 0"),
+    ({"sources": [{**_FRAMES, "line_rate_bps": 1_000_000}]}, [],
+     "sources[0]: line rate below mean rate"),
+    ({"sources": [{**_CBR, "size": 1500, "offset_ns": -1}]}, [],
+     "sources[0]: start offset must be non-negative, got -1"),
+    ({"sources": [{**_CBR, "size": 1500}, {**_BURSTY, "dscp": 99}]}, [],
+     "sources[1]: dscp 99 outside [0, 63]"),
+    ({"sources": [{**_BURSTY, "rate_bps": 1000}]}, [],
+     "sources[0]: rate too low for one packet per window"),
+    ({"sources": [{**_BURSTY, "size": 0}]}, [],
+     "sources[0]: frame size 0 outside [64, 9216] bytes"),
+    ({"sources": [{**_BURSTY, "line_rate_bps": 0}]}, [],
+     "sources[0]: line rate must be positive, got 0"),
+    ({"ll_rates_bps": [1_000_000, 2_000_000_000]}, [],
+     "ll_source: line rate below mean rate"),
+    ({"sources": [_TRACE], "ll_source": None, "ll_rates_bps": [],
+      "normal_rates_bps": [1_000_000]}, [],
+     "normal-rate sweep needs sources with rate_bps"),
+    ({}, ["--set", "sim=5"], "sim must be an object, got 5"),
+    ({}, ["--set", "algorithms=[]"], "scenario 'tiny' lists no algorithms"),
+    ({"ll_source": None}, [], "ll_rates_bps sweep needs an ll_source template"),
+    ({"normal_rates_bps": [1_000_000]}, [], "only one sweep axis is supported"),
+    ({}, ["--set", "sim.n_ports"], "--set expects key=value, got 'sim.n_ports'"),
+    ({}, ["--set", "sim.n_ports.x=1"], "--set: 'sim.n_ports.x' does not address a scenario"),
+    ({}, ["--set", "nope=1"], "unknown scenario fields: ['nope']"),
+    ({}, ["--set", "sim.bound_fraction=half"],
+     "sim.bound_fraction must be a number, got 'half'"),  # not JSON: kept as text
 ], ids=["no-size", "size-big", "trace-no-path", "ll-dscps-int", "sources-int",
         "bound-fraction-str", "algorithms-str", "algorithm-unknown", "track-flows-str",
         "trace-path-int", "trace-path-list", "scale-str", "scale-zero-denominator",
@@ -543,7 +576,12 @@ _BURSTY = {**_CBR, "kind": "bursty", "size": 1500}
         "burst-pkts-0", "burst-pkts-negative", "dscp-bool", "n-ports-bool",
         "warmup-bool", "ll-dscp-99", "track-flows-nested", "p-lpi-bool", "p-active-bool",
         "bound-fraction-bool", "normal-rates-str", "ll-rates-float", "bound-fraction-2",
-        "p-lpi-3", "n-ports-0-on-a-pool", "buffer-limit-0", "sampling-period-0"])
+        "p-lpi-3", "n-ports-0-on-a-pool", "buffer-limit-0", "sampling-period-0",
+        "size-10", "rate-0", "line-rate-below-rate", "offset-negative", "dscp-99",
+        "bursty-rate-too-low", "bursty-size-0", "bursty-line-rate-0",
+        "ll-source-bad-at-one-rate", "normal-sweep-no-rates",
+        "sim-int", "algorithms-empty", "ll-rates-no-ll-source", "two-sweep-axes",
+        "set-no-equals", "set-not-a-field", "set-unknown-field", "set-raw-text"])
 def test_run_bad_scenario_field_exits_2(tmp_path, capsys, doc, argv, message):
     path = _tiny_scenario(tmp_path, **doc)
     out = tmp_path / "out"

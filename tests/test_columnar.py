@@ -505,6 +505,41 @@ def test_build_stream_synthesizes_nothing_until_next(monkeypatch):
         next(stream)
 
 
+def test_validate_builds_every_source_but_no_stream(monkeypatch, tmp_path):
+    # validate checks each source by its constructor at every sweep point: it
+    # builds no stream (the tracer counts one build_stream per job), merges
+    # nothing, synthesizes nothing and opens no trace
+    emit, emitted = traffic._synthetic, []
+
+    def refuse(lo, hi):
+        raise AssertionError("synthesized")
+
+    def emit_refusing(n, end, times, *cols):
+        emitted.append(cols[1])  # the flow
+        return emit(n, end, refuse, *cols)
+
+    def not_here(*args):
+        raise AssertionError("stream built")
+
+    monkeypatch.setattr(traffic, "_synthetic", emit_refusing)
+    monkeypatch.setattr(scenarios, "build_stream", not_here)
+    monkeypatch.setattr(scenarios, "merge", not_here)
+    source = {"size": 1500, "dscp": 0, "rate_bps": 50_000_000}
+    scenario = Scenario(
+        name="every-kind",
+        sim={"n_ports": 2, "capacity_bps": 1_000_000_000, "sampling_period_ns": 5_000_000,
+             "warmup_ns": 5_000_000, "duration_ns": 20_000_000},
+        sources=[{"kind": "trace", "path": str(tmp_path / "missing.csv")},
+                 {**source, "kind": "bursty", "flow": "b"},
+                 {**source, "kind": "cbr", "flow": "c"}],
+        ll_source={**source, "kind": "frames", "flow": "f", "size": 125, "dscp": 46},
+        algorithms=["conservative"],
+        ll_rates_bps=[1_000_000, 2_000_000],
+    )
+    scenario.validate()  # the trace does not exist: opening it would fail here
+    assert emitted == ["b", "c", "f"] * 2
+
+
 def test_build_stream_calls_module_merge_once(monkeypatch):
     calls = []
     monkeypatch.setattr(scenarios, "merge", lambda sources: calls.append(sources))

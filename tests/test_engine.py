@@ -737,6 +737,14 @@ def test_report_renders_text_and_csv():
     assert len(csv_text.splitlines()) == len(report.epoch_loads) + 1
 
 
+def test_report_renders_a_class_without_packets():
+    # normal packets only: the low-latency class has no delay to show
+    rows = run(make_config(), [Packet(0, 1500, "f", 0, 0)]).to_text().splitlines()
+    delay = {r.split()[1]: r for r in rows if r.startswith("delay ")}
+    assert delay["low_latency"].endswith("  no packets")
+    assert delay["overall"].endswith("n=1") and delay["normal"].endswith("n=1")
+
+
 # -- delay statistics ---------------------------------------------------------
 
 @settings(max_examples=300, deadline=None, derandomize=True)

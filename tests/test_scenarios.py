@@ -11,6 +11,7 @@ from eeesim.scenarios import (
     build_sim_config,
     build_stream,
     combined_csv,
+    default_threads,
     load_scenario,
     mininet_scenario,
     qos_sweep_scenario,
@@ -126,6 +127,29 @@ def test_scenario_rejects_unknown_source_kind():
 def test_load_scenario_rejects_missing_ref(tmp_path):
     with pytest.raises(ConfigError):
         load_scenario(str(tmp_path / "nope.json"))
+
+
+def test_load_scenario_rejects_invalid_json(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"name": ')
+    with pytest.raises(ConfigError) as error:
+        load_scenario(str(path))
+    assert str(error.value).startswith(f"{path}: invalid JSON: ")
+
+
+def test_scenario_without_a_name_names_the_field():
+    doc = mininet_scenario().to_json_dict()
+    del doc["name"]
+    with pytest.raises(ConfigError, match="^scenario is missing field 'name'$"):
+        Scenario.from_dict(doc)
+
+
+def test_threads_from_the_environment(monkeypatch):
+    monkeypatch.setenv("EEESIM_THREADS", " 3 ")
+    assert default_threads() == 3
+    monkeypatch.setenv("EEESIM_THREADS", "two")
+    with pytest.raises(ConfigError, match="^EEESIM_THREADS must be an integer, got 'two'$"):
+        default_threads()
 
 
 def test_empty_ll_dscp_set_is_respected():
