@@ -72,9 +72,8 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from None
 
 
-def _apply_overrides(scenario: Scenario, overrides) -> Scenario:
-    """Apply --set dotted-path overrides to scalar scenario fields."""
-    data = scenario.to_json_dict()
+def _apply_overrides(data: dict, overrides) -> None:
+    """Apply --set dotted-path overrides to scalar fields of scenario ``data``."""
     for item in overrides or ():
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -90,19 +89,19 @@ def _apply_overrides(scenario: Scenario, overrides) -> Scenario:
             if not isinstance(node, dict):
                 raise ConfigError(f"--set: {key!r} does not address a scenario field")
         node[parts[-1]] = value
-    return Scenario.from_dict(data)
 
 
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
-    scenario = _apply_overrides(scenario, args.set)
     if args.trace_scale is not None and not args.trace:
         raise ConfigError("--trace-scale needs --trace: it scales the trace --trace names")
-    if args.trace:
-        # Substitute the synthetic bulk traffic with a recorded trace.
-        scale = 1 if args.trace_scale is None else args.trace_scale
-        scenario.sources = [{"kind": "trace", "path": args.trace, "scale": str(scale)}]
-        scenario.validate()
+    if args.set or args.trace:  # edit one dict, then parse and check it once
+        data = scenario.to_json_dict()
+        _apply_overrides(data, args.set)
+        if args.trace:  # substitute the synthetic bulk traffic with a recorded trace
+            scale = 1 if args.trace_scale is None else args.trace_scale
+            data["sources"] = [{"kind": "trace", "path": args.trace, "scale": str(scale)}]
+        scenario = Scenario.from_dict(data)
     if args.dump_scenario:
         print(json.dumps(scenario.to_json_dict(), indent=2, sort_keys=True))
         return 0
@@ -144,7 +143,7 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_mininet(args) -> int:
-    scenario = builtin_scenarios()["mininet"]
+    scenario = load_scenario("mininet")
     if args.duration:
         scenario.sim["duration_ns"] = parse_time(args.duration)
     jobs, reports, written = run_scenario(

@@ -296,15 +296,10 @@ def build_stream(scenario: Scenario, point: dict):
                   for _, src, factor in _point_sources(scenario, point)])
 
 
-def run_point(scenario_dict: dict, algorithm: str, point: dict) -> MetricsReport:
-    """Execute one (algorithm, sweep point) simulation. Picklable worker."""
-    scenario = Scenario.from_dict(scenario_dict)
-    config = build_sim_config(scenario, algorithm)
-    return run(config, build_stream(scenario, point))
-
-
-def _worker(args):
-    return run_point(*args)
+def run_point(scenario: Scenario, algorithm: str, point: dict) -> MetricsReport:
+    """One (algorithm, sweep point) simulation of a checked scenario, which it
+    does not check again: it builds only ``point``'s sources. Picklable worker."""
+    return run(build_sim_config(scenario, algorithm), build_stream(scenario, point))
 
 
 def default_threads() -> int:
@@ -343,7 +338,7 @@ def _csv_row(algorithm: str, point: dict, report: MetricsReport) -> dict:
 
 
 def run_sweep(scenario: Scenario, threads: int | None = None):
-    """All (algorithm x sweep point) runs, in sweep order.
+    """All (algorithm x sweep point) runs of ``scenario``, checked once here.
 
     Returns ``(jobs, reports)`` where ``jobs[i]`` is ``(algorithm, point)``
     and ``reports[i]`` the matching report. Worker-pool size comes from
@@ -361,8 +356,7 @@ def run_sweep(scenario: Scenario, threads: int | None = None):
     points = scenario.sweep_points()
     jobs = [(alg, point) for alg in scenario.algorithms for point in points]
     n_threads = default_threads() if threads is None else max(1, threads)
-    sdict = scenario.to_json_dict()
-    args = [(sdict, alg, point) for alg, point in jobs]
+    args = ([scenario] * len(jobs), *zip(*jobs))  # run_point's arguments, by column
     start = time.perf_counter()
 
     def collect(results):
@@ -375,13 +369,13 @@ def run_sweep(scenario: Scenario, threads: int | None = None):
 
     if n_threads <= 1 or len(jobs) <= 1:
         with trace_memo() if len(jobs) > 1 else nullcontext():
-            reports = collect(map(_worker, args))
+            reports = collect(map(run_point, *args))
     else:
         from concurrent.futures import ProcessPoolExecutor  # an in-process sweep skips its import
         workers = min(n_threads, len(jobs))
         keep = open_trace_memo if len(jobs) > workers else None
         with ProcessPoolExecutor(max_workers=workers, initializer=keep) as pool:
-            reports = collect(pool.map(_worker, args))
+            reports = collect(pool.map(run_point, *args))
     return jobs, reports
 
 
@@ -404,22 +398,24 @@ def run_scenario(scenario: Scenario, output_dir=None, threads=None,
     """
     out = Path(output_dir or scenario.output_dir or f"out/{scenario.name}")
     scenario.validate()  # a bad scenario leaves no output dir behind
-    out.mkdir(parents=True, exist_ok=True)
+    try:  # before the sweep, so an unwritable directory costs no run
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror}") from None
     jobs, reports = run_sweep(scenario, threads)
-    written = []
+    files = []  # (path, text) of each report file, in the order written
     for (alg, point), report in zip(jobs, reports):
         stem = f"{alg}-ll{point['ll_rate_bps']}-n{point['normal_rate_bps']}"
-        path = out / f"{stem}.json"
-        path.write_text(report.to_json() + "\n")
-        written.append(path)
+        files.append((out / f"{stem}.json", report.to_json() + "\n"))
         if epoch_csv:
-            epath = out / f"{stem}.epochs.csv"
-            epath.write_text(report.epoch_loads_csv())
-            written.append(epath)
-    csv_path = out / "combined.csv"
-    csv_path.write_text(combined_csv(jobs, reports))
-    written.append(csv_path)
-    return jobs, reports, written
+            files.append((out / f"{stem}.epochs.csv", report.epoch_loads_csv()))
+    files.append((out / "combined.csv", combined_csv(jobs, reports)))
+    for path, text in files:
+        try:
+            path.write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    return jobs, reports, [path for path, _ in files]
 
 
 # ---------------------------------------------------------------------------
@@ -581,13 +577,12 @@ def builtin_scenarios() -> dict:
 
 def load_scenario(ref: str) -> Scenario:
     """Scenario by builtin name or JSON file path."""
-    builtins = builtin_scenarios()
-    if ref in builtins:
-        return builtins[ref]
+    if ref in _BUILTIN_BUILDERS:
+        return _BUILTIN_BUILDERS[ref](ref)
     path = Path(ref)
     if not path.exists():
         raise ConfigError(
-            f"{ref!r} is neither a builtin scenario ({', '.join(sorted(builtins))}) "
+            f"{ref!r} is neither a builtin scenario ({', '.join(sorted(_BUILTIN_BUILDERS))}) "
             f"nor a scenario file"
         )
     try:

@@ -8,7 +8,7 @@ import pytest
 from eeesim import read_trace
 from eeesim.cli import main, parse_rate, parse_time
 from eeesim.errors import ConfigError
-from eeesim.scenarios import load_scenario, run_point
+from eeesim.scenarios import Scenario, load_scenario, run_point
 
 
 @pytest.fixture(autouse=True)
@@ -275,7 +275,7 @@ def test_report_renders_like_to_text(tmp_path, capsys):
     path = _tiny_scenario(tmp_path, algorithms=["conservative"])
     scenario = load_scenario(str(path))
     scenario.sim["track_flows"] = ["rt", "ghost"]  # ghost sends nothing
-    report = run_point(scenario.to_json_dict(), "conservative",
+    report = run_point(scenario, "conservative",
                        scenario.sweep_points()[0])
     report_path = tmp_path / "report.json"
     report_path.write_text(report.to_json() + "\n")
@@ -311,7 +311,7 @@ def test_run_progress_goes_to_stderr_only(tmp_path, capsys, threads):
     scenario = load_scenario(str(path))
     point = scenario.sweep_points()[0]
     for alg, report_path in zip(("conservative", "two_queues"), written):
-        direct = run_point(scenario.to_json_dict(), alg, point)
+        direct = run_point(scenario, alg, point)
         assert report_path.read_text() == direct.to_json() + "\n"
     lines = captured.err.splitlines()
     assert [line.split(",")[0] for line in lines] == [
@@ -589,3 +589,57 @@ def test_run_bad_scenario_field_exits_2(tmp_path, capsys, doc, argv, message):
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where, threads", [
+    ("under-a-file", "1"), ("under-a-file", "2"), ("combined-is-a-dir", "1")])
+def test_run_unwritable_output_exits_2(tmp_path, capsys, where, threads):
+    path = _tiny_scenario(tmp_path)
+    if where == "under-a-file":
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "out"
+        bad, reason = out, "Not a directory"
+    else:
+        out = tmp_path / "out"
+        bad, reason = out / "combined.csv", "Is a directory"
+        bad.mkdir(parents=True)
+    assert main(["run", str(path), "--threads", threads, "--output-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: cannot write {bad}: {reason}"]
+    assert "Traceback" not in captured.err
+
+
+def _tiny_trace(tmp_path):
+    trace = tmp_path / "t.csv"
+    main(["gen", "--rate", "40M", "--size", "1500", "--duration", "20ms",
+          "--flow", "cap0", "--out", str(trace)])
+    return trace
+
+
+def test_run_trace_dump_checks_once(tmp_path, capsys, monkeypatch):
+    trace = _tiny_trace(tmp_path)
+    validate = Scenario.validate
+    checks = []
+
+    def counted(self):
+        checks.append(self.name)
+        validate(self)
+
+    monkeypatch.setattr(Scenario, "validate", counted)
+    assert main(["run", "testbed", "--trace", str(trace), "--dump-scenario"]) == 0
+    assert checks == ["testbed"]
+
+
+def test_run_set_and_trace_dump_the_edited_scenario(tmp_path, capsys):
+    trace = _tiny_trace(tmp_path)
+    capsys.readouterr()
+    assert main(["run", "testbed", "--set", "sim.duration_ns=2000000000",
+                 "--set", 'algorithms=["two_queues"]', "--trace", str(trace),
+                 "--trace-scale", "3/2", "--dump-scenario"]) == 0
+    want = load_scenario("testbed").to_json_dict()
+    want["sim"]["duration_ns"] = 2_000_000_000
+    want["algorithms"] = ["two_queues"]
+    want["sources"] = [{"kind": "trace", "path": str(trace), "scale": "3/2"}]
+    assert capsys.readouterr().out == json.dumps(want, indent=2, sort_keys=True) + "\n"

@@ -1,9 +1,12 @@
 """Synthetic traffic builders, scenario schema and the built-in catalogue."""
 
+import concurrent.futures
 import json
+import os
 
 import pytest
 
+from eeesim import scenarios
 from eeesim.errors import ConfigError
 from eeesim.scenarios import (
     Scenario,
@@ -219,3 +222,81 @@ def test_run_sweep_row_order_is_sweep_order(monkeypatch):
     stream = list(packets(build_stream(scenario, jobs[0][1])))
     # build_stream yields batches of plain (arrival_time, size, flow, dscp, seq) tuples
     assert stream and all(a[0] <= b[0] for a, b in zip(stream, stream[1:]))
+
+
+def _two_by_two(**extra):
+    """A 2-algorithm x 2-point scenario whose points run two sources each."""
+    doc = dict(
+        name="two-by-two",
+        sim={"n_ports": 2, "capacity_bps": 1_000_000_000,
+             "sampling_period_ns": 2_000_000, "warmup_ns": 2_000_000,
+             "duration_ns": 6_000_000},
+        sources=[{"kind": "cbr", "flow": "bulk", "size": 1500, "dscp": 0,
+                  "rate_bps": 40_000_000}],
+        ll_source={"kind": "frames", "flow": "rt", "size": 125, "dscp": 46,
+                   "line_rate_bps": 1_000_000_000},
+        algorithms=["conservative", "two_queues"],
+        ll_rates_bps=[1_000_000, 2_000_000],
+    )
+    return Scenario(**{**doc, **extra})
+
+
+def _counting(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that each call in this process is counted."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_in_process_sweep_checks_the_scenario_once(monkeypatch):
+    checks = _counting(monkeypatch, Scenario, "validate")
+    jobs, reports = run_sweep(_two_by_two(), threads=1)
+    assert len(jobs) == len(reports) == 4
+    assert len(checks) == 1
+
+
+def test_pool_jobs_check_nothing(monkeypatch):
+    # forked pool workers inherit the patch; a job that checked would raise
+    caller = os.getpid()
+    validate = Scenario.validate
+
+    def caller_only(self):
+        if os.getpid() != caller:
+            raise RuntimeError("a job checked the scenario")
+        validate(self)
+
+    monkeypatch.setattr(Scenario, "validate", caller_only)
+    _, pooled = run_sweep(_two_by_two(), threads=2)
+    monkeypatch.setattr(Scenario, "validate", validate)
+    _, serial = run_sweep(_two_by_two(), threads=1)
+    assert [r.to_json() for r in pooled] == [r.to_json() for r in serial]
+
+
+def test_each_job_builds_only_its_own_sources(monkeypatch):
+    scenario = _two_by_two()
+    points = scenario.sweep_points()
+    per_point = [len(scenarios._point_sources(scenario, p)) for p in points]
+    assert per_point == [2, 2]
+    built = _counting(monkeypatch, scenarios, "_materialize")
+    jobs, _ = run_sweep(scenario, threads=1)
+    # the check builds every source of every point; each job, its point's
+    assert len(built) == sum(per_point) + len(jobs) * 2
+
+
+def test_sweep_refuses_a_bad_source_before_any_job(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a job ran or a pool was made")
+
+    monkeypatch.setattr(scenarios, "run_point", never)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
+    bad = {"kind": "cbr", "flow": "tiny", "size": 10, "dscp": 0, "rate_bps": 1_000_000}
+    scenario = _two_by_two(sources=[_two_by_two().sources[0], bad])
+    for threads in (1, 2):
+        with pytest.raises(ConfigError, match=r"^sources\[1\]: "):
+            run_sweep(scenario, threads=threads)
