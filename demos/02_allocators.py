@@ -14,11 +14,11 @@ from eeesim.allocation import FlowEstimate
 GBPS = 1_000_000_000
 
 flows = [
-    FlowEstimate(f"bulk{i}", 0, Fraction(r * GBPS), TrafficClass.NORMAL)
+    FlowEstimate(f"bulk{i}", Fraction(r * GBPS), TrafficClass.NORMAL)
     for i, r in enumerate((8, 7, 5, 3, 2, 1))
 ]
 flows.append(
-    FlowEstimate("voice", 0, Fraction(GBPS // 100), TrafficClass.LOW_LATENCY)
+    FlowEstimate("voice", Fraction(GBPS // 100), TrafficClass.LOW_LATENCY)
 )
 bundle = BundleConfig(n_ports=5, capacity_bps=10 * GBPS)
 

@@ -12,14 +12,9 @@ from .allocation import (
     BundleConfig,
     FlowEstimate,
     allocate,
-    bounded_greedy_allocate,
     conservative_allocate,
-    equitable_allocate,
     estimate_rates,
-    greedy_allocate,
     required_ports,
-    spare_port_allocate,
-    two_queues_allocate,
 )
 from .eee_port import EeePort, EeePortConfig, PortState, Queue
 from .engine import FlowTable, MetricsReport, SimConfig, oracle_simulate, run
@@ -36,9 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Algorithm", "AllocationPlan", "BundleConfig", "FlowEstimate",
-    "allocate", "bounded_greedy_allocate", "conservative_allocate",
-    "equitable_allocate", "estimate_rates", "greedy_allocate",
-    "required_ports", "spare_port_allocate", "two_queues_allocate",
+    "allocate", "conservative_allocate", "estimate_rates", "required_ports",
     "EeePort", "EeePortConfig", "PortState", "Queue",
     "FlowTable", "MetricsReport", "SimConfig", "oracle_simulate", "run",
     "ConfigError", "SimulationFault", "TraceError",

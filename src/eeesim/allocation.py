@@ -1,5 +1,9 @@
 """Per-flow rate estimation and the flow -> (port, queue) allocation algorithms.
 
+:func:`allocate` is the entry point: it checks a :class:`BundleConfig` and
+runs one of the six :class:`Algorithm` s; :func:`conservative_allocate`
+balances over a fixed ``k`` ports, as the plan before the first epoch does.
+
 All allocators are pure functions from rate estimates to a plan, and all
 are exact, so port-count thresholds and load tie-breaks never depend on
 floating-point rounding. They share one array core over :class:`Estimates`,
@@ -63,7 +67,6 @@ class FlowEstimate:
     """Rate a flow is expected to carry in the next interval."""
 
     flow: str
-    bytes_last_period: int
     rate: Fraction  # bits/s, exactly bytes*8/period
     traffic_class: TrafficClass
 
@@ -156,19 +159,6 @@ class AllocationPlan:
         """Port of ``active_set`` with the lowest planned load, lowest index first."""
         loads = self.port_loads
         return min(self.active_set, key=lambda i: (loads[i], i))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "epoch_ns": self.epoch,
-            "algorithm": self.algorithm.value,
-            "active_ports": self.active_ports,
-            "spare_port": self.spare_port,
-            "port_loads_bps": [float(x) for x in self.port_loads],
-            "assignments": {
-                flow: {"port": port, "queue": queue.name.lower()}
-                for flow, (port, queue) in sorted(self.assignments.items())
-            },
-        }
 
 
 def initial_plan(algorithm: Algorithm, n_ports: int) -> AllocationPlan:
@@ -280,23 +270,7 @@ def conservative_allocate(estimates, k: int, n_ports: int, epoch: int = 0) -> Al
     return _lpt_plan(est, _ranked(est), k, n_ports, epoch, Algorithm.CONSERVATIVE)
 
 
-def _sized_conservative(estimates, capacity_bps, n_ports, epoch, algorithm):
-    """LPT over just enough ports for the total estimated load."""
-    est = _arrays(estimates)
-    ranked = _ranked(est)
-    k = _sized(est, ranked, capacity_bps, n_ports)
-    return _lpt_plan(est, ranked, k, n_ports, epoch, algorithm)
-
-
-def equitable_allocate(estimates, n_ports: int, epoch: int = 0) -> AllocationPlan:
-    """Spread flows over all N ports regardless of load."""
-    plan = conservative_allocate(estimates, n_ports, n_ports, epoch)
-    plan.algorithm = Algorithm.EQUITABLE
-    return plan
-
-
-def _greedy_plan(estimates, threshold, n_ports, epoch, algorithm):
-    est = _arrays(estimates)
+def _greedy_plan(est, threshold, n_ports, epoch, algorithm):
     # load + rate <= threshold  <=>  load_units + units <= floor(threshold / unit)
     limit = math.floor(Fraction(threshold) / est.unit)
     port = np.zeros(len(est), dtype=np.int64)
@@ -305,31 +279,11 @@ def _greedy_plan(estimates, threshold, n_ports, epoch, algorithm):
     return _plan(est, algorithm, epoch, port, loads, len(used), used)
 
 
-def greedy_allocate(estimates, capacity_bps, n_ports: int, epoch: int = 0) -> AllocationPlan:
-    """First-fit decreasing onto the lowest-index port with room up to capacity."""
-    return _greedy_plan(estimates, capacity_bps, n_ports, epoch, Algorithm.GREEDY)
-
-
-def bounded_greedy_allocate(
-    estimates, capacity_bps, bound_fraction, n_ports: int, epoch: int = 0
-) -> AllocationPlan:
-    """Greedy with the per-port threshold lowered to bound_fraction * capacity."""
-    if not 0 < bound_fraction <= 1:
-        raise ConfigError(f"bound fraction must be in (0, 1], got {bound_fraction}")
-    if isinstance(bound_fraction, float):
-        bound_fraction = Fraction(str(bound_fraction))
-    threshold = Fraction(bound_fraction) * capacity_bps
-    return _greedy_plan(estimates, threshold, n_ports, epoch, Algorithm.BOUNDED_GREEDY)
-
-
-def spare_port_allocate(estimates, capacity_bps, n_ports: int, epoch: int = 0) -> AllocationPlan:
-    """Conservative on normal flows, low-latency flows onto the emptiest port.
-
-    Pass 1 sizes the active set from normal traffic only. Pass 2 sends every
+def _spare_port_plan(est, capacity_bps, n_ports, epoch):
+    """Pass 1 sizes the active set from normal traffic only. Pass 2 sends every
     low-latency flow to the port with the smallest pass-1 load, breaking ties
     toward the highest index so an untouched trailing port is preferred.
     """
-    est = _arrays(estimates)
     ranked = _ranked(est)
     ll = est.low_latency[ranked]
     normal, lowlat = ranked[~ll], ranked[ll]
@@ -345,29 +299,32 @@ def spare_port_allocate(estimates, capacity_bps, n_ports: int, epoch: int = 0) -
     return _plan(est, Algorithm.SPARE_PORT, epoch, port, loads, active, range(k), spare)
 
 
-def two_queues_allocate(estimates, capacity_bps, n_ports: int, epoch: int = 0) -> AllocationPlan:
-    """Conservative port placement, class-based queue selection.
-
-    The flow -> port map is bit-for-bit the conservative one computed over
-    all flows; only the queue differs (high for low-latency flows).
-    """
-    return _sized_conservative(estimates, capacity_bps, n_ports, epoch,
-                               Algorithm.TWO_QUEUES)
-
-
 def allocate(algorithm: Algorithm, estimates, bundle: BundleConfig, epoch: int = 0) -> AllocationPlan:
-    """Run the configured allocator over the estimates."""
+    """Run ``algorithm`` over the estimates for ``bundle``, once it is checked.
+
+    ``equitable`` spreads flows over all N ports regardless of load.
+    ``greedy`` places them first-fit decreasing onto the lowest-index port
+    with room up to capacity; ``bounded_greedy`` lowers that per-port
+    threshold to ``bound_fraction * capacity``. ``conservative`` balances
+    them (LPT) over just enough ports for the total estimated load.
+    ``spare_port`` is conservative on normal flows and sends low-latency
+    flows onto the emptiest port. ``two_queues`` places flows on ports bit
+    for bit as conservative does over all flows; only the queue differs
+    (high for low-latency flows).
+    """
+    bundle.validate()
+    est = _arrays(estimates)
     n, cap = bundle.n_ports, bundle.capacity_bps
     if algorithm is Algorithm.EQUITABLE:
-        return equitable_allocate(estimates, n, epoch)
+        return _lpt_plan(est, _ranked(est), n, n, epoch, algorithm)
+    if algorithm in (Algorithm.CONSERVATIVE, Algorithm.TWO_QUEUES):
+        ranked = _ranked(est)
+        return _lpt_plan(est, ranked, _sized(est, ranked, cap, n), n, epoch, algorithm)
     if algorithm is Algorithm.GREEDY:
-        return greedy_allocate(estimates, cap, n, epoch)
+        return _greedy_plan(est, cap, n, epoch, algorithm)
     if algorithm is Algorithm.BOUNDED_GREEDY:
-        return bounded_greedy_allocate(estimates, cap, bundle.bound_fraction, n, epoch)
-    if algorithm is Algorithm.CONSERVATIVE:
-        return _sized_conservative(estimates, cap, n, epoch, Algorithm.CONSERVATIVE)
+        bound = Fraction(str(bundle.bound_fraction)) * cap
+        return _greedy_plan(est, bound, n, epoch, algorithm)
     if algorithm is Algorithm.SPARE_PORT:
-        return spare_port_allocate(estimates, cap, n, epoch)
-    if algorithm is Algorithm.TWO_QUEUES:
-        return two_queues_allocate(estimates, cap, n, epoch)
+        return _spare_port_plan(est, cap, n, epoch)
     raise ConfigError(f"unknown algorithm {algorithm!r}")

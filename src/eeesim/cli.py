@@ -19,6 +19,7 @@ from .scenarios import (
     Scenario,
     builtin_scenarios,
     load_scenario,
+    read_scenario,
     run_scenario,
 )
 from .traffic import cbr_slabs, merge_slabs, packets, trace_slabs, write_trace
@@ -91,17 +92,25 @@ def _apply_overrides(data: dict, overrides) -> None:
         node[parts[-1]] = value
 
 
+def _dump_profile(profiler, path) -> None:
+    try:
+        profiler.dump_stats(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _cmd_run(args) -> int:
-    scenario = load_scenario(args.scenario)
     if args.trace_scale is not None and not args.trace:
         raise ConfigError("--trace-scale needs --trace: it scales the trace --trace names")
-    if args.set or args.trace:  # edit one dict, then parse and check it once
-        data = scenario.to_json_dict()
+    if args.set or args.trace:  # edit the scenario's dict, then parse and check it once
+        data = read_scenario(args.scenario)
         _apply_overrides(data, args.set)
         if args.trace:  # substitute the synthetic bulk traffic with a recorded trace
             scale = 1 if args.trace_scale is None else args.trace_scale
             data["sources"] = [{"kind": "trace", "path": args.trace, "scale": str(scale)}]
         scenario = Scenario.from_dict(data)
+    else:
+        scenario = load_scenario(args.scenario)
     if args.dump_scenario:
         print(json.dumps(scenario.to_json_dict(), indent=2, sort_keys=True))
         return 0
@@ -111,10 +120,11 @@ def _cmd_run(args) -> int:
         import cProfile  # only here: it costs every other run its import time
 
         profiler = cProfile.Profile()
+        _dump_profile(profiler, args.profile)  # before the sweep, so a bad path costs no run
         try:
             jobs, reports, written = profiler.runcall(run_scenario, scenario, **sweep)
         finally:
-            profiler.dump_stats(args.profile)
+            _dump_profile(profiler, args.profile)
     else:
         jobs, reports, written = run_scenario(scenario, **sweep)
     for path in written:

@@ -575,18 +575,28 @@ def builtin_scenarios() -> dict:
     return {name: builder(name) for name, builder in _BUILTIN_BUILDERS.items()}
 
 
+def read_scenario(ref: str) -> dict:
+    """The unchecked dict of a builtin name or a JSON file path."""
+    if ref in _BUILTIN_BUILDERS:
+        return _BUILTIN_BUILDERS[ref](ref).to_json_dict()
+    try:
+        data = json.loads(Path(ref).read_text())
+    except FileNotFoundError:
+        raise ConfigError(
+            f"{ref!r} is neither a builtin scenario ({', '.join(sorted(_BUILTIN_BUILDERS))}) "
+            f"nor a scenario file"
+        ) from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{ref}: invalid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{ref}: cannot read: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{ref}: a scenario is a JSON object, got {type(data).__name__}")
+    return data
+
+
 def load_scenario(ref: str) -> Scenario:
     """Scenario by builtin name or JSON file path."""
     if ref in _BUILTIN_BUILDERS:
         return _BUILTIN_BUILDERS[ref](ref)
-    path = Path(ref)
-    if not path.exists():
-        raise ConfigError(
-            f"{ref!r} is neither a builtin scenario ({', '.join(sorted(_BUILTIN_BUILDERS))}) "
-            f"nor a scenario file"
-        )
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{ref}: invalid JSON: {exc}") from None
-    return Scenario.from_dict(data)
+    return Scenario.from_dict(read_scenario(ref))

@@ -149,8 +149,7 @@ def control_path(config, packets):
     epoch = period
 
     def fire():
-        estimates = [FlowEstimate(f, counts.get(f, 0),
-                                  Fraction(counts.get(f, 0) * 8_000_000_000, period), c)
+        estimates = [FlowEstimate(f, Fraction(counts.get(f, 0) * 8_000_000_000, period), c)
                      for f, c in classes.items()]
         return allocate(algorithm, estimates, n_ports, bundle.capacity_bps,
                         bundle.bound_fraction)

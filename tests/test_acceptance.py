@@ -302,7 +302,7 @@ def test_criterion_9_lpt_within_four_thirds_of_optimum():
             rates = [rng.randint(1, 100) for _ in range(rng.randint(1, 8))]
         for k in range(1, 4):
             flows = [
-                FlowEstimate(f"f{i:02d}", 0, Fraction(r), TrafficClass.NORMAL)
+                FlowEstimate(f"f{i:02d}", Fraction(r), TrafficClass.NORMAL)
                 for i, r in enumerate(rates)
             ]
             lpt = max(conservative_allocate(flows, k, k).port_loads)

@@ -13,14 +13,9 @@ from eeesim import (
     Queue,
     TrafficClass,
     allocate,
-    bounded_greedy_allocate,
     conservative_allocate,
-    equitable_allocate,
     estimate_rates,
-    greedy_allocate,
     required_ports,
-    spare_port_allocate,
-    two_queues_allocate,
 )
 from eeesim.allocation import BundleConfig, FlowEstimate, flow_rank
 
@@ -29,7 +24,12 @@ GBPS = 1_000_000_000
 
 
 def est(flow, rate_bps, cls=TrafficClass.NORMAL):
-    return FlowEstimate(flow, 0, Fraction(int(rate_bps)), cls)
+    return FlowEstimate(flow, Fraction(int(rate_bps)), cls)
+
+
+def alloc(algorithm, flows, n_ports=5, bound_fraction=0.9):
+    """``allocate`` on a bundle of ``n_ports`` 10 Gb/s ports."""
+    return allocate(algorithm, flows, BundleConfig(n_ports, 10 * GBPS, algorithm, bound_fraction))
 
 
 def ests(rates_gbps, cls=TrafficClass.NORMAL, prefix="f"):
@@ -97,6 +97,11 @@ def test_required_ports_clamps():
     assert required_ports(100 * GBPS, GBPS, 5) == 5
 
 
+def test_required_ports_rejects_zero_capacity():
+    with pytest.raises(ConfigError, match="^capacity must be positive, got 0$"):
+        required_ports(GBPS, 0, 5)
+
+
 def test_required_ports_monotone():
     rng = random.Random(RSEED)
     rates = sorted(rng.randrange(0, 60 * GBPS) for _ in range(100))
@@ -134,22 +139,28 @@ def test_conservative_equal_rates_tie_break_by_flow_id():
     assert plan1.assignments == plan2.assignments
 
 
+@pytest.mark.parametrize("k", [0, 6])
+def test_conservative_rejects_k_outside_the_bundle(k):
+    with pytest.raises(ConfigError, match=rf"^k={k} outside \[1, 5\]$"):
+        conservative_allocate(ests([1]), k, 5)
+
+
 # -- equitable ---------------------------------------------------------------
 
 def test_equitable_spreads_over_all_ports():
-    plan = equitable_allocate(ests([8, 7, 5, 3, 2, 1]), 5)
+    plan = alloc(Algorithm.EQUITABLE, ests([8, 7, 5, 3, 2, 1]))
     assert loads_gbps(plan) == [8.0, 7.0, 5.0, 3.0, 3.0]
     assert plan.active_ports == 5
 
 
 def test_equitable_single_flow_uses_one_port():
-    plan = equitable_allocate(ests([9]), 5)
+    plan = alloc(Algorithm.EQUITABLE, ests([9]))
     assert sum(1 for load in plan.port_loads if load > 0) == 1
 
 
 def test_equitable_one_port_equals_conservative():
     flows = ests([3, 2, 1])
-    eq = equitable_allocate(flows, 1)
+    eq = alloc(Algorithm.EQUITABLE, flows, 1)
     cons = conservative_allocate(flows, 1, 1)
     assert eq.assignments == cons.assignments
 
@@ -157,25 +168,25 @@ def test_equitable_one_port_equals_conservative():
 # -- greedy family -----------------------------------------------------------
 
 def test_greedy_first_fit_example():
-    plan = greedy_allocate(ests([6, 5, 4]), 10 * GBPS, 5)
+    plan = alloc(Algorithm.GREEDY, ests([6, 5, 4]))
     ports = {f: p for f, (p, _) in plan.assignments.items()}
     assert ports == {"f0": 0, "f2": 0, "f1": 1}
     assert loads_gbps(plan)[:2] == [10.0, 5.0]
 
 
 def test_greedy_all_on_first_port_when_it_fits():
-    plan = greedy_allocate(ests([4, 3, 2]), 10 * GBPS, 5)
+    plan = alloc(Algorithm.GREEDY, ests([4, 3, 2]))
     assert {p for p, _ in plan.assignments.values()} == {0}
     assert plan.active_ports == 1
 
 
 def test_greedy_oversize_flow_falls_back():
-    plan = greedy_allocate(ests([12]), 10 * GBPS, 5)
+    plan = alloc(Algorithm.GREEDY, ests([12]))
     assert plan.assignments["f0"] == (0, Queue.LOW)
 
 
 def test_bounded_greedy_spills_at_threshold():
-    plan = bounded_greedy_allocate(ests([6, 5, 4]), 10 * GBPS, 0.9, 5)
+    plan = alloc(Algorithm.BOUNDED_GREEDY, ests([6, 5, 4]), bound_fraction=0.9)
     ports = {f: p for f, (p, _) in plan.assignments.items()}
     assert ports == {"f0": 0, "f1": 1, "f2": 1}  # 6+4 > 9 spills; 5+4 = 9 fits
     assert loads_gbps(plan)[:2] == [6.0, 9.0]
@@ -183,13 +194,13 @@ def test_bounded_greedy_spills_at_threshold():
 
 def test_bounded_greedy_with_bound_one_equals_greedy():
     flows = ests([6, 5, 4, 3, 2])
-    bg = bounded_greedy_allocate(flows, 10 * GBPS, 1.0, 5)
-    greedy = greedy_allocate(flows, 10 * GBPS, 5)
+    bg = alloc(Algorithm.BOUNDED_GREEDY, flows, bound_fraction=1.0)
+    greedy = alloc(Algorithm.GREEDY, flows)
     assert bg.assignments == greedy.assignments
 
 
 def test_bounded_greedy_oversize_fallback():
-    plan = bounded_greedy_allocate(ests([6]), 10 * GBPS, 0.5, 5)
+    plan = alloc(Algorithm.BOUNDED_GREEDY, ests([6]), bound_fraction=0.5)
     assert plan.assignments["f0"] == (0, Queue.LOW)
 
 
@@ -197,7 +208,7 @@ def test_bounded_greedy_oversize_fallback():
 
 def test_spare_port_picks_trailing_idle_port():
     flows = ests([8, 7, 5, 3, 2, 1]) + ests([0.01], TrafficClass.LOW_LATENCY, "ll")
-    plan = spare_port_allocate(flows, 10 * GBPS, 5)
+    plan = alloc(Algorithm.SPARE_PORT, flows)
     assert plan.spare_port == 4
     assert plan.assignments["ll0"] == (4, Queue.LOW)
     assert plan.active_ports == 4  # 3 bulk ports + the spare
@@ -205,7 +216,7 @@ def test_spare_port_picks_trailing_idle_port():
 
 def test_spare_port_competes_when_bundle_full():
     flows = ests([8, 7, 5]) + ests([0.01], TrafficClass.LOW_LATENCY, "ll")
-    plan = spare_port_allocate(flows, 10 * GBPS, 2)
+    plan = alloc(Algorithm.SPARE_PORT, flows, 2)
     # both ports carry bulk traffic (k = N = 2): the low-latency flow joins
     # the least-loaded one and competes on equal terms
     port, queue = plan.assignments["ll0"]
@@ -215,7 +226,7 @@ def test_spare_port_competes_when_bundle_full():
 
 def test_spare_port_without_ll_equals_conservative():
     flows = ests([8, 7, 5, 3, 2, 1])
-    spare = spare_port_allocate(flows, 10 * GBPS, 5)
+    spare = alloc(Algorithm.SPARE_PORT, flows)
     cons = conservative_allocate(flows, 3, 5)
     assert spare.assignments == cons.assignments
     assert spare.spare_port is None
@@ -233,7 +244,7 @@ def test_two_queues_port_map_matches_conservative():
         ]
         total = sum(e.rate for e in flows)
         k = required_ports(total, 10 * GBPS, 5)
-        tq = two_queues_allocate(flows, 10 * GBPS, 5)
+        tq = alloc(Algorithm.TWO_QUEUES, flows)
         cons = conservative_allocate(flows, k, 5)
         assert {f: p for f, (p, _) in tq.assignments.items()} == {
             f: p for f, (p, _) in cons.assignments.items()
@@ -251,14 +262,14 @@ def test_two_queues_port_map_matches_conservative():
 
 def test_two_queues_all_normal_equals_conservative():
     flows = ests([4, 3, 2])
-    tq = two_queues_allocate(flows, 10 * GBPS, 5)
+    tq = alloc(Algorithm.TWO_QUEUES, flows)
     cons = conservative_allocate(flows, 1, 5)
     assert tq.assignments == cons.assignments
 
 
 def test_two_queues_zero_rate_ll_flow():
     flows = ests([4, 3]) + [est("ll0", 0, TrafficClass.LOW_LATENCY)]
-    tq = two_queues_allocate(flows, 10 * GBPS, 5)
+    tq = alloc(Algorithm.TWO_QUEUES, flows)
     cons = conservative_allocate(flows, 1, 5)
     port, queue = tq.assignments["ll0"]
     assert port == cons.assignments["ll0"][0]
@@ -304,10 +315,27 @@ def test_allocators_are_deterministic():
         assert p1.active_ports == p2.active_ports
 
 
-def test_plan_serializes_to_json():
-    plan = two_queues_allocate(
-        ests([4]) + ests([0.1], TrafficClass.LOW_LATENCY, "ll"), 10 * GBPS, 5
-    )
-    doc = plan.to_json_dict()
-    assert doc["assignments"]["ll0"] == {"port": 0, "queue": "high"}
-    assert doc["algorithm"] == "two_queues"
+def test_plan_places_low_latency_flow_in_high_queue():
+    plan = alloc(Algorithm.TWO_QUEUES, ests([4]) + ests([0.1], TrafficClass.LOW_LATENCY, "ll"))
+    assert plan.assignments["ll0"] == (0, Queue.HIGH)
+    assert plan.algorithm is Algorithm.TWO_QUEUES
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n_ports", 0, "n_ports must be >= 1, got 0"),
+    ("capacity_bps", 0, "capacity_bps must be positive, got 0"),
+    ("bound_fraction", 0, "bound_fraction must be in (0, 1], got 0"),
+    ("bound_fraction", 1.5, "bound_fraction must be in (0, 1], got 1.5"),
+], ids=["n-ports-0", "capacity-0", "bound-0", "bound-1.5"])
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+def test_allocate_rejects_a_bad_bundle_naming_the_field(algorithm, field, value, message):
+    bundle = BundleConfig(5, 10 * GBPS, algorithm)
+    setattr(bundle, field, value)
+    with pytest.raises(ConfigError) as error:
+        allocate(algorithm, ests([4, 3]), bundle)
+    assert str(error.value) == message
+
+
+def test_allocate_rejects_an_unknown_algorithm():
+    with pytest.raises(ConfigError, match="^unknown algorithm 'greedy'$"):
+        allocate("greedy", ests([4]), BundleConfig(5, 10 * GBPS))

@@ -69,8 +69,8 @@ def test_allocators_keep_invariants_on_estimates(case):
     assert len(estimates) == len(flows)
     rates = [Fraction(b * 8_000_000_000, period) for b in nbytes]
     total = sum(rates, Fraction(0))
-    listed = [FlowEstimate(f, b, r, LL if ll else NORMAL)
-              for f, b, r, ll in zip(flows, nbytes, rates, low_latency)]
+    listed = [FlowEstimate(f, r, LL if ll else NORMAL)
+              for f, r, ll in zip(flows, rates, low_latency)]
     for algorithm in Algorithm:
         plan = allocate(algorithm, estimates, BundleConfig(n_ports, TEN_G, algorithm, bound))
         allowed = set(plan.active_set) | {plan.spare_port}
@@ -108,7 +108,7 @@ def huge_lcm_estimates(draw):
     primes, so their lcm takes the units past int64."""
     primes = draw(st.permutations([1_000_000_007, 998_244_353, 2_147_483_647, 65_537]))
     n = draw(st.integers(0, 4))
-    return [FlowEstimate(f"f{draw(st.integers(0, 99)):02d}-{i}", 0,
+    return [FlowEstimate(f"f{draw(st.integers(0, 99)):02d}-{i}",
                          Fraction(draw(st.integers(0, 3)) * 10**9, primes[i]), NORMAL)
             for i in range(n)]
 

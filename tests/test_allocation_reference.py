@@ -39,7 +39,7 @@ def cases(draw):
 
 
 def _check(n_ports, capacity, bound, flows):
-    estimates = [FlowEstimate(flow, 0, Fraction(rate), cls) for flow, rate, cls in flows]
+    estimates = [FlowEstimate(flow, Fraction(rate), cls) for flow, rate, cls in flows]
     for algorithm in Algorithm:
         bundle = BundleConfig(n_ports, capacity, algorithm, bound)
         plan = allocate(algorithm, estimates, bundle)

@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+import shutil
 
 import pytest
 
-from eeesim import read_trace
+from eeesim import cli, read_trace
 from eeesim.cli import main, parse_rate, parse_time
 from eeesim.errors import ConfigError
 from eeesim.scenarios import Scenario, load_scenario, run_point
@@ -538,6 +539,8 @@ _BURSTY = {**_CBR, "kind": "bursty", "size": 1500}
     ({}, ["--set", "sim.n_ports=0", "--threads", "2"], "sim.n_ports must be >= 1"),
     ({}, ["--set", "sim.buffer_limit=0"], "sim.buffer_limit must be >= 1"),
     ({}, ["--set", "sim.sampling_period_ns=0"], "sim.sampling_period_ns must be positive"),
+    ({}, ["--set", "sim.capacity_bps=0"], "sim.capacity_bps must be positive, got 0"),
+    ({}, ["--set", "sim.duration_ns=0"], "sim.duration_ns must be positive"),
     # a source's values are checked by its constructor before anything is written
     ({"sources": [{**_CBR, "size": 10}]}, [],
      "sources[0]: frame size 10 outside [64, 9216] bytes"),
@@ -577,6 +580,7 @@ _BURSTY = {**_CBR, "kind": "bursty", "size": 1500}
         "warmup-bool", "ll-dscp-99", "track-flows-nested", "p-lpi-bool", "p-active-bool",
         "bound-fraction-bool", "normal-rates-str", "ll-rates-float", "bound-fraction-2",
         "p-lpi-3", "n-ports-0-on-a-pool", "buffer-limit-0", "sampling-period-0",
+        "capacity-0", "duration-0",
         "size-10", "rate-0", "line-rate-below-rate", "offset-negative", "dscp-99",
         "bursty-rate-too-low", "bursty-size-0", "bursty-line-rate-0",
         "ll-source-bad-at-one-rate", "normal-sweep-no-rates",
@@ -618,8 +622,8 @@ def _tiny_trace(tmp_path):
     return trace
 
 
-def test_run_trace_dump_checks_once(tmp_path, capsys, monkeypatch):
-    trace = _tiny_trace(tmp_path)
+def _count_checks(monkeypatch):
+    """The names of the scenarios ``Scenario.validate`` checks, as it checks them."""
     validate = Scenario.validate
     checks = []
 
@@ -628,6 +632,12 @@ def test_run_trace_dump_checks_once(tmp_path, capsys, monkeypatch):
         validate(self)
 
     monkeypatch.setattr(Scenario, "validate", counted)
+    return checks
+
+
+def test_run_trace_dump_checks_once(tmp_path, capsys, monkeypatch):
+    trace = _tiny_trace(tmp_path)
+    checks = _count_checks(monkeypatch)
     assert main(["run", "testbed", "--trace", str(trace), "--dump-scenario"]) == 0
     assert checks == ["testbed"]
 
@@ -643,3 +653,40 @@ def test_run_set_and_trace_dump_the_edited_scenario(tmp_path, capsys):
     want["algorithms"] = ["two_queues"]
     want["sources"] = [{"kind": "trace", "path": str(trace), "scale": "3/2"}]
     assert capsys.readouterr().out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("duration_ns", [0, 20_000_000], ids=["repaired-by-set", "valid"])
+def test_run_set_edits_a_file_before_it_is_checked(tmp_path, capsys, monkeypatch, duration_ns):
+    path = _tiny_scenario(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["sim"]["duration_ns"] = duration_ns
+    path.write_text(json.dumps(doc))
+    checks = _count_checks(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--set", "sim.duration_ns=30000000",
+                 "--set", 'algorithms=["conservative"]', "--output-dir", str(out)]) == 0
+    assert json.loads((out / "conservative-ll1000000-n50000000.json").read_text())[
+        "duration_ns"] == 30_000_000
+    assert checks == ["tiny"] * 3  # from_dict, run_scenario, run_sweep
+
+
+@pytest.mark.parametrize("when", ["before-the-run", "after-the-run"])
+def test_run_unwritable_profile_exits_2(tmp_path, capsys, monkeypatch, when):
+    path = _tiny_scenario(tmp_path, algorithms=["conservative"])
+    out, prof_dir = tmp_path / "out", tmp_path / "prof"
+    if when == "after-the-run":
+        prof_dir.mkdir()
+        run_scenario = cli.run_scenario
+
+        def then_remove_the_directory(*args, **kwargs):
+            result = run_scenario(*args, **kwargs)
+            shutil.rmtree(prof_dir)
+            return result
+
+        monkeypatch.setattr(cli, "run_scenario", then_remove_the_directory)
+    dump = prof_dir / "run.prof"
+    assert main(["run", str(path), "--profile", str(dump), "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == f"error: cannot write {dump}: No such file or directory"
+    assert out.exists() is (when == "after-the-run")

@@ -711,6 +711,12 @@ def test_packet_size_outside_the_frame_range_rejected():
             run(make_config(), pkts)
 
 
+def test_packet_field_beyond_int64_rejected():
+    pkts = [Packet(0, 1500, "f", 0, 0), Packet(5, 1500, "f", 0, 2**63)]
+    with pytest.raises(ConfigError, match="^packet field exceeds the int64 range$"):
+        run(make_config(), pkts)
+
+
 def test_packet_dscp_outside_its_range_rejected():
     for dscp in (-1, MAX_DSCP + 1):
         pkts = [Packet(0, 1500, "f", 0, 0), Packet(5, 1500, "f", dscp, 1)]

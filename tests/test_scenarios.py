@@ -140,6 +140,22 @@ def test_load_scenario_rejects_invalid_json(tmp_path):
     assert str(error.value).startswith(f"{path}: invalid JSON: ")
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read: "),
+    (b"\xff\xfe{}", "cannot read: "),
+    (b"[5]", "a scenario is a JSON object, got list"),
+], ids=["directory", "not-utf-8", "not-an-object"])
+def test_load_scenario_rejects_an_unreadable_file(tmp_path, content, message):
+    path = tmp_path / "scenario.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    with pytest.raises(ConfigError) as error:
+        load_scenario(str(path))
+    assert str(error.value).startswith(f"{path}: {message}")
+
+
 def test_scenario_without_a_name_names_the_field():
     doc = mininet_scenario().to_json_dict()
     del doc["name"]

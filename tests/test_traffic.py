@@ -20,7 +20,7 @@ from eeesim import (
     write_trace,
 )
 from eeesim.traffic import (
-    _scale_col, _scale_factor, cbr_slabs, merge_slabs, packets, trace_slabs,
+    _scale_col, _scale_factor, bursty_slabs, cbr_slabs, merge_slabs, packets, trace_slabs,
 )
 from test_columnar import slab_of
 
@@ -193,6 +193,13 @@ def test_cbr_long_run_rate_exact_to_one_ppm():
     span = pkts[-1][0] - pkts[0][0]
     measured = (len(pkts) - 1) * 125 * 8 * 1e9 / span
     assert abs(measured / rate - 1) < 1e-6
+
+
+@pytest.mark.parametrize("pkts, bursts, field", [
+    (0, 1, "pkts_per_window"), (4, 0, "bursts_per_window")])
+def test_bursty_rejects_counts_below_one(pkts, bursts, field):
+    with pytest.raises(ConfigError, match=f"^{field} must be >= 1$"):
+        bursty_slabs(pkts, 1500, 0, 10**6, bursts, 10**10, 10**6)
 
 
 def test_cbr_rejects_bad_parameters():
